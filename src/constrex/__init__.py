@@ -14,13 +14,13 @@ from .syntax import (
     App, Atom, Bool, Cat, Conn, Constraint, Empty, Environment, Match, Star,
     Var, Word,
     apply_subst_set, check_subst_set, expr_str, expr_variables, formula_str,
-    subst_set_str, substitute, subterms, sum_expr, sum_only, term_of_word,
+    subst_set_str, substitute, subterms, sum_expr, term_of_word,
     term_str, variables_of, word_str,
 )
 from .parser import parse_environment, parse_expression, parse_formula, parse_term
 from .semantics import (
     FiniteRelation, Interpretation, Realization, TableFunction,
-    eval_formula, eval_term, membership_fixed, realize_word, regex_derivative,
+    eval_formula, eval_term, membership_fixed, regex_derivative,
     regex_null, regex_str, regularize,
 )
 from .derivation import (

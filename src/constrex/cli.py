@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 accepted/SAT, 1 rejected/UNSAT or not-found-within-bound,
-2 usage or parse errors, 3 oracle disagreement (with --oracle).
+2 usage, parse or configuration errors and input nested too deeply,
+3 oracle disagreement (with --oracle).
 All output is deterministic and line-oriented.
 """
 
@@ -110,6 +111,12 @@ def _read_expression(args, env: Environment):
     return parse_expression(text, env)
 
 
+def _oracle(out, status, agree) -> int:
+    """Append the oracle verdict; a disagreement turns the status into 3."""
+    out.append("oracle: %s" % ("agree" if agree else "disagree"))
+    return status if agree else 3
+
+
 def _check_fixed(args, env, out):
     interp = _interpretation(env, args.interp)
     r = _realization(env, args.real)
@@ -118,10 +125,8 @@ def _check_fixed(args, env, out):
     out.append("ACCEPT" if accepted else "REJECT")
     status = 0 if accepted else 1
     if args.oracle:
-        agree = accepted == brute_membership_fixed_r(interp, r, e, args.word)
-        out.append("oracle: %s" % ("agree" if agree else "disagree"))
-        if not agree:
-            status = 3
+        status = _oracle(out, status, accepted == brute_membership_fixed_r(
+            interp, r, e, args.word))
     return status
 
 
@@ -130,25 +135,17 @@ def _check_free(args, env, out):
     witness = membership_general(env, e, args.word)
     if witness is None:
         out.append("REJECT")
-        status = 1
         if args.oracle:
-            agree = all(
+            return _oracle(out, 1, all(
                 brute_membership_fixed_I(interp, e, args.word, Bound()) is None
-                for interp in sample_interpretations(env))
-            out.append("oracle: %s" % ("agree" if agree else "disagree"))
-            if not agree:
-                status = 3
-        return status
+                for interp in sample_interpretations(env)))
+        return 1
     out.append("ACCEPT")
     out.extend(_witness_lines(env, witness))
-    status = 0
     if args.oracle:
-        agree = brute_membership_fixed_r(
-            witness.interpretation, witness.realization, e, args.word)
-        out.append("oracle: %s" % ("agree" if agree else "disagree"))
-        if not agree:
-            status = 3
-    return status
+        return _oracle(out, 0, brute_membership_fixed_r(
+            witness.interpretation, witness.realization, e, args.word))
+    return 0
 
 
 def _derive(args, env, out):
@@ -160,7 +157,6 @@ def _derive(args, env, out):
         pairs = simplify(env, pairs)
     for e2, X in pairs:
         out.append("%s\t%s" % (expr_str(e2), subst_set_str(env, X)))
-    status = 0
     if args.oracle:
         ok = True
         for _e2, X in pairs:
@@ -168,10 +164,8 @@ def _derive(args, env, out):
                 check_subst_set(X)
             except ConstrexError:
                 ok = False
-        out.append("oracle: %s" % ("agree" if ok else "disagree"))
-        if not ok:
-            status = 3
-    return status
+        return _oracle(out, 0, ok)
+    return 0
 
 
 def _indicator(args, env, out):
@@ -179,13 +173,9 @@ def _indicator(args, env, out):
     pairs = indicator_set(env, e)
     for pair in pairs:
         out.append(indicator_pair_str(env, pair))
-    status = 0
     if args.oracle:
-        ok = all(check_erasure(p) for p in pairs)
-        out.append("oracle: %s" % ("agree" if ok else "disagree"))
-        if not ok:
-            status = 3
-    return status
+        return _oracle(out, 0, all(check_erasure(p) for p in pairs))
+    return 0
 
 
 def _sat(args, env, out):
@@ -193,22 +183,15 @@ def _sat(args, env, out):
     witness = satisfiable_free(env, phi)
     if witness is None:
         out.append("UNSAT")
-        status = 1
         if args.oracle:
-            agree = brute_satisfiable_free(env, phi) is None
-            out.append("oracle: %s" % ("agree" if agree else "disagree"))
-            if not agree:
-                status = 3
-        return status
+            return _oracle(out, 1, brute_satisfiable_free(env, phi) is None)
+        return 1
     out.append("SAT")
     out.extend(_witness_lines(env, witness))
-    status = 0
     if args.oracle:
-        agree = eval_formula(witness.interpretation, witness.realization, phi)
-        out.append("oracle: %s" % ("agree" if agree else "disagree"))
-        if not agree:
-            status = 3
-    return status
+        return _oracle(out, 0, eval_formula(
+            witness.interpretation, witness.realization, phi))
+    return 0
 
 
 def _regularize(args, env, out):
@@ -217,16 +200,13 @@ def _regularize(args, env, out):
     e = _read_expression(args, env)
     rx = regularize(interp, r, e)
     out.append(regex_str(rx))
-    status = 0
     if args.oracle:
         agree = True
         for w in sorted(enumerate_language(rx, args.max_len)):
             if not brute_membership_fixed_r(interp, r, e, w):
                 agree = False
-        out.append("oracle: %s" % ("agree" if agree else "disagree"))
-        if not agree:
-            status = 3
-    return status
+        return _oracle(out, 0, agree)
+    return 0
 
 
 _MODES = {
@@ -284,6 +264,9 @@ def run(argv=None) -> int:
         status = _MODES[args.mode](args, env, out)
     except (ConstrexError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return 2
     for line in out:
         print(line)

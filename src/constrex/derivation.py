@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from .errors import PreconditionError, UnsupportedOperatorError
+from .errors import PreconditionError
 from .syntax import (
     Bool, Cat, Constraint, Empty, Environment, Expr, Match, Star, Word,
-    apply_subst_set, expr_str, is_sum, subst_expr, subst_set_str, subst_word,
+    apply_subst_set, as_mixed_word, check_sum_only, expr_str, is_sum, subst_expr,
+    subst_set_str, subst_word,
 )
 
 DerivPair = Tuple[Expr, frozenset]
@@ -72,9 +73,6 @@ def _derive(env: Environment, e: Expr, a: str) -> List[DerivPair]:
     if isinstance(e, Empty):
         return []
     if isinstance(e, Bool):
-        if not is_sum(e):
-            raise UnsupportedOperatorError(
-                "derivation is defined for the sum only, got %r" % e.op)
         return _derive(env, e.children[0], a) + _derive(env, e.children[1], a)
     if isinstance(e, Star):
         return _odot_left(env, _derive(env, e.child, a), e)
@@ -122,11 +120,16 @@ def canonical(env: Environment, pairs: Iterable[DerivPair]) -> DerivativeSet:
     return tuple(keyed[k] for k in sorted(keyed))
 
 
-def derive_expr(env: Environment, e: Expr, a: str) -> DerivativeSet:
-    """Constrained derivative of an expression w.r.t. one symbol, canonical."""
+def _step(env: Environment, e: Expr, a: str) -> DerivativeSet:
+    """derive_expr without the sum-only check, for already checked states."""
     if not env.is_symbol(a):
         raise PreconditionError("%r is not a symbol of the alphabet" % a)
     return canonical(env, _derive(env, e, a))
+
+
+def derive_expr(env: Environment, e: Expr, a: str) -> DerivativeSet:
+    """Constrained derivative of an expression w.r.t. one symbol, canonical."""
+    return _step(env, check_sum_only(e), a)
 
 
 def derive_expr_word(env: Environment, e: Expr, w: str) -> DerivativeSet:
@@ -141,11 +144,11 @@ def derive_expr_word(env: Environment, e: Expr, w: str) -> DerivativeSet:
 
 def derive_paths(env: Environment, e: Expr, w: str):
     """All (derived expression, substitution-set chain) paths along w."""
-    paths = [(e, [])]
+    paths = [(check_sum_only(e), [])]
     for a in w:
         paths = [(e2, chain + [X])
                  for e1, chain in paths
-                 for e2, X in derive_expr(env, e1, a)]
+                 for e2, X in _step(env, e1, a)]
     return paths
 
 
@@ -211,24 +214,12 @@ def simplify_expr(env: Environment, e: Expr) -> Expr:
                 return child
             if const_null(child):
                 return Word("")
-        word_child = _plain_word(child)
+        word_child = as_mixed_word(child)
         if word_child is not None and _symbols_only(env, e.word) \
                 and _symbols_only(env, word_child):
             return Word(e.word) if e.word == word_child else Empty()
         return Match(e.word, child)
     raise TypeError(e)
-
-
-def _plain_word(e: Expr):
-    """Flatten a catenation of Word nodes to one word, else None."""
-    if isinstance(e, Word):
-        return e.letters
-    if isinstance(e, Cat):
-        left = _plain_word(e.left)
-        right = _plain_word(e.right)
-        if left is not None and right is not None:
-            return left + right
-    return None
 
 
 def _symbols_only(env: Environment, w: str) -> bool:

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from .errors import TruthTableLimitError, UnsupportedAlphabetError
+from .errors import ConfigError, TruthTableLimitError, UnsupportedAlphabetError
 from .derivation import derive_paths
 from .nullability import indicator_set
 from .semantics import (
@@ -27,7 +27,7 @@ from .semantics import (
 from .syntax import (
     CAT, EPSILON, EPS_TERM,
     App, Atom, Conn, Environment, Expr, Formula, Term, Var,
-    connective, subst_term, sum_only, term_of_word, term_str, term_variables,
+    connective, subst_term, term_of_word, term_str, term_variables,
 )
 
 DEFAULT_MAX_PROPS = 20
@@ -140,7 +140,11 @@ def eval_prop(psi, assignment: Dict[PropAtom, bool]) -> bool:
 def sat_truth_table(psi, max_props: Optional[int] = None) -> Optional[Dict[PropAtom, bool]]:
     """First satisfying assignment in lexicographic order, or None."""
     if max_props is None:
-        max_props = int(os.environ.get(MAX_PROPS_ENV, DEFAULT_MAX_PROPS))
+        text = os.environ.get(MAX_PROPS_ENV, str(DEFAULT_MAX_PROPS))
+        if not text.strip().isdecimal():
+            raise ConfigError("%s must be a nonnegative integer, got %r"
+                              % (MAX_PROPS_ENV, text))
+        max_props = int(text)
     atoms = prop_alphabet(psi)
     if len(atoms) > max_props:
         raise TruthTableLimitError(
@@ -334,9 +338,6 @@ def satisfiable_free(env: Environment, phi: Formula,
 def null_general(env: Environment, e: Expr,
                  max_props: Optional[int] = None) -> Optional[Witness]:
     """A witness that the empty word belongs to the language of e, if any."""
-    if not sum_only(e):
-        from .errors import UnsupportedOperatorError
-        raise UnsupportedOperatorError("the general test handles sum-only expressions")
     for erased, phi in indicator_set(env, e):
         witness = satisfiable_free(env, phi, max_props)
         if witness is not None:

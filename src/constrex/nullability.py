@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-from .errors import UnsupportedOperatorError
 from .syntax import (
     AND, TOP,
     Bool, Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
     Match, Star, Word,
-    connective, formula_str, formula_variables, is_sum, subst_formula,
+    check_sum_only, connective, formula_str, formula_variables, subst_formula,
     variables_of,
 )
 from .semantics import Interpretation, Realization, eval_formula
@@ -80,7 +79,7 @@ def _canonical(env: Environment, pairs) -> IndicatorSet:
 
 def indicator_set(env: Environment, e: Expr) -> IndicatorSet:
     """The S-epsilon reduction of empty-word membership to satisfiability."""
-    return _canonical(env, _indicator(env, e))
+    return _canonical(env, _indicator(env, check_sum_only(e)))
 
 
 def _indicator(env: Environment, e: Expr):
@@ -96,9 +95,6 @@ def _indicator(env: Environment, e: Expr):
                            _indicator(env, e.child))
         return []
     if isinstance(e, Bool):
-        if not is_sum(e):
-            raise UnsupportedOperatorError(
-                "indicator sets are defined for the sum only, got %r" % e.op)
         return _indicator(env, e.children[0]) + _indicator(env, e.children[1])
     if isinstance(e, Cat):
         return _otimes(env, _indicator(env, e.left), _indicator(env, e.right))

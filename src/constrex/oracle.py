@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from .semantics import (
-    Interpretation, RCat, REmpty, RInter, RLit, RUnion, Realization, Regex,
-    eval_formula,
+    FiniteRelation, Interpretation, RCat, REmpty, RInter, RLit, RUnion,
+    Realization, Regex, eval_formula,
 )
 from .syntax import (
     Bool, Cat, Constraint, Empty, Environment, Expr, Formula, Match, Star,
@@ -131,8 +131,6 @@ def sample_interpretations(env: Environment, limit: int = 64) -> list:
     Symbols with no builtin of their arity fall back to an empty finite table
     (both polarities for predicates, argument catenation for functions).
     """
-    from .semantics import FiniteRelation
-
     names = []
     options = []
     for name, arity in sorted(env.predicates.items()):

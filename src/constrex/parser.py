@@ -29,8 +29,8 @@ from .errors import ParseError
 from .syntax import (
     AND, CAT, IMPLIES, NOT, OR, TRUE, FALSE,
     App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Term, Var, Word, EPS_TERM, check_expr, check_formula,
-    sum_expr,
+    Match, Star, Term, Var, Word, EPS_TERM, as_mixed_word, check_expr,
+    check_formula, check_term, sum_expr,
 )
 
 _PUNCT = ["-|", "&&", "||", "->", "(", ")", "*", "+", "|", "!", ","]
@@ -122,9 +122,6 @@ class _Parser:
             t.col += 1
         return c
 
-    def at_word_run(self) -> bool:
-        return self.peek().kind == "word"
-
     # expressions ----------------------------------------------------------
 
     def expr(self) -> Expr:
@@ -148,18 +145,18 @@ class _Parser:
         # The match operator takes a mixed word on one side; customary
         # notation puts the word on either side of the glyph, so accept both,
         # hoisting a trailing constraint: A -| (w | phi)  ==>  (w -| A) | phi.
-        lw = _as_mixed_word(left)
+        lw = as_mixed_word(left)
         if lw is not None:
             return Match(lw, right)
-        rw = _as_mixed_word(right)
+        rw = as_mixed_word(right)
         if rw is not None:
             return Match(rw, left)
         if isinstance(right, Constraint):
-            rw = _as_mixed_word(right.child)
+            rw = as_mixed_word(right.child)
             if rw is not None:
                 return Constraint(Match(rw, left), right.formula)
         if isinstance(left, Constraint):
-            lw = _as_mixed_word(left.child)
+            lw = as_mixed_word(left.child)
             if lw is not None:
                 return Constraint(Match(lw, right), left.formula)
         self.error("one side of -| must be a mixed word", tok)
@@ -270,15 +267,12 @@ class _Parser:
 
     def term(self) -> Term:
         factors = [self.term_atom()]
-        while self._starts_term_atom():
+        while self._starts_atom():
             factors.append(self.term_atom())
         t = factors[-1]
         for f in reversed(factors[:-1]):
             t = App(CAT, (f, t))
         return t
-
-    def _starts_term_atom(self) -> bool:
-        return self.peek().kind in ("word", "(")
 
     def term_atom(self) -> Term:
         t = self.peek()
@@ -300,45 +294,26 @@ class _Parser:
         self.error("expected a term, found %r" % (t.value or "end of input"), t)
 
 
-def _as_mixed_word(e: Expr):
-    """Flatten a catenation of plain words to one mixed word, else None."""
-    if isinstance(e, Word):
-        return e.letters
-    if isinstance(e, Cat):
-        left = _as_mixed_word(e.left)
-        right = _as_mixed_word(e.right)
-        if left is not None and right is not None:
-            return left + right
-    return None
+def _parse_whole(text: str, env: Environment, rule, what: str):
+    """Run one grammar rule and require that it consumes the whole text."""
+    p = _Parser(env, text)
+    result = rule(p)
+    tok = p.peek()
+    if tok.kind != "eof":
+        p.error("unexpected %r after %s" % (tok.value, what), tok)
+    return result
 
 
 def parse_expression(text: str, env: Environment) -> Expr:
-    p = _Parser(env, text)
-    e = p.expr()
-    tok = p.peek()
-    if tok.kind != "eof":
-        p.error("unexpected %r after expression" % tok.value, tok)
-    return check_expr(env, e)
+    return check_expr(env, _parse_whole(text, env, _Parser.expr, "expression"))
 
 
 def parse_formula(text: str, env: Environment) -> Formula:
-    p = _Parser(env, text)
-    f = p.formula()
-    tok = p.peek()
-    if tok.kind != "eof":
-        p.error("unexpected %r after formula" % tok.value, tok)
-    return check_formula(env, f)
+    return check_formula(env, _parse_whole(text, env, _Parser.formula, "formula"))
 
 
 def parse_term(text: str, env: Environment) -> Term:
-    p = _Parser(env, text)
-    t = p.term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        p.error("unexpected %r after term" % tok.value, tok)
-    from .syntax import check_term
-    check_term(env, t)
-    return t
+    return check_term(env, _parse_whole(text, env, _Parser.term, "term"))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .errors import ConfigError, UnsupportedOperatorError
+from .errors import ConfigError
 from .syntax import (
     CAT, EPSILON,
     Atom, Bool, Cat, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Term, Var, Word, connective, is_sum,
+    Match, Star, Term, Var, Word, check_sum_only, connective,
 )
 
 
@@ -155,13 +155,6 @@ class Realization:
         """Homomorphic extension to mixed words."""
         return "".join(self(c) if self.env.is_variable(c) else c for c in alpha)
 
-    def items(self):
-        return sorted((x, w) for x, w in self.assignment.items() if w != "")
-
-
-def realize_word(r: Realization, alpha: str) -> str:
-    return r.realize(alpha)
-
 
 def eval_term(interp: Interpretation, r: Realization, t: Term) -> str:
     if isinstance(t, Var):
@@ -259,26 +252,27 @@ for _cls in (RLit, REmpty, RUnion, RInter, RCat, RStar):
 
 def regularize(interp: Interpretation, r: Realization, e: Expr) -> Regex:
     """The variable-free regular expression with the same (I,r)-language."""
+    return _regularize(interp, r, check_sum_only(e))
+
+
+def _regularize(interp: Interpretation, r: Realization, e: Expr) -> Regex:
     if isinstance(e, Word):
         return RLit(r.realize(e.letters))
     if isinstance(e, Empty):
         return REmpty()
     if isinstance(e, Bool):
-        if not is_sum(e):
-            raise UnsupportedOperatorError(
-                "regularization is defined for the sum only, got %r" % e.op)
-        return RUnion(regularize(interp, r, e.children[0]),
-                      regularize(interp, r, e.children[1]))
+        return RUnion(_regularize(interp, r, e.children[0]),
+                      _regularize(interp, r, e.children[1]))
     if isinstance(e, Cat):
-        return RCat(regularize(interp, r, e.left), regularize(interp, r, e.right))
+        return RCat(_regularize(interp, r, e.left), _regularize(interp, r, e.right))
     if isinstance(e, Star):
-        return RStar(regularize(interp, r, e.child))
+        return RStar(_regularize(interp, r, e.child))
     if isinstance(e, Constraint):
         if eval_formula(interp, r, e.formula):
-            return regularize(interp, r, e.child)
+            return _regularize(interp, r, e.child)
         return REmpty()
     if isinstance(e, Match):
-        return RInter(RLit(r.realize(e.word)), regularize(interp, r, e.child))
+        return RInter(RLit(r.realize(e.word)), _regularize(interp, r, e.child))
     raise TypeError(e)
 
 

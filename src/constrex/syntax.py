@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Union
 
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, PreconditionError, UnsupportedOperatorError
 
 # Internal names of the two function symbols every environment carries.
 CAT = "·"
@@ -144,10 +144,6 @@ class App:
 Term = Union[Var, App]
 
 EPS_TERM = App(EPSILON)
-
-
-def cat_term(left: Term, right: Term) -> Term:
-    return App(CAT, (left, right))
 
 
 def term_of_word(env: Environment, w: str) -> Term:
@@ -295,19 +291,40 @@ def is_sum(e: Expr) -> bool:
     return isinstance(e, Bool) and e.op == OR and len(e.children) == 2
 
 
-def sum_only(e: Expr) -> bool:
-    """True iff every Bool node of e is the binary sum."""
-    if isinstance(e, (Word, Empty)):
-        return True
-    if isinstance(e, Bool):
-        return is_sum(e) and all(sum_only(c) for c in e.children)
+def check_sum_only(e: Expr) -> Expr:
+    """Return e if every Bool node of e is the binary sum, else raise.
+
+    Derivatives, indicator sets and regularization are defined for sums only;
+    each of their public entries calls this once, so the recursions need not.
+    """
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Bool):
+            if not is_sum(node):
+                raise UnsupportedOperatorError(
+                    "only the binary sum is supported as a boolean expression "
+                    "node, got %r" % node.op)
+            stack.extend(node.children)
+        elif isinstance(node, Cat):
+            stack += (node.left, node.right)
+        elif isinstance(node, (Star, Constraint, Match)):
+            stack.append(node.child)
+        elif not isinstance(node, (Word, Empty)):
+            raise TypeError(node)
+    return e
+
+
+def as_mixed_word(e: Expr):
+    """Flatten a catenation of Word nodes to one mixed word, else None."""
+    if isinstance(e, Word):
+        return e.letters
     if isinstance(e, Cat):
-        return sum_only(e.left) and sum_only(e.right)
-    if isinstance(e, (Star, Match)):
-        return sum_only(e.child)
-    if isinstance(e, Constraint):
-        return sum_only(e.child)
-    raise TypeError(e)
+        left = as_mixed_word(e.left)
+        right = as_mixed_word(e.right)
+        if left is not None and right is not None:
+            return left + right
+    return None
 
 
 def variables_of(env: Environment, alpha: str) -> frozenset:
@@ -444,10 +461,15 @@ def check_subst_set(X: Iterable[Assumption]) -> frozenset:
     return X
 
 
+def _ascending(env: Environment, X: Iterable[Assumption]) -> list:
+    """Assumptions ordered by variable, then by replacement word."""
+    return sorted(X, key=lambda p: (env.letter_key(p[0]), env.letter_key(p[1])))
+
+
 def apply_subst_set(env: Environment, entity, X: Iterable[Assumption]):
     """Apply a functional non-crossing set of assumptions in ascending order."""
     X = check_subst_set(X)
-    for x, w in sorted(X, key=lambda p: (env.letter_key(p[0]), env.letter_key(p[1]))):
+    for x, w in _ascending(env, X):
         entity = substitute(env, entity, x, w)
     return entity
 
@@ -591,8 +613,7 @@ def expr_str(e: Expr, _level: int = 0) -> str:
 
 
 def subst_set_str(env: Environment, X: Iterable[Assumption]) -> str:
-    pairs = sorted(X, key=lambda p: (env.letter_key(p[0]), env.letter_key(p[1])))
-    return "{%s}" % ",".join("(%s,%s)" % (x, word_str(w)) for x, w in pairs)
+    return "{%s}" % ",".join("(%s,%s)" % (x, word_str(w)) for x, w in _ascending(env, X))
 
 
 for _cls in (Var, App):

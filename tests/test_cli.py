@@ -129,3 +129,26 @@ def test_simplify_flag(env_file, capsys):
         "(eps -| x -| a*) (eps -| y -| b*) (z -| c*) | "
         "sim(ax, by) && sim(by, cz)\t{(z,cz)}",
     ]
+
+
+@pytest.mark.parametrize("argv, max_props, answer", [
+    (("check-fixed", "--expr", " ".join("ab" * 1500), "--word", "ab" * 1500),
+     None, "ACCEPT"),
+    (("sat", "--formula", "sim(%sx%s, x)" % ("f(" * 400, ")" * 400)), None, "SAT"),
+    (("sat", "--formula", "sim(x, a)"), "abc", None),
+], ids=["catenation-3000", "nested-f-400", "max-props-abc"])
+def test_robustness_inputs_end_cleanly(env_file, capsys, monkeypatch,
+                                       argv, max_props, answer):
+    """Deep input and a malformed limit give one error line and exit 2, or the answer."""
+    if max_props is None:
+        monkeypatch.delenv("CONSTREX_MAX_PROPS", raising=False)
+    else:
+        monkeypatch.setenv("CONSTREX_MAX_PROPS", max_props)
+    status = run([argv[0], "--env", env_file, *argv[1:]])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if status == 2:
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+    else:
+        assert (status, captured.out.splitlines()[0]) == (0, answer)

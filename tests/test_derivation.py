@@ -7,11 +7,11 @@ import pytest
 from constrex import (
     PreconditionError, UnsupportedOperatorError,
     associated_realization, brute_membership_fixed_r, check_subst_set,
-    derive_expr, derive_expr_word, derive_word, parse_expression, simplify,
-    subst_set_str,
+    derive_expr, derive_expr_word, derive_paths, derive_word, parse_expression,
+    simplify, subst_set_str,
 )
 from constrex.derivation import const_null, simplify_expr
-from constrex.syntax import Bool, Empty, Match, Word, expr_str
+from constrex.syntax import Bool, Cat, Empty, Match, Word, expr_str
 
 from conftest import rand_expr, rand_realization
 
@@ -99,8 +99,11 @@ def test_derive_expr_word_rejects_empty_word(env3, e1):
 
 def test_derive_rejects_general_operators(env3):
     e = Bool("not", (Word("a"),))
-    with pytest.raises(UnsupportedOperatorError):
-        derive_expr(env3, e, "a")
+    # deriving b . not(a) by a never reaches the node, yet it is rejected
+    for expr in (e, Cat(Word("b"), e)):
+        for derive in (derive_expr, derive_expr_word, derive_paths):
+            with pytest.raises(UnsupportedOperatorError):
+                derive(env3, expr, "a")
 
 
 def test_simplify_examples(env3):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from constrex import (
-    TruthTableLimitError, UnsupportedAlphabetError,
+    ConfigError, TruthTableLimitError, UnsupportedAlphabetError,
     brute_membership_fixed_r, brute_satisfiable_free, build_witness, eval_formula,
     eval_term, factors, left_dot_level, membership_general, normalize_formula,
     normalize_term, null_general, parse_environment, parse_expression,
@@ -102,6 +102,13 @@ def test_sat_truth_table_limit(env5, monkeypatch):
         sat_truth_table(propositionalize(big))
     monkeypatch.setenv("CONSTREX_MAX_PROPS", "40")
     assert sat_truth_table(propositionalize(big)) is not None
+
+
+def test_sat_truth_table_rejects_malformed_limit(monkeypatch):
+    for text in ("abc", "-1"):
+        monkeypatch.setenv("CONSTREX_MAX_PROPS", text)
+        with pytest.raises(ConfigError):
+            sat_truth_table(propositionalize(TOP))
 
 
 def test_terms_of_formula_examples(env5):

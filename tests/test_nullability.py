@@ -10,7 +10,8 @@ from constrex import (
     parse_formula, regex_null, regularize,
 )
 from constrex.nullability import check_erasure, indicator_pair_str, indicator_set
-from constrex.syntax import Bool, Word, register_connective
+from constrex.logic import membership_general, null_general
+from constrex.syntax import Bool, Star, Word, register_connective
 
 from conftest import rand_expr, rand_realization
 
@@ -61,8 +62,14 @@ def test_indicator_set_sum_union(env3):
 def test_indicator_rejects_general_operators(env3):
     register_connective("nand", 2, lambda p, q: not (p and q))
     e = Bool("nand", (Word("a"), Word("")))
-    with pytest.raises(UnsupportedOperatorError):
-        indicator_set(env3, e)
+    # the indicator rule for a star never visits the node, yet it is rejected
+    for expr in (e, Star(e)):
+        with pytest.raises(UnsupportedOperatorError):
+            indicator_set(env3, expr)
+        with pytest.raises(UnsupportedOperatorError):
+            null_general(env3, expr)
+        with pytest.raises(UnsupportedOperatorError):
+            membership_general(env3, expr, "a")
 
 
 def test_null_via_indicator_examples(env3, interp_len, interp_leneq, e1):

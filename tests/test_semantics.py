@@ -7,11 +7,11 @@ import pytest
 from constrex import (
     ConfigError, Interpretation, Realization, UnsupportedOperatorError,
     enumerate_language, eval_formula, eval_term, membership_fixed,
-    parse_expression, parse_formula, parse_term, realize_word, regex_derivative,
+    parse_expression, parse_formula, parse_term, regex_derivative,
     regex_null, regex_str, regularize,
 )
 from constrex.semantics import RCat, REmpty, RInter, RLit, RStar, RUnion
-from constrex.syntax import Bool, Conn, Word, register_connective
+from constrex.syntax import BOT, Bool, Conn, Constraint, Word, register_connective
 
 from conftest import rand_expr, rand_realization
 
@@ -57,10 +57,10 @@ def test_eval_missing_symbol(env2, r_ex2):
 
 
 def test_realize_word(env3, r1, r2):
-    assert realize_word(r1, "x") == "aba"
-    assert realize_word(r1, "xby") == "ababaa"
-    assert realize_word(r1, "") == ""
-    assert realize_word(r2, "x") == "bbaa"
+    assert r1.realize("x") == "aba"
+    assert r1.realize("xby") == "ababaa"
+    assert r1.realize("") == ""
+    assert r2.realize("x") == "bbaa"
 
 
 def test_regularize_e1(env3, interp_len, r1, e1):
@@ -85,8 +85,12 @@ def test_regularize_e2(env3, interp_len, r2):
 
 def test_regularize_rejects_general_operators(env3, interp_len, r1):
     e = Bool("not", (Word("a"),))
-    with pytest.raises(UnsupportedOperatorError):
-        regularize(interp_len, r1, e)
+    # a false constraint hides the node from regularization, yet it is rejected
+    for expr in (e, Constraint(e, BOT)):
+        with pytest.raises(UnsupportedOperatorError):
+            regularize(interp_len, r1, expr)
+        with pytest.raises(UnsupportedOperatorError):
+            membership_fixed(interp_len, r1, expr, "a")
 
 
 def test_regularize_is_variable_free(env3, interp_len):
