@@ -14,7 +14,7 @@ from .syntax import (
     App, Atom, Bool, Cat, Conn, Constraint, Empty, Environment, Match, Star,
     Var, Word,
     apply_subst_set, check_subst_set, expr_str, expr_variables, formula_str,
-    subst_set_str, substitute, subterms, sum_expr, term_of_word,
+    subst_set_str, subterms, sum_expr, term_of_word,
     term_str, variables_of, word_str,
 )
 from .parser import parse_environment, parse_expression, parse_formula, parse_term

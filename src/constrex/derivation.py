@@ -16,8 +16,8 @@ from typing import Iterable, List, Tuple
 from .errors import PreconditionError
 from .syntax import (
     Bool, Cat, Constraint, Empty, Environment, Expr, Match, Star, Word,
-    apply_subst_set, as_mixed_word, check_sum_only, expr_str, is_sum, subst_expr,
-    subst_set_str, subst_word,
+    apply_subst_set, as_mixed_word, check_sum_only, expr_str, is_sum, subst_set_str,
+    subst_word,
 )
 
 DerivPair = Tuple[Expr, frozenset]
@@ -34,8 +34,8 @@ def derive_word(env: Environment, alpha: str, a: str) -> List[Tuple[str, frozens
     if env.is_symbol(head):
         return []
     x = head
-    out = [(x + subst_word(rest, x, a + x), frozenset({(x, a + x)}))]
-    for alpha2, X in derive_word(env, subst_word(rest, x, ""), a):
+    out = [(x + subst_word(rest, {x: a + x}), frozenset({(x, a + x)}))]
+    for alpha2, X in derive_word(env, subst_word(rest, {x: ""}), a):
         out.append((alpha2, X | {(x, "")}))
     return out
 
@@ -95,20 +95,16 @@ def _derive(env: Environment, e: Expr, a: str) -> List[DerivPair]:
 
 
 def _derive_word_headed(env, alpha: str, tail: Expr, a: str) -> List[DerivPair]:
-    """Derive `alpha . tail`, consuming from the word per the word rule."""
-    if alpha == "":
-        return _derive(env, tail, a)
-    head, rest = alpha[0], alpha[1:]
-    if head == a:
-        return [(Cat(Word(rest), tail), frozenset())]
-    if env.is_symbol(head):
-        return []
-    x = head
-    out = [(Cat(Word(x + subst_word(rest, x, a + x)), subst_expr(env, tail, x, a + x)),
-            frozenset({(x, a + x)}))]
-    tail2 = subst_expr(env, tail, x, "")
-    for e2, X in _derive_word_headed(env, subst_word(rest, x, ""), tail2, a):
-        out.append((e2, X | {(x, "")}))
+    """Derive `alpha . tail` by the word rule, applying each pair's set to the tail.
+
+    A head of variables only may also be erased for the tail to consume a.
+    """
+    out = [(Cat(Word(alpha2), apply_subst_set(env, tail, X)), X)
+           for alpha2, X in derive_word(env, alpha, a)]
+    if all(env.is_variable(c) for c in alpha):
+        erased = frozenset((x, "") for x in alpha)
+        out += [(e2, X | erased)
+                for e2, X in _derive(env, apply_subst_set(env, tail, erased), a)]
     return out
 
 
@@ -120,16 +116,17 @@ def canonical(env: Environment, pairs: Iterable[DerivPair]) -> DerivativeSet:
     return tuple(keyed[k] for k in sorted(keyed))
 
 
-def _step(env: Environment, e: Expr, a: str) -> DerivativeSet:
-    """derive_expr without the sum-only check, for already checked states."""
-    if not env.is_symbol(a):
-        raise PreconditionError("%r is not a symbol of the alphabet" % a)
-    return canonical(env, _derive(env, e, a))
+def _check_symbols(env: Environment, letters) -> None:
+    for a in letters:
+        if not env.is_symbol(a):
+            raise PreconditionError("%r is not a symbol of the alphabet" % a)
 
 
 def derive_expr(env: Environment, e: Expr, a: str) -> DerivativeSet:
     """Constrained derivative of an expression w.r.t. one symbol, canonical."""
-    return _step(env, check_sum_only(e), a)
+    check_sum_only(e)
+    _check_symbols(env, [a])
+    return canonical(env, _derive(env, e, a))
 
 
 def derive_expr_word(env: Environment, e: Expr, w: str) -> DerivativeSet:
@@ -137,6 +134,7 @@ def derive_expr_word(env: Environment, e: Expr, w: str) -> DerivativeSet:
     if w == "":
         raise PreconditionError("word derivatives are defined for nonempty words")
     pairs = derive_expr(env, e, w[0])
+    _check_symbols(env, w[1:])
     for a in w[1:]:
         pairs = canonical(env, (p for e2, _X in pairs for p in _derive(env, e2, a)))
     return pairs
@@ -145,10 +143,11 @@ def derive_expr_word(env: Environment, e: Expr, w: str) -> DerivativeSet:
 def derive_paths(env: Environment, e: Expr, w: str):
     """All (derived expression, substitution-set chain) paths along w."""
     paths = [(check_sum_only(e), [])]
+    _check_symbols(env, w)
     for a in w:
         paths = [(e2, chain + [X])
                  for e1, chain in paths
-                 for e2, X in _step(env, e1, a)]
+                 for e2, X in canonical(env, _derive(env, e1, a))]
     return paths
 
 

@@ -291,7 +291,7 @@ def build_witness(env: Environment, phi: Formula,
         x = variables[0]
         w = separator_word(env, terms)
         bindings[x] = w
-        terms = sorted({normalize_term(subst_term(env, t, x, w)) for t in terms},
+        terms = sorted({normalize_term(subst_term(env, t, {x: w})) for t in terms},
                        key=term_str)
     while True:
         apps = sorted({a for t in terms for a in _ground_apps(env, t)}, key=term_str)

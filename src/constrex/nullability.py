@@ -44,9 +44,7 @@ def null_fixed(interp: Interpretation, r: Realization, e: Expr) -> bool:
 
 def erase_vars(env: Environment, phi: Formula, erased: Iterable[str]) -> Formula:
     """Substitute the empty word for every listed variable."""
-    for x in sorted(erased, key=env.letter_key):
-        phi = subst_formula(env, phi, x, "")
-    return phi
+    return subst_formula(env, phi, dict.fromkeys(erased, ""))
 
 
 def _conj(left: Formula, right: Formula) -> Formula:

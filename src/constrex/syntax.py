@@ -385,22 +385,23 @@ def check_expr(env: Environment, e: Expr) -> Expr:
 # substitution
 
 Assumption = tuple  # (variable, replacement word); replacement is "" or "a"+x
+Substitution = Mapping[str, str]  # variable -> replacement word
 
 
-def subst_word(alpha: str, x: str, w: str) -> str:
-    return alpha.replace(x, w)
+def subst_word(alpha: str, m: Substitution) -> str:
+    return "".join(m.get(c, c) for c in alpha)
 
 
-def subst_term(env: Environment, t: Term, x: str, w: str) -> Term:
+def subst_term(env: Environment, t: Term, m: Substitution) -> Term:
     if isinstance(t, Var):
-        return term_of_word(env, w) if t.name == x else t
-    args = tuple(subst_term(env, a, x, w) for a in t.args)
+        return term_of_word(env, m[t.name]) if t.name in m else t
+    args = tuple(subst_term(env, a, m) for a in t.args)
     if t.fn == CAT:
         # A child that became epsilon through this substitution is collapsed,
         # so substituted word arguments stay word-shaped (the evaluation is
         # unchanged: catenation with the empty word is the identity). Children
         # that already were epsilon are left alone, keeping the substitution
-        # an identity on terms without the variable.
+        # an identity on terms without the variables.
         left, right = args
         if left == EPS_TERM and t.args[0] != EPS_TERM:
             return right
@@ -409,40 +410,28 @@ def subst_term(env: Environment, t: Term, x: str, w: str) -> Term:
     return App(t.fn, args)
 
 
-def subst_formula(env: Environment, phi: Formula, x: str, w: str) -> Formula:
+def subst_formula(env: Environment, phi: Formula, m: Substitution) -> Formula:
     if isinstance(phi, Atom):
-        return Atom(phi.pred, tuple(subst_term(env, t, x, w) for t in phi.args))
-    return Conn(phi.tag, tuple(subst_formula(env, c, x, w) for c in phi.children))
+        return Atom(phi.pred, tuple(subst_term(env, t, m) for t in phi.args))
+    return Conn(phi.tag, tuple(subst_formula(env, c, m) for c in phi.children))
 
 
-def subst_expr(env: Environment, e: Expr, x: str, w: str) -> Expr:
+def subst_expr(env: Environment, e: Expr, m: Substitution) -> Expr:
     if isinstance(e, Word):
-        return Word(subst_word(e.letters, x, w))
+        return Word(subst_word(e.letters, m))
     if isinstance(e, Empty):
         return e
     if isinstance(e, Bool):
-        return Bool(e.op, tuple(subst_expr(env, c, x, w) for c in e.children))
+        return Bool(e.op, tuple(subst_expr(env, c, m) for c in e.children))
     if isinstance(e, Cat):
-        return Cat(subst_expr(env, e.left, x, w), subst_expr(env, e.right, x, w))
+        return Cat(subst_expr(env, e.left, m), subst_expr(env, e.right, m))
     if isinstance(e, Star):
-        return Star(subst_expr(env, e.child, x, w))
+        return Star(subst_expr(env, e.child, m))
     if isinstance(e, Constraint):
-        return Constraint(subst_expr(env, e.child, x, w),
-                          subst_formula(env, e.formula, x, w))
+        return Constraint(subst_expr(env, e.child, m), subst_formula(env, e.formula, m))
     if isinstance(e, Match):
-        return Match(subst_word(e.word, x, w), subst_expr(env, e.child, x, w))
+        return Match(subst_word(e.word, m), subst_expr(env, e.child, m))
     raise TypeError(e)
-
-
-def substitute(env: Environment, entity, x: str, w: str):
-    """Substitute x by the mixed word w in a word, term, formula or expression."""
-    if isinstance(entity, str):
-        return subst_word(entity, x, w)
-    if isinstance(entity, (Var, App)):
-        return subst_term(env, entity, x, w)
-    if isinstance(entity, (Atom, Conn)):
-        return subst_formula(env, entity, x, w)
-    return subst_expr(env, entity, x, w)
 
 
 def check_subst_set(X: Iterable[Assumption]) -> frozenset:
@@ -461,17 +450,26 @@ def check_subst_set(X: Iterable[Assumption]) -> frozenset:
     return X
 
 
-def _ascending(env: Environment, X: Iterable[Assumption]) -> list:
-    """Assumptions ordered by variable, then by replacement word."""
-    return sorted(X, key=lambda p: (env.letter_key(p[0]), env.letter_key(p[1])))
-
-
 def apply_subst_set(env: Environment, entity, X: Iterable[Assumption]):
-    """Apply a functional non-crossing set of assumptions in ascending order."""
-    X = check_subst_set(X)
-    for x, w in _ascending(env, X):
-        entity = substitute(env, entity, x, w)
-    return entity
+    """Apply a set of assumptions to a word, term, formula or expression.
+
+    The set is validated, then applied in one walk that replaces every
+    variable at once. This equals applying the assumptions one at a time in
+    ascending order, or in any order: the set is functional, so each variable
+    has one replacement, and non-crossing, so no replacement holds another
+    assumption's variable for a later step to rewrite. An empty set returns
+    the entity itself.
+    """
+    m = dict(check_subst_set(X))
+    if not m:
+        return entity
+    if isinstance(entity, str):
+        return subst_word(entity, m)
+    if isinstance(entity, (Var, App)):
+        return subst_term(env, entity, m)
+    if isinstance(entity, (Atom, Conn)):
+        return subst_formula(env, entity, m)
+    return subst_expr(env, entity, m)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +611,8 @@ def expr_str(e: Expr, _level: int = 0) -> str:
 
 
 def subst_set_str(env: Environment, X: Iterable[Assumption]) -> str:
-    return "{%s}" % ",".join("(%s,%s)" % (x, word_str(w)) for x, w in _ascending(env, X))
+    ordered = sorted(X, key=lambda p: (env.letter_key(p[0]), env.letter_key(p[1])))
+    return "{%s}" % ",".join("(%s,%s)" % (x, word_str(w)) for x, w in ordered)
 
 
 for _cls in (Var, App):

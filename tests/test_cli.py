@@ -70,6 +70,32 @@ def test_derive_golden_records(env_file, capsys):
     ]
 
 
+def test_derive_word_headed_golden(env_file, capsys):
+    # catenations headed by a mixed word: the word rule's assumptions reach
+    # the tail, and a head of variables only can be erased entirely
+    cases = {
+        "x y x b | sim(x, y)": [
+            "eps | sim(eps, a)\t{(y,eps)}",
+            "x y abx b | sim(abx, y)\t{(x,bx)}",
+            "y a b | sim(a, by)\t{(x,eps),(y,by)}",
+            "y eps b | sim(eps, aby)\t{(y,by)}",
+        ],
+        "x y a | sim(x, y)": [
+            "x y a | sim(abx, y)\t{(x,bx)}",
+            "y a | sim(a, by)\t{(x,eps),(y,by)}",
+            "y a | sim(eps, aby)\t{(y,by)}",
+        ],
+        "x x -| (a b)*": [
+            "xabx -| eps (a b)*\t{(x,bx)}",
+        ],
+    }
+    for expr, records in cases.items():
+        status, out = invoke(capsys, "derive", "--env", env_file, "--expr", expr,
+                             "--word", "ab")
+        assert status == 0
+        assert out.splitlines() == records
+
+
 def test_indicator_golden(env_file, capsys):
     status, out = invoke(capsys, "indicator", "--env", env_file,
                          "--expr", "x b* y | sim(f(abx), f(y))")

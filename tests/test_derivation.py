@@ -97,6 +97,19 @@ def test_derive_expr_word_rejects_empty_word(env3, e1):
         derive_expr_word(env3, e1, "")
 
 
+def test_derive_rejects_non_symbol_letters(env3):
+    # every letter of the word is checked, also after the first step and
+    # after a step that leaves no derivative
+    for text, w in (("x a", "ax"), ("a", "bx")):
+        e = parse_expression(text, env3)
+        for derive in (derive_expr_word, derive_paths):
+            with pytest.raises(PreconditionError):
+                derive(env3, e, w)
+    for a in ("x", "", "ab"):
+        with pytest.raises(PreconditionError):
+            derive_expr(env3, Word("a"), a)
+
+
 def test_derive_rejects_general_operators(env3):
     e = Bool("not", (Word("a"),))
     # deriving b . not(a) by a never reaches the node, yet it is rejected
