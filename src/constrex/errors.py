@@ -33,4 +33,4 @@ class UnsupportedAlphabetError(ConstrexError):
 
 
 class TruthTableLimitError(ConstrexError):
-    """Raised when a propositional alphabet exceeds the truth-table limit."""
+    """Raised when a propositional alphabet exceeds the symbol limit of the SAT search."""

@@ -1,11 +1,13 @@
 """Free-interpretation satisfiability: normalization, propositionalisation,
-truth tables, separator words and witness construction.
+the SAT search, separator words and witness construction.
 
 Satisfiability of a constraint formula when neither the interpretation nor
 the realization is fixed reduces to propositional satisfiability: normalize
 the terms (right-associate catenations, drop eps units), replace every atom
-by a propositional symbol indexed by its argument terms, and run a truth
-table. A satisfying assignment is turned back into a concrete witness
+by a propositional symbol indexed by its argument terms, and search for the
+lexicographically first satisfying assignment by backtracking with
+three-valued evaluation (after Davis, Logemann and Loveland, 1962). A
+satisfying assignment is turned back into a concrete witness
 (interpretation, realization) by binding variables and application nodes to
 separator words of the shape a b^p a, which keeps distinct normalized terms
 evaluating to distinct words.
@@ -13,6 +15,7 @@ evaluating to distinct words.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
@@ -25,13 +28,17 @@ from .semantics import (
     eval_term,
 )
 from .syntax import (
-    CAT, EPSILON, EPS_TERM,
+    AND, CAT, EPSILON, EPS_TERM, NOT, OR,
     App, Atom, Conn, Environment, Expr, Formula, Term, Var,
     connective, subst_term, term_of_word, term_str, term_variables,
 )
 
 DEFAULT_MAX_PROPS = 20
 MAX_PROPS_ENV = "CONSTREX_MAX_PROPS"
+
+# The registry entries that _kleene may short-circuit; a tag re-registered
+# later is evaluated through its own truth function instead.
+_BUILTIN = {tag: connective(tag) for tag in (AND, OR, NOT)}
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +137,64 @@ def prop_alphabet(phi: Formula) -> Tuple[PropAtom, ...]:
     return tuple(sorted(collect(phi), key=str))
 
 
-def eval_prop(psi, assignment: Dict[PropAtom, bool]) -> bool:
+def _compile(psi, index: Dict[PropAtom, int]):
+    """psi with atoms replaced by their positions and connectives resolved.
+
+    A connective node becomes (tag, truth, children). The tag is kept only
+    for the built-in and, or and not, which get short-circuit evaluation.
+    """
     if isinstance(psi, PropAtom):
-        return assignment[psi]
-    _, truth = connective(psi.tag)
-    return bool(truth(*(eval_prop(c, assignment) for c in psi.children)))
+        return index[psi]
+    entry = connective(psi.tag)
+    fast = psi.tag if _BUILTIN.get(psi.tag) is entry else None
+    return fast, entry[1], tuple(_compile(c, index) for c in psi.children)
+
+
+def _kleene(node, value: list) -> Optional[bool]:
+    """Three-valued value of a compiled formula; None where it is not yet decided.
+
+    value holds True, False or None (unassigned) per atom position. A
+    registered connective with undecided children is decided only if every
+    completion of those children gives the same result.
+    """
+    if type(node) is int:
+        return value[node]
+    tag, truth, children = node
+    if tag == NOT:
+        v = _kleene(children[0], value)
+        return None if v is None else not v
+    if tag is not None:
+        stop = tag == OR
+        out = not stop
+        for c in children:
+            v = _kleene(c, value)
+            if v is stop:
+                return stop
+            if v is None:
+                out = None
+        return out
+    known = [_kleene(c, value) for c in children]
+    unknown = [i for i, v in enumerate(known) if v is None]
+    results = set()
+    for bits in itertools.product((False, True), repeat=len(unknown)):
+        for i, b in zip(unknown, bits):
+            known[i] = b
+        results.add(bool(truth(*known)))
+        if len(results) > 1:
+            return None
+    return results.pop()
 
 
 def sat_truth_table(psi, max_props: Optional[int] = None) -> Optional[Dict[PropAtom, bool]]:
-    """First satisfying assignment in lexicographic order, or None."""
+    """First satisfying assignment in lexicographic order, or None.
+
+    The order reads False before True, with the first atom of prop_alphabet
+    as the most significant. A depth-first search assigns the atoms in that
+    order, False first, and evaluates psi three-valued after each step: a
+    false prefix is cut, and a true one is completed with False, its
+    lexicographically first extension. The search keeps its place in one
+    list, so it never recurses once per atom.
+    """
     if max_props is None:
         text = os.environ.get(MAX_PROPS_ENV, str(DEFAULT_MAX_PROPS))
         if not text.strip().isdecimal():
@@ -149,12 +205,23 @@ def sat_truth_table(psi, max_props: Optional[int] = None) -> Optional[Dict[PropA
     if len(atoms) > max_props:
         raise TruthTableLimitError(
             "propositional alphabet has %d symbols (limit %d)" % (len(atoms), max_props))
-    for bits in range(2 ** len(atoms)):
-        assignment = {atom: bool((bits >> (len(atoms) - 1 - i)) & 1)
-                      for i, atom in enumerate(atoms)}
-        if eval_prop(psi, assignment):
-            return assignment
-    return None
+    node = _compile(psi, {atom: i for i, atom in enumerate(atoms)})
+    value = [None] * len(atoms)
+    depth = -1
+    while True:
+        v = _kleene(node, value)
+        if v is True:
+            return {atom: b is True for atom, b in zip(atoms, value)}
+        if v is None:
+            depth += 1
+            value[depth] = False
+            continue
+        while depth >= 0 and value[depth]:
+            value[depth] = None
+            depth -= 1
+        if depth < 0:
+            return None
+        value[depth] = True
 
 
 # ---------------------------------------------------------------------------

@@ -442,11 +442,12 @@ def check_subst_set(X: Iterable[Assumption]) -> frozenset:
         if x in seen:
             raise PreconditionError("substitution set is not functional on %r" % x)
         seen.add(x)
-    for x, _w in X:
-        for y, w2 in X:
-            if x != y and x in w2:
-                raise PreconditionError(
-                    "substitution set is crossing: %r occurs in %r" % (x, w2))
+    if len(X) > 1:  # a single assumption cannot cross
+        for x, _w in X:
+            for y, w2 in X:
+                if x != y and x in w2:
+                    raise PreconditionError(
+                        "substitution set is crossing: %r occurs in %r" % (x, w2))
     return X
 
 

@@ -1,7 +1,10 @@
 """Normalization, propositionalisation, separators, witnesses, membership."""
 
+import itertools
 import os
 import random
+import sys
+import time
 
 import pytest
 
@@ -13,8 +16,9 @@ from constrex import (
     parse_formula, parse_term, prop_alphabet, propositionalize, sat_truth_table,
     satisfiable_free, separator_word, terms_of_formula, word_skeletons,
 )
+from constrex import syntax
 from constrex.logic import PropAtom, is_normalized
-from constrex.syntax import TOP, BOT, Conn, term_str
+from constrex.syntax import TOP, BOT, Conn, connective, register_connective, term_str
 
 from conftest import rand_formula, rand_term
 
@@ -109,6 +113,100 @@ def test_sat_truth_table_rejects_malformed_limit(monkeypatch):
         monkeypatch.setenv("CONSTREX_MAX_PROPS", text)
         with pytest.raises(ConfigError):
             sat_truth_table(propositionalize(TOP))
+
+
+def _brute_first_model(psi):
+    # the lexicographic truth table: first atom most significant, False first
+    def value(node, assignment):
+        if isinstance(node, PropAtom):
+            return assignment[node]
+        _, truth = connective(node.tag)
+        return bool(truth(*(value(c, assignment) for c in node.children)))
+
+    atoms = prop_alphabet(psi)
+    for bits in itertools.product((False, True), repeat=len(atoms)):
+        assignment = dict(zip(atoms, bits))
+        if value(psi, assignment):
+            return assignment
+    return None
+
+
+def _rand_prop(rng, atoms, depth):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.05:
+            return Conn(rng.choice(("true", "false")), ())
+        return rng.choice(atoms)
+    tag = rng.choice(("and", "and", "or", "or", "not", "implies", "maj3"))
+    arity = connective(tag)[0]
+    return Conn(tag, tuple(_rand_prop(rng, atoms, depth - 1) for _ in range(arity)))
+
+
+def test_sat_search_matches_truth_table(monkeypatch):
+    # register_connective is global: work on a copy of the registry
+    monkeypatch.setattr(syntax, "_CONNECTIVES", dict(syntax._CONNECTIVES))
+    register_connective("maj3", 3, lambda p, q, r: p + q + r >= 2)
+    rng = random.Random(79)
+    unsat = 0
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        # names p0..p11 sort as strings, so the search order is not index order
+        atoms = [PropAtom("p%d" % i, ()) for i in range(n)]
+        psi = _rand_prop(rng, atoms, rng.randint(1, 6))
+        if rng.random() < 0.25:
+            psi = Conn("and", (psi, Conn("not", (psi,))))
+        expected = _brute_first_model(psi)
+        assert sat_truth_table(psi, 12) == expected
+        unsat += expected is None
+    assert 100 <= unsat <= 400
+
+
+def test_sat_search_uses_a_re_registered_builtin(monkeypatch):
+    # short-circuiting applies only to the built-in meaning of and/or/not
+    monkeypatch.setattr(syntax, "_CONNECTIVES", dict(syntax._CONNECTIVES))
+    register_connective("and", 2, lambda p, q: p != q)
+    p = PropAtom("p", ())
+    assert sat_truth_table(Conn("and", (p, p)), 12) is None
+    assert sat_truth_table(Conn("and", (p, Conn("not", (p,)))), 12) == {p: False}
+
+
+def _conjunction(atoms):
+    # balanced, so that evaluating it needs only a few frames
+    if len(atoms) == 1:
+        return atoms[0]
+    half = len(atoms) // 2
+    return Conn("and", (_conjunction(atoms[:half]), _conjunction(atoms[half:])))
+
+
+def _wide_pair(n):
+    atoms = [PropAtom("p%02d" % i, ()) for i in range(n)]
+    conj = _conjunction(atoms)
+    return atoms, conj, Conn("and", (conj, Conn("not", (conj,))))
+
+
+def test_sat_search_prunes_wide_formulas():
+    # the truth table would need 2^60 steps on either formula
+    atoms, conj, refutation = _wide_pair(60)
+    start = time.perf_counter()
+    assert sat_truth_table(conj, 64) == dict.fromkeys(atoms, True)
+    assert sat_truth_table(refutation, 64) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sat_search_does_not_recurse_per_atom():
+    atoms, conj, refutation = _wide_pair(60)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    # 40 frames cover the formula's depth, but not one frame per atom
+    sys.setrecursionlimit(depth + 40)
+    try:
+        sat = sat_truth_table(conj, 64)
+        unsat = sat_truth_table(refutation, 64)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sat == dict.fromkeys(atoms, True)
+    assert unsat is None
 
 
 def test_terms_of_formula_examples(env5):
@@ -230,7 +328,7 @@ def test_membership_general_empty_word(env3, e1):
 
 
 def test_contradiction_transfer_random(envp):
-    # when the truth table says contradiction, the bounded search agrees
+    # when the SAT search says contradiction, the bounded search agrees
     rng = random.Random(73)
     checked = 0
     for _ in range(120):
