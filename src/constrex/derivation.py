@@ -11,7 +11,7 @@ reproduce the worked derivative sets of the source constructions exactly.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import PreconditionError
 from .syntax import (
@@ -52,6 +52,27 @@ def const_null(e: Expr) -> bool:
         return const_null(e.children[0]) or const_null(e.children[1])
     if isinstance(e, Match):
         return e.word == "" and const_null(e.child)
+    return False
+
+
+def may_null(env: Environment, e: Expr) -> bool:
+    """False only if the empty word is denoted under no interpretation and realization.
+
+    Variables may be realized empty and constraints may hold, so this reads
+    the shape of e only; it errs on the side of True.
+    """
+    if isinstance(e, Word):
+        return all(env.is_variable(c) for c in e.letters)
+    if isinstance(e, Star):
+        return True
+    if isinstance(e, Cat):
+        return may_null(env, e.left) and may_null(env, e.right)
+    if is_sum(e):
+        return may_null(env, e.children[0]) or may_null(env, e.children[1])
+    if isinstance(e, Match):
+        return all(env.is_variable(c) for c in e.word) and may_null(env, e.child)
+    if isinstance(e, Constraint):
+        return may_null(env, e.child)
     return False
 
 
@@ -140,15 +161,46 @@ def derive_expr_word(env: Environment, e: Expr, w: str) -> DerivativeSet:
     return pairs
 
 
-def derive_paths(env: Environment, e: Expr, w: str):
-    """All (derived expression, substitution-set chain) paths along w."""
-    paths = [(check_sum_only(e), [])]
+def derive_paths(env: Environment, e: Expr, w: str,
+                 keep: Optional[Callable[[Expr], bool]] = None):
+    """The (derived expression, substitution-set chain) paths along w, lazily.
+
+    The input and every letter of w are checked at call time; the paths then
+    come from a generator that walks the canonical derivative sets depth
+    first, in the order of the sets, so the paths arrive in the order of
+    deriving every path by each letter in turn. A state for which keep is
+    false, the input included, is neither yielded nor derived further.
+    """
+    check_sum_only(e)
     _check_symbols(env, w)
-    for a in w:
-        paths = [(e2, chain + [X])
-                 for e1, chain in paths
-                 for e2, X in canonical(env, _derive(env, e1, a))]
-    return paths
+    return _walk_paths(env, e, w, keep)
+
+
+def _walk_paths(env: Environment, e: Expr, w: str, keep):
+    if keep is not None and not keep(e):
+        return
+    if w == "":
+        yield e, []
+        return
+    # stack[i] iterates the derivative set by w[i] of the path's state after
+    # i letters; chain holds the substitution sets of the states entered so
+    # far, one fewer than the stack holds
+    chain: list = []
+    stack = [iter(canonical(env, _derive(env, e, w[0])))]
+    while stack:
+        for e2, X in stack[-1]:
+            if keep is None or keep(e2):
+                break
+        else:
+            stack.pop()
+            if chain:
+                chain.pop()
+            continue
+        if len(stack) == len(w):
+            yield e2, chain + [X]
+        else:
+            chain.append(X)
+            stack.append(iter(canonical(env, _derive(env, e2, w[len(stack)]))))
 
 
 def associated_realization(r, X: frozenset):

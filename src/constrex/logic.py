@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .errors import ConfigError, TruthTableLimitError, UnsupportedAlphabetError
-from .derivation import derive_paths
+from .derivation import derive_paths, may_null
 from .nullability import indicator_set
 from .semantics import (
     FiniteRelation, Interpretation, Realization, TableFunction,
@@ -29,15 +29,17 @@ from .semantics import (
 )
 from .syntax import (
     AND, CAT, EPSILON, EPS_TERM, NOT, OR,
-    App, Atom, Conn, Environment, Expr, Formula, Term, Var,
-    connective, subst_term, term_of_word, term_str, term_variables,
+    App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula, Match,
+    Term, Var,
+    connective, is_sum, subst_term, term_of_word, term_str, term_variables,
 )
 
 DEFAULT_MAX_PROPS = 20
 MAX_PROPS_ENV = "CONSTREX_MAX_PROPS"
 
-# The registry entries that _kleene may short-circuit; a tag re-registered
-# later is evaluated through its own truth function instead.
+# The registry entries that _kleene may short-circuit and _positive may read
+# as and/or; a tag re-registered later is evaluated through its own truth
+# function instead.
 _BUILTIN = {tag: connective(tag) for tag in (AND, OR, NOT)}
 
 
@@ -185,6 +187,17 @@ def _kleene(node, value: list) -> Optional[bool]:
     return results.pop()
 
 
+def _resolve_max_props(max_props: Optional[int] = None) -> int:
+    """The symbol limit of the SAT search: max_props, else CONSTREX_MAX_PROPS."""
+    if max_props is not None:
+        return max_props
+    text = os.environ.get(MAX_PROPS_ENV, str(DEFAULT_MAX_PROPS))
+    if not text.strip().isdecimal():
+        raise ConfigError("%s must be a nonnegative integer, got %r"
+                          % (MAX_PROPS_ENV, text))
+    return int(text)
+
+
 def sat_truth_table(psi, max_props: Optional[int] = None) -> Optional[Dict[PropAtom, bool]]:
     """First satisfying assignment in lexicographic order, or None.
 
@@ -195,12 +208,7 @@ def sat_truth_table(psi, max_props: Optional[int] = None) -> Optional[Dict[PropA
     lexicographically first extension. The search keeps its place in one
     list, so it never recurses once per atom.
     """
-    if max_props is None:
-        text = os.environ.get(MAX_PROPS_ENV, str(DEFAULT_MAX_PROPS))
-        if not text.strip().isdecimal():
-            raise ConfigError("%s must be a nonnegative integer, got %r"
-                              % (MAX_PROPS_ENV, text))
-        max_props = int(text)
+    max_props = _resolve_max_props(max_props)
     atoms = prop_alphabet(psi)
     if len(atoms) > max_props:
         raise TruthTableLimitError(
@@ -391,6 +399,7 @@ def satisfiable_free(env: Environment, phi: Formula,
     if len(env.symbols) < 2:
         raise UnsupportedAlphabetError(
             "free satisfiability is implemented for alphabets with two symbols or more")
+    max_props = _resolve_max_props(max_props)
     normalized = normalize_formula(phi)
     assignment = sat_truth_table(propositionalize(normalized), max_props)
     if assignment is None:
@@ -405,6 +414,7 @@ def satisfiable_free(env: Environment, phi: Formula,
 def null_general(env: Environment, e: Expr,
                  max_props: Optional[int] = None) -> Optional[Witness]:
     """A witness that the empty word belongs to the language of e, if any."""
+    max_props = _resolve_max_props(max_props)
     for erased, phi in indicator_set(env, e):
         witness = satisfiable_free(env, phi, max_props)
         if witness is not None:
@@ -425,17 +435,73 @@ def _extend_realization(r: Realization, X: frozenset) -> Realization:
     return Realization(r.env, assignment)
 
 
+def _positive(phi: Formula) -> bool:
+    """True if phi joins atoms by the built-in and/or only; then all-true satisfies it."""
+    if isinstance(phi, Atom):
+        return True
+    return (phi.tag in (AND, OR) and _BUILTIN[phi.tag] is connective(phi.tag)
+            and all(_positive(c) for c in phi.children))
+
+
+def void_test(env: Environment, max_props: int) -> Callable[[Expr], bool]:
+    """A test for states that denote the empty language under every (I, r).
+
+    A state is void when it is empty, a catenation with a void factor, a sum
+    of two void children, a match or constraint with a void child, `eps -| c`
+    where c is never nullable, or a constraint whose formula is
+    unsatisfiable. A formula of atoms joined by and/or only is satisfiable;
+    any other is decided once by the SAT search, and one over more than
+    max_props symbols counts as satisfiable.
+    """
+    unsat: Dict[Formula, bool] = {}
+
+    def unsatisfiable(phi: Formula) -> bool:
+        if _positive(phi):
+            return False
+        known = unsat.get(phi)
+        if known is None:
+            try:
+                known = sat_truth_table(
+                    propositionalize(normalize_formula(phi)), max_props) is None
+            except TruthTableLimitError:
+                known = False
+            unsat[phi] = known
+        return known
+
+    def void(e: Expr) -> bool:
+        if isinstance(e, Empty):
+            return True
+        if isinstance(e, Cat):
+            return void(e.left) or void(e.right)
+        if is_sum(e):
+            return void(e.children[0]) and void(e.children[1])
+        if isinstance(e, Match):
+            return void(e.child) or (e.word == "" and not may_null(env, e.child))
+        if isinstance(e, Constraint):
+            return void(e.child) or unsatisfiable(e.formula)
+        return False
+
+    return void
+
+
 def membership_general(env: Environment, e: Expr, w: str,
                        max_props: Optional[int] = None) -> Optional[Witness]:
     """A witness that w belongs to the language of e, over all (I, r).
 
-    The returned realization is rewound through the derivative chain, so the
-    witness accepts w on the original expression, not just the empty word on
-    a derived one.
+    The derived states are searched lazily, depth first in derivative-set
+    order, and the search stops at the first one whose empty-word test
+    succeeds. States that void_test finds void are cut with everything
+    derived from them: they denote the empty language under every (I, r),
+    and so does every state derived from them, so the first success and its
+    witness are those of the full search. The returned realization is
+    rewound through the derivative chain, so the witness accepts w on the
+    original expression, not just the empty word on a derived one.
     """
+    max_props = _resolve_max_props(max_props)
     if w == "":
         return null_general(env, e, max_props)
-    for derived, chain in derive_paths(env, e, w):
+    void = void_test(env, max_props)
+    for derived, chain in derive_paths(env, e, w, lambda s: not void(s)):
         witness = null_general(env, derived, max_props)
         if witness is not None:
             r = witness.realization

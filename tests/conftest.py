@@ -1,5 +1,6 @@
 """Shared fixtures and seeded random generators for the property suites."""
 
+import os
 import random
 
 import pytest
@@ -83,6 +84,10 @@ def r2(env3):
 
 # ---------------------------------------------------------------------------
 # seeded random generators
+
+# Multiplies the iteration counts of the long differential suites; a larger
+# value makes an opt-in longer fuzz run (CONSTREX_FUZZ_SCALE=20 pytest).
+FUZZ_SCALE = int(os.environ.get("CONSTREX_FUZZ_SCALE", "1"))
 
 
 def rand_word(rng, letters, max_len=3):

@@ -178,3 +178,20 @@ def test_robustness_inputs_end_cleanly(env_file, capsys, monkeypatch,
         assert len(captured.err.splitlines()) == 1
     else:
         assert (status, captured.out.splitlines()[0]) == (0, answer)
+
+
+@pytest.mark.parametrize("expr, word", [
+    (E1, "ab"),
+    ("(x y + a)* c | sim(f(x), f(y))", "abab"),
+    ("(x y + a)* z | sim(f(x), f(y)) && !sim(f(x), f(y))", "abab"),
+    ("a b", "ba"),
+], ids=["accepting", "rejecting", "cut-at-the-root", "no-formula"])
+def test_check_free_rejects_malformed_limit(env_file, capsys, monkeypatch, expr, word):
+    """The limit is read before the search, whether or not it reaches a SAT call."""
+    monkeypatch.setenv("CONSTREX_MAX_PROPS", "abc")
+    status = run(["check-free", "--env", env_file, "--expr", expr, "--word", word])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: CONSTREX_MAX_PROPS")
+    assert len(captured.err.splitlines()) == 1

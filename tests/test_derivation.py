@@ -1,6 +1,8 @@
 """Constrained derivatives of words and expressions."""
 
 import random
+import sys
+import time
 
 import pytest
 
@@ -117,6 +119,50 @@ def test_derive_rejects_general_operators(env3):
         for derive in (derive_expr, derive_expr_word, derive_paths):
             with pytest.raises(UnsupportedOperatorError):
                 derive(env3, expr, "a")
+
+
+def test_derive_paths_is_lazy(env3):
+    # the first of the many paths of 24 letters comes without the others
+    e = parse_expression("(x y + a)* c | sim(f(x), f(y))", env3)
+    start = time.perf_counter()
+    derived, chain = next(derive_paths(env3, e, "ab" * 12))
+    assert time.perf_counter() - start < 1.0
+    assert len(chain) == 24
+    assert expr_str(derived).startswith("(eps -| eps -| ")
+
+
+def test_derive_paths_does_not_recurse_per_letter(env3):
+    # the walk keeps its place in a list, not in one frame per letter
+    e = parse_expression("(a + b)*", env3)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        paths = list(derive_paths(env3, e, "ab" * 150))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [(expr_str(d), len(chain)) for d, chain in paths] == [("eps (a + b)*", 300)]
+
+
+def test_derive_paths_cuts_where_keep_fails(env3):
+    e = parse_expression("x b* y | sim(f(x), f(y))", env3)
+    every = list(derive_paths(env3, e, "ab"))
+    (first, _), (second, _) = derive_expr(env3, e, "a")
+    asked = []
+
+    def keep(state):
+        asked.append(state)
+        return state != first
+
+    # the three paths through the first state after a are gone, and that
+    # state was neither yielded nor derived by b
+    assert list(derive_paths(env3, e, "ab", keep)) == every[3:]
+    assert asked == [e, first, second, every[3][0]]
+    assert list(derive_paths(env3, e, "ab", lambda state: state != e)) == []
+    assert list(derive_paths(env3, e, "", lambda state: True)) == [(e, [])]
+    assert list(derive_paths(env3, e, "", lambda state: False)) == []
 
 
 def test_simplify_examples(env3):

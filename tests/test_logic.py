@@ -9,18 +9,23 @@ import time
 import pytest
 
 from constrex import (
-    ConfigError, TruthTableLimitError, UnsupportedAlphabetError,
-    brute_membership_fixed_r, brute_satisfiable_free, build_witness, eval_formula,
-    eval_term, factors, left_dot_level, membership_general, normalize_formula,
-    normalize_term, null_general, parse_environment, parse_expression,
-    parse_formula, parse_term, prop_alphabet, propositionalize, sat_truth_table,
-    satisfiable_free, separator_word, terms_of_formula, word_skeletons,
+    ConfigError, Constraint, FiniteRelation, Match, TruthTableLimitError,
+    UnsupportedAlphabetError, Word,
+    brute_membership_fixed_r, brute_satisfiable_free, build_witness, derive_expr,
+    derive_paths, eval_formula, eval_term, factors, indicator_set, left_dot_level,
+    membership_general, normalize_formula, normalize_term, null_general,
+    parse_environment, parse_expression, parse_formula, parse_term, prop_alphabet,
+    propositionalize, sample_interpretations, sat_truth_table, satisfiable_free,
+    separator_word, sum_expr, terms_of_formula, word_skeletons,
 )
 from constrex import syntax
-from constrex.logic import PropAtom, is_normalized
-from constrex.syntax import TOP, BOT, Conn, connective, register_connective, term_str
+from constrex.logic import PropAtom, is_normalized, void_test
+from constrex.oracle import realizations
+from constrex.syntax import (
+    TOP, BOT, Conn, connective, expr_variables, register_connective, term_str,
+)
 
-from conftest import rand_formula, rand_term
+from conftest import FUZZ_SCALE, rand_expr, rand_formula, rand_term
 
 
 @pytest.fixture
@@ -386,3 +391,163 @@ def test_membership_general_differential(envp):
                     for r in realizations(envp, expr_variables(envp, e), 1):
                         assert not brute_membership_fixed_r(interp, r, e, w), \
                             (str(e), w)
+
+
+# ---------------------------------------------------------------------------
+# the lazy, pruned general membership search against the eager one
+
+
+def _eager_paths(env, e, w, memo):
+    # every path, one letter at a time, as the search was first written;
+    # memo maps each prefix of w to its paths
+    if w not in memo:
+        memo[w] = [(e2, chain + [X])
+                   for e1, chain in _eager_paths(env, e, w[:-1], memo)
+                   for e2, X in derive_expr(env, e1, w[-1])]
+    return memo[w]
+
+
+def _witness_view(interpretation, assignment):
+    def spec(s):
+        if isinstance(s, FiniteRelation):
+            return tuple(sorted(s.tuples)), s.default
+        return s.table, s.default
+
+    return (tuple(sorted(assignment.items())),
+            tuple(sorted((k, spec(v)) for k, v in interpretation.predicates.items())),
+            tuple(sorted((k, spec(v)) for k, v in interpretation.functions.items())))
+
+
+def _eager_membership(env, e, w, max_props=None, memo=None):
+    # the first path whose end state is nullable, its witness rewound
+    for derived, chain in _eager_paths(env, e, w, memo or {"": [(e, [])]}):
+        witness = null_general(env, derived, max_props)
+        if witness is not None:
+            assignment = dict(witness.realization.assignment)
+            for X in reversed(chain):
+                for x, rep in X:
+                    assignment[x] = "" if rep == "" else rep[0] + assignment.get(x, "")
+            return _witness_view(witness.interpretation, assignment)
+    return None
+
+
+def _lazy_membership(env, e, w, max_props=None):
+    witness = membership_general(env, e, w, max_props)
+    if witness is None:
+        return None
+    return _witness_view(witness.interpretation, witness.realization.assignment)
+
+
+@pytest.mark.parametrize("env_name, draws", [("envp", 220), ("env3", 80)])
+def test_membership_general_matches_eager_search(request, env_name, draws):
+    env = request.getfixturevalue(env_name)
+    words = [""] + ["".join(t) for n in range(1, 5)
+                    for t in itertools.product(env.symbols, repeat=n)]
+    rng = random.Random(env_name)
+    accepted = 0
+    for _ in range(draws * FUZZ_SCALE):
+        e = rand_expr(rng, env, 3)
+        memo = {"": [(e, [])]}
+        for w in words:
+            expected = _eager_membership(env, e, w, memo=memo)
+            assert _lazy_membership(env, e, w) == expected, (str(e), w)
+            assert list(derive_paths(env, e, w)) == memo[w]
+            accepted += expected is not None
+    assert accepted >= 5 * draws * FUZZ_SCALE
+
+
+@pytest.mark.parametrize("text, void", [
+    ("empty", True),
+    ("a empty x", True),
+    ("a (x | sim(x, a) && !sim(x, a))", True),
+    ("empty + empty", True),
+    ("empty + x", False),
+    ("x -| empty", True),
+    ("eps -| a x", True),
+    ("eps -| x*", False),
+    ("eps -| (x -| a)", True),
+    ("eps -| (x -| y)", False),
+    ("a -| b", False),
+    ("empty | sim(x, x)", True),
+    ("x | !(sim(x, a) -> sim(x, a))", True),
+    ("x | sim(x, a) || !sim(x, a)", False),
+    ("x | sim(x, a) && (lt(x, a) || sim(a, x))", False),
+    ("(eps -| a)*", False),
+])
+def test_void_test_shapes(env3, text, void):
+    assert void_test(env3, 20)(parse_expression(text, env3)) is void
+
+
+def test_void_test_uses_a_re_registered_builtin(env3, monkeypatch):
+    # and/or joins are taken as satisfiable only under their built-in meaning
+    monkeypatch.setattr(syntax, "_CONNECTIVES", dict(syntax._CONNECTIVES))
+    register_connective("and", 2, lambda p, q: p != q)
+    e = parse_expression("x | sim(x, a) && sim(x, a)", env3)
+    assert void_test(env3, 20)(e)
+
+
+def test_void_states_denote_nothing(envp):
+    # a cut state has no satisfiable indicator pair, and no sampled bounded
+    # (I, r) accepts a short word on it
+    rng = random.Random(113)
+    void = void_test(envp, 20)
+    interps = sample_interpretations(envp, 8)
+    words = [""] + ["".join(t) for n in range(1, 4)
+                    for t in itertools.product("ab", repeat=n)]
+    cut = 0
+    for _ in range(40 * FUZZ_SCALE):
+        e = rand_expr(rng, envp, 3)
+        roll = rng.random()
+        if roll < 0.3:
+            phi = rand_formula(rng, envp, 1)
+            e = Constraint(e, Conn("and", (phi, Conn("not", (phi,)))))
+        elif roll < 0.5:
+            e = Match("", e)
+        states = {e}
+        for w in ("a", "b", "ab", "ba"):
+            states.update(s for s, _chain in derive_paths(envp, e, w))
+        for s in sorted(states, key=str):
+            if not void(s):
+                continue
+            cut += 1
+            assert all(satisfiable_free(envp, phi) is None
+                       for _xs, phi in indicator_set(envp, s)), str(s)
+            for interp in interps:
+                for r in realizations(envp, expr_variables(envp, s), 1):
+                    for w in words:
+                        assert not brute_membership_fixed_r(interp, r, s, w), (str(s), w)
+    assert cut >= 60 * FUZZ_SCALE
+
+
+def test_unsatisfiable_constraint_is_cut_at_once(env3):
+    # the eager search took 22 s at 16 letters; the cut leaves no path at all
+    e = parse_expression("(x y + a)* z | sim(f(x), f(y)) && !sim(f(x), f(y))", env3)
+    start = time.perf_counter()
+    assert membership_general(env3, e, "ab" * 20) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def test_constraint_over_the_limit_is_not_cut(env3):
+    # 4 atoms over a limit of 3: the constraint counts as satisfiable, so the
+    # search reaches it and gives the answer or the error of the eager one
+    big = parse_formula("(sim(x, a) || lt(x, b)) && !(sim(x, a) || lt(x, b)) "
+                        "&& sim(y, y) && lt(y, y)", env3)
+    x = parse_expression("x", env3)
+    assert not void_test(env3, 3)(Constraint(x, big))
+    assert void_test(env3, 4)(Constraint(x, big))
+    a, ax = Word("a"), Word("ax")
+    # derived by a, the constraint's state is the only one, then the first
+    for e in (Constraint(ax, big), sum_expr(Constraint(a, big), ax)):
+        with pytest.raises(TruthTableLimitError):
+            _eager_membership(env3, e, "a", 3)
+        with pytest.raises(TruthTableLimitError):
+            membership_general(env3, e, "a", 3)
+    e = sum_expr(a, Constraint(ax, big))
+    assert _lazy_membership(env3, e, "a", 3) == _eager_membership(env3, e, "a", 3)
+    assert _lazy_membership(env3, e, "a", 3) is not None
+    # a formula below a cut state never reaches the SAT search: the eager
+    # search conjoins the unsatisfiable one with big and hits the limit
+    e = parse_expression("(a | sim(x, a) && !sim(x, a)) (y | %s)" % big, env3)
+    with pytest.raises(TruthTableLimitError):
+        _eager_membership(env3, e, "a", 3)
+    assert membership_general(env3, e, "a", 3) is None
