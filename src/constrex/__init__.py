@@ -31,7 +31,7 @@ from .nullability import (
     erase_vars, indicator_set, null_fixed, null_fixed_via_indicator,
 )
 from .logic import (
-    Witness, build_witness, factors, left_dot_level, membership_general,
+    Witness, build_witness, left_dot_level, membership_general,
     normalize_formula, normalize_term, null_general, prop_alphabet,
     propositionalize, sat_truth_table, satisfiable_free, separator_word,
     terms_of_formula, word_skeletons,

@@ -22,7 +22,7 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .errors import ConfigError, TruthTableLimitError, UnsupportedAlphabetError
 from .derivation import derive_paths, may_null
-from .nullability import indicator_set
+from .nullability import indicator_pairs
 from .semantics import (
     FiniteRelation, Interpretation, Realization, TableFunction,
     eval_term,
@@ -31,7 +31,8 @@ from .syntax import (
     AND, CAT, EPSILON, EPS_TERM, NOT, OR,
     App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula, Match,
     Term, Var,
-    connective, is_sum, subst_term, term_of_word, term_str, term_variables,
+    check_sum_only, connective, is_sum, subst_term, term_of_word, term_str,
+    term_variables,
 )
 
 DEFAULT_MAX_PROPS = 20
@@ -236,15 +237,6 @@ def sat_truth_table(psi, max_props: Optional[int] = None) -> Optional[Dict[PropA
 # separator words
 
 
-def is_word_term(env: Environment, t: Term) -> bool:
-    """Ground terms over symbol constants, eps and catenation only."""
-    if isinstance(t, Var):
-        return False
-    if t.fn == CAT:
-        return is_word_term(env, t.args[0]) and is_word_term(env, t.args[1])
-    return not t.args and (t.fn == EPSILON or env.is_symbol(t.fn))
-
-
 def word_of_term(t: Term) -> str:
     if isinstance(t, App) and t.fn == CAT:
         return word_of_term(t.args[0]) + word_of_term(t.args[1])
@@ -264,21 +256,26 @@ def word_skeletons(env: Environment, t: Term):
     other constants) contribute the empty word, since nothing is known about
     the letters they may produce.
     """
+    return _skeletons(env, t)[:3]
+
+
+def _skeletons(env: Environment, t: Term):
+    """word_skeletons of t, and whether t is a ground word: a term over
+    symbol constants, eps and catenation only."""
     if isinstance(t, Var) or not t.args:
         if isinstance(t, App) and env.is_symbol(t.fn):
             base = frozenset({t.fn})
         else:
             base = frozenset({""})
-        return base, base, base
+        return base, base, base, isinstance(t, App) and (
+            t.fn == EPSILON or env.is_symbol(t.fn))
     if t.fn != CAT:
         middle = frozenset()
         for a in t.args:
-            middle |= word_skeletons(env, a)[2]
-        return frozenset(), frozenset(), middle
-    t1, t2 = t.args
-    l1, r1, m1 = word_skeletons(env, t1)
-    l2, r2, m2 = word_skeletons(env, t2)
-    w1, w2 = is_word_term(env, t1), is_word_term(env, t2)
+            middle |= _skeletons(env, a)[2]
+        return frozenset(), frozenset(), middle, False
+    l1, r1, m1, w1 = _skeletons(env, t.args[0])
+    l2, r2, m2, w2 = _skeletons(env, t.args[1])
     left = l1 if (not w1 or not l2) else _concat_sets(l1, l2)
     right = r2 if (not w2 or not r1) else _concat_sets(r1, r2)
     middle = _concat_sets(r1, l2)
@@ -286,30 +283,23 @@ def word_skeletons(env: Environment, t: Term):
         middle |= m1
     if not w2:
         middle |= m2
-    return left, right, middle
-
-
-def factors(env: Environment, terms: Iterable[Term]) -> frozenset:
-    """All contiguous subwords of all middle words of the given terms."""
-    out = {""}
-    for t in terms:
-        for w in word_skeletons(env, t)[2]:
-            for i in range(len(w)):
-                for j in range(i + 1, len(w) + 1):
-                    out.add(w[i:j])
-    return frozenset(out)
+    return left, right, middle, w1 and w2
 
 
 def separator_word(env: Environment, terms: Iterable[Term]) -> str:
-    """A word a b^p a that is not a factor of any of the given terms."""
+    """A word a b^p a that is not a factor of any of the given terms.
+
+    p is one more than the longest run of b in the terms' middle words.
+    """
     if len(env.symbols) < 2:
         raise UnsupportedAlphabetError(
             "separator words need at least two symbols (unary alphabets are open)")
     a, b = env.symbols[0], env.symbols[1]
-    fs = factors(env, terms)
     run = 0
-    while b * (run + 1) in fs:
-        run += 1
+    for t in terms:
+        for w in word_skeletons(env, t)[2]:
+            while b * (run + 1) in w:
+                run += 1
     return a + b * (run + 1) + a
 
 
@@ -333,16 +323,19 @@ def _replace_subterm(t: Term, target: Term, repl: Term) -> Term:
     return t
 
 
-def _ground_apps(env: Environment, t: Term):
-    """Non-catenation applications whose arguments are all ground words."""
+def _ground_apps(env: Environment, t: Term, out: set) -> bool:
+    """Add to out the non-catenation applications in t whose arguments are
+    all ground words; return whether t itself is a ground word."""
     if isinstance(t, Var):
-        return
-    for a in t.args:
-        yield from _ground_apps(env, a)
-    if t.fn in (CAT, EPSILON) or env.is_symbol(t.fn):
-        return
-    if all(is_word_term(env, a) for a in t.args):
-        yield t
+        return False
+    words = [_ground_apps(env, a, out) for a in t.args]
+    if t.fn == CAT:
+        return all(words)
+    if t.fn == EPSILON or env.is_symbol(t.fn):
+        return not t.args
+    if all(words):
+        out.add(t)
+    return False
 
 
 def build_witness(env: Environment, phi: Formula,
@@ -356,28 +349,28 @@ def build_witness(env: Environment, phi: Formula,
     if len(env.symbols) < 2:
         raise UnsupportedAlphabetError("witness construction needs two symbols")
     phi = normalize_formula(phi)
-    terms = sorted({normalize_term(t) for t in terms_of_formula(phi)}, key=term_str)
+    terms = {normalize_term(t) for t in terms_of_formula(phi)}
     bindings: Dict[str, str] = {}
     overrides: Dict[str, dict] = {}
     while True:
-        variables = sorted({v for t in terms for v in term_variables(t)})
+        variables = {v for t in terms for v in term_variables(t)}
         if not variables:
             break
-        x = variables[0]
+        x = min(variables)
         w = separator_word(env, terms)
         bindings[x] = w
-        terms = sorted({normalize_term(subst_term(env, t, {x: w})) for t in terms},
-                       key=term_str)
+        terms = {normalize_term(subst_term(env, t, {x: w})) for t in terms}
     while True:
-        apps = sorted({a for t in terms for a in _ground_apps(env, t)}, key=term_str)
+        apps: set = set()
+        for t in terms:
+            _ground_apps(env, t, apps)
         if not apps:
             break
-        app = apps[0]
+        app = min(apps, key=term_str)
         w = separator_word(env, terms)
         overrides.setdefault(app.fn, {})[tuple(word_of_term(a) for a in app.args)] = w
         repl = term_of_word(env, w)
-        terms = sorted({normalize_term(_replace_subterm(t, app, repl)) for t in terms},
-                       key=term_str)
+        terms = {normalize_term(_replace_subterm(t, app, repl)) for t in terms}
     functions = {name: TableFunction.from_dict(overrides.get(name, {}))
                  for name in env.functions}
     realization = Realization(env, bindings)
@@ -414,8 +407,12 @@ def satisfiable_free(env: Environment, phi: Formula,
 def null_general(env: Environment, e: Expr,
                  max_props: Optional[int] = None) -> Optional[Witness]:
     """A witness that the empty word belongs to the language of e, if any."""
-    max_props = _resolve_max_props(max_props)
-    for erased, phi in indicator_set(env, e):
+    return _null_general(env, check_sum_only(e), _resolve_max_props(max_props))
+
+
+def _null_general(env: Environment, e: Expr, max_props: int) -> Optional[Witness]:
+    """null_general for a sum-only e: the first satisfiable indicator pair wins."""
+    for erased, phi in indicator_pairs(env, e):
         witness = satisfiable_free(env, phi, max_props)
         if witness is not None:
             assignment = dict(witness.realization.assignment)
@@ -502,7 +499,7 @@ def membership_general(env: Environment, e: Expr, w: str,
         return null_general(env, e, max_props)
     void = void_test(env, max_props)
     for derived, chain in derive_paths(env, e, w, lambda s: not void(s)):
-        witness = null_general(env, derived, max_props)
+        witness = _null_general(env, derived, max_props)
         if witness is not None:
             r = witness.realization
             for X in reversed(chain):

@@ -3,6 +3,8 @@
 The indicator set of an expression reduces "does the empty word belong" to a
 satisfiability question: each pair lists the variables that must be erased
 and a residual formula (with those variables already erased) that must hold.
+The pairs are produced lazily in canonical order, so a search that stops at
+the first satisfiable pair erases and prints only the groups it reaches.
 """
 
 from __future__ import annotations
@@ -56,31 +58,13 @@ def _conj(left: Formula, right: Formula) -> Formula:
     return Conn(AND, (left, right))
 
 
-def _otimes(env: Environment, s1, s2):
-    out = []
-    for x1, phi1 in s1:
-        for x2, phi2 in s2:
-            xs = x1 | x2
-            out.append((xs, erase_vars(env, _conj(phi1, phi2), xs)))
-    return out
+def _pairs(env: Environment, e: Expr) -> list:
+    """The indicator pairs of e before erasure, in construction order.
 
-
-def _pair_key(env: Environment, pair: IndicatorPair):
-    xs, phi = pair
-    return (tuple(sorted(xs, key=env.letter_key)), formula_str(phi))
-
-
-def _canonical(env: Environment, pairs) -> IndicatorSet:
-    keyed = {_pair_key(env, p): p for p in pairs}
-    return tuple(keyed[k] for k in sorted(keyed))
-
-
-def indicator_set(env: Environment, e: Expr) -> IndicatorSet:
-    """The S-epsilon reduction of empty-word membership to satisfiability."""
-    return _canonical(env, _indicator(env, check_sum_only(e)))
-
-
-def _indicator(env: Environment, e: Expr):
+    Erasing a formula once at the top with the pair's variables gives what
+    erasing at every step gave: erasure is idempotent, and it commutes with
+    _conj because no erasure turns a formula into or out of TOP.
+    """
     if isinstance(e, Word):
         if all(env.is_variable(c) for c in e.letters):
             return [(variables_of(env, e.letters), TOP)]
@@ -89,24 +73,53 @@ def _indicator(env: Environment, e: Expr):
         return []
     if isinstance(e, Match):
         if all(env.is_variable(c) for c in e.word):
-            return _otimes(env, [(variables_of(env, e.word), TOP)],
-                           _indicator(env, e.child))
+            xs = variables_of(env, e.word)
+            return [(xs | x2, psi) for x2, psi in _pairs(env, e.child)]
         return []
     if isinstance(e, Bool):
-        return _indicator(env, e.children[0]) + _indicator(env, e.children[1])
+        return _pairs(env, e.children[0]) + _pairs(env, e.children[1])
     if isinstance(e, Cat):
-        return _otimes(env, _indicator(env, e.left), _indicator(env, e.right))
+        right = _pairs(env, e.right)
+        return [(x1 | x2, _conj(phi1, phi2))
+                for x1, phi1 in _pairs(env, e.left) for x2, phi2 in right]
     if isinstance(e, Star):
         return [(frozenset(), TOP)]
     if isinstance(e, Constraint):
-        return [(xs, erase_vars(env, _conj(e.formula, psi), xs))
-                for xs, psi in _indicator(env, e.child)]
+        return [(xs, _conj(e.formula, psi)) for xs, psi in _pairs(env, e.child)]
     raise TypeError(e)
+
+
+def indicator_pairs(env: Environment, e: Expr):
+    """The indicator set of a sum-only e, lazily, in canonical order.
+
+    The order sorts by the erased variables (in the environment's letter
+    order), then by the printed residual formula; of two pairs that print
+    alike, the later one is kept. The pairs are grouped by their erased
+    variables before any erasure, and a group is erased, printed and sorted
+    only when the iteration reaches it. The caller checks that e is sum-only.
+    """
+    rank = {x: env.letter_key(x) for x in env.variables}
+    groups: dict = {}
+    for xs, phi in _pairs(env, e):
+        key = tuple(sorted(xs, key=rank.__getitem__))
+        groups.setdefault(key, []).append((xs, phi))
+    for key in sorted(groups):
+        keyed = {}
+        for xs, phi in groups[key]:
+            phi = erase_vars(env, phi, xs)
+            keyed[formula_str(phi)] = (xs, phi)
+        for text in sorted(keyed):
+            yield keyed[text]
+
+
+def indicator_set(env: Environment, e: Expr) -> IndicatorSet:
+    """The S-epsilon reduction of empty-word membership to satisfiability."""
+    return tuple(indicator_pairs(env, check_sum_only(e)))
 
 
 def null_fixed_via_indicator(interp: Interpretation, r: Realization, e: Expr) -> bool:
     """Empty-word test through the indicator set (sum-only expressions)."""
-    for xs, phi in indicator_set(interp.env, e):
+    for xs, phi in indicator_pairs(interp.env, check_sum_only(e)):
         if all(r(x) == "" for x in xs) and eval_formula(interp, r, phi):
             return True
     return False

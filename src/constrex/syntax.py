@@ -166,7 +166,14 @@ def subterms(t: Term) -> frozenset:
 
 
 def term_variables(t: Term) -> frozenset:
-    return frozenset(s.name for s in subterms(t) if isinstance(s, Var))
+    names, stack = set(), [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Var):
+            names.add(s.name)
+        else:
+            stack.extend(s.args)
+    return frozenset(names)
 
 
 def check_term(env: Environment, t: Term) -> Term:

@@ -9,6 +9,7 @@ from constrex import (
     Cat, Constraint, Empty, Interpretation, Match, Realization, Star, Word,
     parse_environment, parse_expression, sum_expr,
 )
+from constrex.logic import word_skeletons
 from constrex.syntax import AND, IMPLIES, NOT, OR, App, Atom, Conn, Var
 
 ENV3_TEXT = """\
@@ -88,6 +89,17 @@ def r2(env3):
 # Multiplies the iteration counts of the long differential suites; a larger
 # value makes an opt-in longer fuzz run (CONSTREX_FUZZ_SCALE=20 pytest).
 FUZZ_SCALE = int(os.environ.get("CONSTREX_FUZZ_SCALE", "1"))
+
+
+def factors(env, terms):
+    """All contiguous subwords of all middle words of the given terms."""
+    out = {""}
+    for t in terms:
+        for w in word_skeletons(env, t)[2]:
+            for i in range(len(w)):
+                for j in range(i + 1, len(w) + 1):
+                    out.add(w[i:j])
+    return frozenset(out)
 
 
 def rand_word(rng, letters, max_len=3):

@@ -14,7 +14,7 @@ from constrex import (
     Interpretation, Realization,
     associated_realization, brute_membership_fixed_r, brute_satisfiable_free,
     check_subst_set, derive_expr, derive_expr_word,
-    eval_formula, eval_term, factors, membership_fixed, membership_general,
+    eval_formula, eval_term, membership_fixed, membership_general,
     normalize_formula, normalize_term, null_fixed, null_fixed_via_indicator,
     parse_environment, parse_expression, parse_formula,
     regex_null, regularize, sample_interpretations,
@@ -25,7 +25,9 @@ from constrex.logic import is_normalized
 from constrex.nullability import indicator_pair_str, indicator_set
 from constrex.syntax import Conn, expr_str, register_connective, term_str
 
-from conftest import ENV3_TEXT, rand_expr, rand_formula, rand_realization, rand_term
+from conftest import (
+    ENV3_TEXT, factors, rand_expr, rand_formula, rand_realization, rand_term,
+)
 
 
 def report(number, label):

@@ -12,7 +12,7 @@ from constrex import (
     ConfigError, Constraint, FiniteRelation, Match, TruthTableLimitError,
     UnsupportedAlphabetError, Word,
     brute_membership_fixed_r, brute_satisfiable_free, build_witness, derive_expr,
-    derive_paths, eval_formula, eval_term, factors, indicator_set, left_dot_level,
+    derive_paths, eval_formula, eval_term, indicator_set, left_dot_level,
     membership_general, normalize_formula, normalize_term, null_general,
     parse_environment, parse_expression, parse_formula, parse_term, prop_alphabet,
     propositionalize, sample_interpretations, sat_truth_table, satisfiable_free,
@@ -25,7 +25,7 @@ from constrex.syntax import (
     TOP, BOT, Conn, connective, expr_variables, register_connective, term_str,
 )
 
-from conftest import FUZZ_SCALE, rand_expr, rand_formula, rand_term
+from conftest import FUZZ_SCALE, factors, rand_expr, rand_formula, rand_term
 
 
 @pytest.fixture
@@ -252,11 +252,30 @@ def test_separator_word_examples(envf):
 
 def test_separator_word_fresh_random(envf):
     rng = random.Random(71)
-    for _ in range(300):
+    for _ in range(300 * FUZZ_SCALE):
         terms = [rand_term(rng, envf, 3) for _ in range(rng.randint(0, 3))]
         terms = [normalize_term(t) for t in terms]
         w = separator_word(envf, terms)
         assert w not in factors(envf, terms)
+
+
+def test_separator_word_matches_factor_definition(envf, envp):
+    # the longest run of b in the middle words gives the word that the
+    # search for the first b^p outside the factor set gave
+    def by_factors(env, terms):
+        a, b = env.symbols[0], env.symbols[1]
+        fs = factors(env, terms)
+        run = 0
+        while b * (run + 1) in fs:
+            run += 1
+        return a + b * (run + 1) + a
+
+    rng = random.Random(73)
+    for env in (envf, envp):
+        for _ in range(300):
+            terms = [normalize_term(rand_term(rng, env, 4))
+                     for _ in range(rng.randint(0, 4))]
+            assert separator_word(env, terms) == by_factors(env, terms)
 
 
 def test_separator_requires_two_symbols():

@@ -6,14 +6,20 @@ import pytest
 
 from constrex import (
     Realization, UnsupportedOperatorError,
-    erase_vars, null_fixed, null_fixed_via_indicator, parse_expression,
-    parse_formula, regex_null, regularize,
+    erase_vars, null_fixed, null_fixed_via_indicator, parse_environment,
+    parse_expression, parse_formula, regex_null, regularize,
 )
-from constrex.nullability import check_erasure, indicator_pair_str, indicator_set
+from constrex import nullability
+from constrex.nullability import (
+    check_erasure, indicator_pair_str, indicator_pairs, indicator_set,
+)
 from constrex.logic import membership_general, null_general
-from constrex.syntax import Bool, Star, Word, register_connective
+from constrex.syntax import (
+    AND, TOP, Bool, Cat, Conn, Constraint, Empty, Match, Star, Word, formula_str,
+    register_connective, variables_of,
+)
 
-from conftest import rand_expr, rand_realization
+from conftest import FUZZ_SCALE, rand_expr, rand_realization
 
 
 def view(env, e):
@@ -82,7 +88,7 @@ def test_null_via_indicator_examples(env3, interp_len, interp_leneq, e1):
 
 def test_erasure_soundness_random(env3):
     rng = random.Random(53)
-    for _ in range(300):
+    for _ in range(300 * FUZZ_SCALE):
         e = rand_expr(rng, env3, 4)
         for pair in indicator_set(env3, e):
             assert check_erasure(pair)
@@ -90,7 +96,7 @@ def test_erasure_soundness_random(env3):
 
 def test_nullability_triangle_random(env3, interp_len, interp_leneq):
     rng = random.Random(59)
-    for _ in range(300):
+    for _ in range(300 * FUZZ_SCALE):
         e = rand_expr(rng, env3, 4)
         r = rand_realization(rng, env3)
         for interp in (interp_len, interp_leneq):
@@ -120,3 +126,75 @@ def test_null_I_characterization_bounded(env3, interp_len):
             if rhs:
                 break
         assert lhs == rhs
+
+
+def eager_indicator_set(env, e):
+    """The indicator set built eagerly: every product and constraint erases
+    its pairs at once, then all pairs are deduplicated (the later pair wins)
+    and sorted by erased variables, then by printed formula."""
+    def conj(left, right):
+        if left == TOP:
+            return right
+        if right == TOP:
+            return left
+        return Conn(AND, (left, right))
+
+    def otimes(s1, s2):
+        return [(x1 | x2, erase_vars(env, conj(phi1, phi2), x1 | x2))
+                for x1, phi1 in s1 for x2, phi2 in s2]
+
+    def pairs(e):
+        if isinstance(e, Word):
+            if all(env.is_variable(c) for c in e.letters):
+                return [(variables_of(env, e.letters), TOP)]
+            return []
+        if isinstance(e, Empty):
+            return []
+        if isinstance(e, Match):
+            if all(env.is_variable(c) for c in e.word):
+                return otimes([(variables_of(env, e.word), TOP)], pairs(e.child))
+            return []
+        if isinstance(e, Bool):
+            return pairs(e.children[0]) + pairs(e.children[1])
+        if isinstance(e, Cat):
+            return otimes(pairs(e.left), pairs(e.right))
+        if isinstance(e, Star):
+            return [(frozenset(), TOP)]
+        if isinstance(e, Constraint):
+            return [(xs, erase_vars(env, conj(e.formula, psi), xs))
+                    for xs, psi in pairs(e.child)]
+        raise TypeError(e)
+
+    keyed = {(tuple(sorted(xs, key=env.letter_key)), formula_str(phi)): (xs, phi)
+             for xs, phi in pairs(e)}
+    return [keyed[k] for k in sorted(keyed)]
+
+
+def test_indicator_pairs_match_eager_construction(env3, envp):
+    rng = random.Random(61)
+    for env in (env3, envp):
+        for _ in range(300 * FUZZ_SCALE):
+            e = rand_expr(rng, env, 4)
+            assert list(indicator_pairs(env, e)) == eager_indicator_set(env, e)
+
+
+def test_null_general_erases_only_the_reached_group(monkeypatch):
+    env = parse_environment("alphabet: a b\nvariables: p q r s t u v w x y\n"
+                            "predicates: sim/2\nfunctions: f/1")
+    e = parse_expression(
+        "(p + eps)(q + eps)(r + eps)(s + eps)(t + eps)(u + eps)(v + eps)"
+        "(w + eps)(x + eps)(y + eps) | sim(pqrstuvwxy, yxwvutsrqp)"
+        " && !sim(f(qpsrutwvyx), a)", env)
+    calls = []
+
+    def counting(env, phi, erased):
+        calls.append(frozenset(erased))
+        return erase_vars(env, phi, erased)
+
+    monkeypatch.setattr(nullability, "erase_vars", counting)
+    assert null_general(env, e) is not None
+    # the first group erases nothing, holds one pair, and is satisfiable
+    assert calls == [frozenset()]
+    # the full set still erases every one of the 2^10 pairs
+    assert len(indicator_set(env, e)) == 1024
+    assert len(calls) == 1 + 1024
