@@ -10,7 +10,10 @@ three-valued evaluation (after Davis, Logemann and Loveland, 1962). A
 satisfying assignment is turned back into a concrete witness
 (interpretation, realization) by binding variables and application nodes to
 separator words of the shape a b^p a, which keeps distinct normalized terms
-evaluating to distinct words.
+evaluating to distinct words. One counter gives the separators: the first is
+the shortest a b^p a that is not a factor of the terms, and each later one
+has one b more. Separator words treat an application as opaque at its
+edges, like a variable, so the letters on either side of it stay visible.
 """
 
 from __future__ import annotations
@@ -23,16 +26,12 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 from .errors import ConfigError, TruthTableLimitError, UnsupportedAlphabetError
 from .derivation import derive_paths, may_null
 from .nullability import indicator_pairs
-from .semantics import (
-    FiniteRelation, Interpretation, Realization, TableFunction,
-    eval_term,
-)
+from .semantics import FiniteRelation, Interpretation, Realization, TableFunction
 from .syntax import (
     AND, CAT, EPSILON, EPS_TERM, NOT, OR,
     App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula, Match,
     Term, Var,
-    check_sum_only, connective, is_sum, subst_term, term_of_word, term_str,
-    term_variables,
+    check_sum_only, connective, is_sum, term_str, term_variables,
 )
 
 DEFAULT_MAX_PROPS = 20
@@ -237,14 +236,6 @@ def sat_truth_table(psi, max_props: Optional[int] = None) -> Optional[Dict[PropA
 # separator words
 
 
-def word_of_term(t: Term) -> str:
-    if isinstance(t, App) and t.fn == CAT:
-        return word_of_term(t.args[0]) + word_of_term(t.args[1])
-    if isinstance(t, App) and t.fn == EPSILON:
-        return ""
-    return t.fn
-
-
 def _concat_sets(s1: frozenset, s2: frozenset) -> frozenset:
     return frozenset(u + v for u in s1 for v in s2)
 
@@ -254,7 +245,10 @@ def word_skeletons(env: Environment, t: Term):
 
     Leaves denoting a word contribute that word; opaque leaves (variables,
     other constants) contribute the empty word, since nothing is known about
-    the letters they may produce.
+    the letters they may produce. An application other than catenation is
+    opaque at its edges too: its left and right words are the empty word,
+    so the letters next to it stay in the middle words of the catenation
+    around it, and its middle words are those of its arguments.
     """
     return _skeletons(env, t)[:3]
 
@@ -273,11 +267,11 @@ def _skeletons(env: Environment, t: Term):
         middle = frozenset()
         for a in t.args:
             middle |= _skeletons(env, a)[2]
-        return frozenset(), frozenset(), middle, False
+        return frozenset({""}), frozenset({""}), middle, False
     l1, r1, m1, w1 = _skeletons(env, t.args[0])
     l2, r2, m2, w2 = _skeletons(env, t.args[1])
-    left = l1 if (not w1 or not l2) else _concat_sets(l1, l2)
-    right = r2 if (not w2 or not r1) else _concat_sets(r1, r2)
+    left = _concat_sets(l1, l2) if w1 else l1
+    right = _concat_sets(r1, r2) if w2 else r2
     middle = _concat_sets(r1, l2)
     if not w1:
         middle |= m1
@@ -315,75 +309,69 @@ class Witness:
     realization: Realization
 
 
-def _replace_subterm(t: Term, target: Term, repl: Term) -> Term:
-    if t == target:
-        return repl
-    if isinstance(t, App):
-        return App(t.fn, tuple(_replace_subterm(a, target, repl) for a in t.args))
-    return t
-
-
-def _ground_apps(env: Environment, t: Term, out: set) -> bool:
-    """Add to out the non-catenation applications in t whose arguments are
-    all ground words; return whether t itself is a ground word."""
-    if isinstance(t, Var):
-        return False
-    words = [_ground_apps(env, a, out) for a in t.args]
-    if t.fn == CAT:
-        return all(words)
-    if t.fn == EPSILON or env.is_symbol(t.fn):
-        return not t.args
-    if all(words):
-        out.add(t)
-    return False
-
-
 def build_witness(env: Environment, phi: Formula,
                   assignment: Dict[PropAtom, bool]) -> Witness:
     """Turn a satisfying propositional assignment into a concrete witness.
 
-    Variables, then innermost application nodes, are bound to fresh separator
-    words; the resulting evaluation is an injection of the formula's terms,
-    so predicate tables can mirror the assignment tuple by tuple.
+    Variables in name order, then innermost applications, are bound to the
+    separator words a b^p a, a b^(p+1) a, ..., counted up from the separator
+    word of the normalized terms. The next application bound is the ready
+    one (all its arguments evaluate to words) that prints first as
+    fn(w1, ..., wn). Since applications are opaque at their edges, every
+    binding lands in a middle word between a delimiters, so rewriting the
+    terms with the bindings so far would give the counter's next word. The
+    evaluation is an injection of the formula's terms, so predicate tables
+    can mirror the assignment tuple by tuple.
     """
     if len(env.symbols) < 2:
         raise UnsupportedAlphabetError("witness construction needs two symbols")
     phi = normalize_formula(phi)
-    terms = {normalize_term(t) for t in terms_of_formula(phi)}
-    bindings: Dict[str, str] = {}
-    overrides: Dict[str, dict] = {}
+    terms = terms_of_formula(phi)
+    a, b = env.symbols[0], env.symbols[1]
+    first = len(separator_word(env, terms)) - 2
+    separators = (a + b * p + a for p in itertools.count(first))
+    bindings = {x: next(separators)
+                for x in sorted({v for t in terms for v in term_variables(t)})}
+    overrides: Dict[str, dict] = {name: {} for name in env.functions}
+
+    def value(t: Term, ready: dict) -> Optional[str]:
+        """The word t evaluates to, or None while an application in it is
+        unbound; the ready unbound applications go into ready by key."""
+        if isinstance(t, Var):
+            return bindings[t.name]
+        words = [value(u, ready) for u in t.args]
+        if None in words:
+            return None
+        if t.fn == CAT:
+            return words[0] + words[1]
+        if t.fn == EPSILON:
+            return ""
+        if env.is_symbol(t.fn):
+            return t.fn
+        args = tuple(words)
+        w = overrides[t.fn].get(args)
+        if w is None:
+            printed = ", ".join(u or "eps" for u in args)
+            ready["%s(%s)" % (t.fn, printed) if args else t.fn] = t.fn, args
+        return w
+
     while True:
-        variables = {v for t in terms for v in term_variables(t)}
-        if not variables:
+        ready: dict = {}
+        values = {t: value(t, ready) for t in terms}
+        if not ready:
             break
-        x = min(variables)
-        w = separator_word(env, terms)
-        bindings[x] = w
-        terms = {normalize_term(subst_term(env, t, {x: w})) for t in terms}
-    while True:
-        apps: set = set()
-        for t in terms:
-            _ground_apps(env, t, apps)
-        if not apps:
-            break
-        app = min(apps, key=term_str)
-        w = separator_word(env, terms)
-        overrides.setdefault(app.fn, {})[tuple(word_of_term(a) for a in app.args)] = w
-        repl = term_of_word(env, w)
-        terms = {normalize_term(_replace_subterm(t, app, repl)) for t in terms}
-    functions = {name: TableFunction.from_dict(overrides.get(name, {}))
-                 for name in env.functions}
-    realization = Realization(env, bindings)
-    interp = Interpretation(env, functions=functions)
+        fn, args = ready[min(ready)]
+        overrides[fn][args] = next(separators)
+    functions = {name: TableFunction.from_dict(table)
+                 for name, table in overrides.items()}
     tables: Dict[str, set] = {name: set() for name in env.predicates}
-    for atom in prop_alphabet(phi):
-        if assignment[atom]:
-            tables[atom.pred].add(
-                tuple(eval_term(interp, realization, t) for t in atom.args))
+    for atom, holds in assignment.items():
+        if holds:
+            tables[atom.pred].add(tuple(values[t] for t in atom.args))
     predicates = {name: FiniteRelation(frozenset(tuples))
                   for name, tuples in tables.items()}
-    witness_interp = Interpretation(env, predicates=predicates, functions=functions)
-    return Witness(witness_interp, realization)
+    return Witness(Interpretation(env, predicates=predicates, functions=functions),
+                   Realization(env, bindings))
 
 
 def satisfiable_free(env: Environment, phi: Formula,

@@ -98,10 +98,9 @@ def indicator_pairs(env: Environment, e: Expr):
     variables before any erasure, and a group is erased, printed and sorted
     only when the iteration reaches it. The caller checks that e is sum-only.
     """
-    rank = {x: env.letter_key(x) for x in env.variables}
     groups: dict = {}
     for xs, phi in _pairs(env, e):
-        key = tuple(sorted(xs, key=rank.__getitem__))
+        key = tuple(sorted(xs, key=env.letter_rank.__getitem__))
         groups.setdefault(key, []).append((xs, phi))
     for key in sorted(groups):
         keyed = {}

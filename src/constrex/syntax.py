@@ -58,7 +58,8 @@ class Environment:
     Symbols and variables are single characters; `eps` and the catenation
     symbol are implicitly registered as 0-ary/2-ary functions and must not be
     redeclared. Predicate and function names share one namespace with the
-    letters and the keywords.
+    letters and the keywords. `letter_rank` maps each letter to its position
+    in the declared order, symbols first.
     """
 
     symbols: tuple
@@ -88,6 +89,8 @@ class Environment:
                 raise ConfigError("name %r collides with a letter or keyword" % name)
             if arity < 0:
                 raise ConfigError("negative arity for %r" % name)
+        object.__setattr__(self, "letter_rank", {
+            c: i for i, c in enumerate(self.symbols + self.variables)})
 
     # letter classification ------------------------------------------------
 
@@ -108,8 +111,7 @@ class Environment:
 
     def letter_key(self, word: str) -> tuple:
         """Position key implementing the declared lexicographic order."""
-        order = self.symbols + self.variables
-        return tuple(order.index(c) for c in word)
+        return tuple(self.letter_rank[c] for c in word)
 
     def function_arity(self, name: str) -> int:
         if name == CAT:

@@ -6,11 +6,16 @@ import random
 import pytest
 
 from constrex import (
-    Cat, Constraint, Empty, Interpretation, Match, Realization, Star, Word,
-    parse_environment, parse_expression, sum_expr,
+    Cat, Constraint, Empty, FiniteRelation, Interpretation, Match, Realization,
+    Star, TableFunction, Witness, Word,
+    eval_term, normalize_formula, normalize_term, parse_environment,
+    parse_expression, prop_alphabet, separator_word, sum_expr, term_of_word,
+    term_str, terms_of_formula, word_skeletons,
 )
-from constrex.logic import word_skeletons
-from constrex.syntax import AND, IMPLIES, NOT, OR, App, Atom, Conn, Var
+from constrex.syntax import (
+    AND, CAT, EPSILON, IMPLIES, NOT, OR, App, Atom, Conn, Var,
+    subst_term, term_variables,
+)
 
 ENV3_TEXT = """\
 # running example: three symbols, three variables
@@ -40,11 +45,28 @@ def env5():
         "alphabet: a b c\nvariables: x y z\npredicates: lt/2 sim/2\nfunctions: g/2")
 
 
+# property-suite environment: two symbols, two variables
+ENVP_TEXT = """\
+alphabet: a b
+variables: x y
+predicates: p/1 q/2
+functions: f/1 g/2
+"""
+
+
 @pytest.fixture
 def envp():
-    # property-suite environment: two symbols, two variables
-    return parse_environment(
-        "alphabet: a b\nvariables: x y\npredicates: p/1 q/2\nfunctions: f/1 g/2")
+    return parse_environment(ENVP_TEXT)
+
+
+# envp formulas whose witness needs the letters next to an application:
+# when separator words did not see them, x, y and the application all got
+# the same word and the witness was wrong
+NEXT_TO_AN_APPLICATION = [
+    "p(f(a) x) && !p(f(a) y)",
+    "p(g(a, b) x) && !p(g(a, b) y)",
+    "p(f(a) abba) && !p(f(a) x) && p(b)",
+]
 
 
 @pytest.fixture
@@ -155,3 +177,84 @@ def rand_expr(rng, env, depth):
 def rand_realization(rng, env, max_len=2):
     return Realization(env, {
         x: rand_word(rng, list(env.symbols), max_len) for x in env.variables})
+
+
+# ---------------------------------------------------------------------------
+# the rewriting witness construction
+
+
+def _replace_subterm(t, target, repl):
+    if t == target:
+        return repl
+    if isinstance(t, App):
+        return App(t.fn, tuple(_replace_subterm(a, target, repl) for a in t.args))
+    return t
+
+
+def _ground_apps(env, t, out):
+    """Add to out the non-catenation applications in t whose arguments are
+    all ground words; return whether t itself is a ground word."""
+    if isinstance(t, Var):
+        return False
+    words = [_ground_apps(env, a, out) for a in t.args]
+    if t.fn == CAT:
+        return all(words)
+    if t.fn == EPSILON or env.is_symbol(t.fn):
+        return not t.args
+    if all(words):
+        out.add(t)
+    return False
+
+
+def _word_of_term(t):
+    if t.fn == CAT:
+        return _word_of_term(t.args[0]) + _word_of_term(t.args[1])
+    return "" if t.fn == EPSILON else t.fn
+
+
+def rewriting_witness(env, phi, assignment):
+    """build_witness by rewriting, and its separators in binding order.
+
+    Each binding is substituted into every term and the terms are
+    re-normalized; the next separator word is that of the rewritten terms.
+    Variables are bound first, smallest name first, then the ground
+    application that prints first.
+    """
+    phi = normalize_formula(phi)
+    terms = {normalize_term(t) for t in terms_of_formula(phi)}
+    bindings, overrides, separators = {}, {}, []
+    while True:
+        variables = {v for t in terms for v in term_variables(t)}
+        if not variables:
+            break
+        x = min(variables)
+        w = separator_word(env, terms)
+        bindings[x] = w
+        separators.append(w)
+        terms = {normalize_term(subst_term(env, t, {x: w})) for t in terms}
+    while True:
+        apps = set()
+        for t in terms:
+            _ground_apps(env, t, apps)
+        if not apps:
+            break
+        app = min(apps, key=term_str)
+        w = separator_word(env, terms)
+        overrides.setdefault(app.fn, {})[tuple(_word_of_term(a) for a in app.args)] = w
+        separators.append(w)
+        repl = term_of_word(env, w)
+        terms = {normalize_term(_replace_subterm(t, app, repl)) for t in terms}
+    functions = {name: TableFunction.from_dict(overrides.get(name, {}))
+                 for name in env.functions}
+    realization = Realization(env, bindings)
+    interp = Interpretation(env, functions=functions)
+    tables = {name: set() for name in env.predicates}
+    for atom in prop_alphabet(phi):
+        if assignment[atom]:
+            tables[atom.pred].add(
+                tuple(eval_term(interp, realization, t) for t in atom.args))
+    predicates = {name: FiniteRelation(frozenset(tuples))
+                  for name, tuples in tables.items()}
+    witness = Witness(Interpretation(env, predicates=predicates, functions=functions),
+                      realization)
+    return witness, separators

@@ -26,7 +26,8 @@ from constrex.nullability import indicator_pair_str, indicator_set
 from constrex.syntax import Conn, expr_str, register_connective, term_str
 
 from conftest import (
-    ENV3_TEXT, factors, rand_expr, rand_formula, rand_realization, rand_term,
+    ENV3_TEXT, FUZZ_SCALE, factors, rand_expr, rand_formula, rand_realization,
+    rand_term,
 )
 
 
@@ -300,7 +301,7 @@ def test_criterion_10_witness_soundness():
     rng = random.Random(2026)
     witnesses = 0
     refutations = 0
-    for index in range(300):
+    for index in range(300 * FUZZ_SCALE):
         base = rand_formula(rng, PROP_ENV, 2)
         if index % 4 == 3:
             # force the refutation branch through explicit contradictions

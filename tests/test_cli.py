@@ -4,7 +4,7 @@ import pytest
 
 from constrex.cli import run
 
-from conftest import ENV3_TEXT
+from conftest import ENV3_TEXT, ENVP_TEXT, NEXT_TO_AN_APPLICATION
 
 
 @pytest.fixture
@@ -113,6 +113,18 @@ def test_sat_unsat(env_file, capsys):
 def test_sat_witness(env_file, capsys):
     status, out = invoke(capsys, "sat", "--env", env_file,
                          "--formula", "lt(f(ab), f(x)) && !sim(x, ab)", "--oracle")
+    assert status == 0
+    lines = out.splitlines()
+    assert lines[0] == "SAT"
+    assert lines[-1] == "oracle: agree"
+
+
+@pytest.mark.parametrize("formula", NEXT_TO_AN_APPLICATION)
+def test_sat_witness_next_to_an_application(tmp_path, capsys, formula):
+    path = tmp_path / "envp.txt"
+    path.write_text(ENVP_TEXT)
+    status, out = invoke(capsys, "sat", "--env", str(path),
+                         "--formula", formula, "--oracle")
     assert status == 0
     lines = out.splitlines()
     assert lines[0] == "SAT"

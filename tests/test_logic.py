@@ -25,7 +25,10 @@ from constrex.syntax import (
     TOP, BOT, Conn, connective, expr_variables, register_connective, term_str,
 )
 
-from conftest import FUZZ_SCALE, factors, rand_expr, rand_formula, rand_term
+from conftest import (
+    FUZZ_SCALE, NEXT_TO_AN_APPLICATION, factors, rand_expr, rand_formula,
+    rand_term, rewriting_witness,
+)
 
 
 @pytest.fixture
@@ -305,6 +308,48 @@ def test_build_witness_trivia(env5):
     atom = prop_alphabet(phi)[0]
     w2 = build_witness(env5, phi, {atom: True})
     assert eval_formula(w2.interpretation, w2.realization, phi) is True
+
+
+@pytest.mark.parametrize("text", NEXT_TO_AN_APPLICATION)
+def test_witness_sees_letters_next_to_an_application(envp, text):
+    phi = normalize_formula(parse_formula(text, envp))
+    witness = satisfiable_free(envp, phi)
+    assert eval_formula(witness.interpretation, witness.realization, phi) is True
+    values = [eval_term(witness.interpretation, witness.realization, t)
+              for t in terms_of_formula(phi)]
+    assert len(set(values)) == len(values)
+
+
+def _witness_key(w):
+    i = w.interpretation
+    return (w.realization.assignment,
+            {k: v.tuples for k, v in i.predicates.items()},
+            {k: v.table for k, v in i.functions.items()})
+
+
+@pytest.fixture
+def env0():
+    # a 0-ary function: an application with no arguments is ready at once
+    return parse_environment(
+        "alphabet: a b\nvariables: x y\npredicates: p/1 q/2\nfunctions: c/0 f/1")
+
+
+@pytest.mark.parametrize("env_name", ["env5", "envp", "env2", "env0"])
+def test_build_witness_matches_rewriting(request, env_name):
+    # one evaluation pass per binding and one separator counter give the
+    # witness of rewriting the terms after every binding, whose separators
+    # are a consecutive run a b^p a, a b^(p+1) a, ...
+    env = request.getfixturevalue(env_name)
+    a, b = env.symbols[:2]
+    rng = random.Random("witness/" + env_name)
+    for _ in range(150 * FUZZ_SCALE):
+        phi = normalize_formula(rand_formula(rng, env, 2))
+        assignment = {atom: rng.random() < 0.5 for atom in prop_alphabet(phi)}
+        expected, separators = rewriting_witness(env, phi, assignment)
+        assert _witness_key(build_witness(env, phi, assignment)) == \
+            _witness_key(expected)
+        first = len(separators[0]) - 2 if separators else 0
+        assert separators == [a + b * (first + k) + a for k in range(len(separators))]
 
 
 def test_satisfiable_free_examples(env5):
