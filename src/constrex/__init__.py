@@ -34,7 +34,7 @@ from .logic import (
     Witness, build_witness, left_dot_level, membership_general,
     normalize_formula, normalize_term, null_general, prop_alphabet,
     propositionalize, sat_truth_table, satisfiable_free, separator_word,
-    terms_of_formula, word_skeletons,
+    terms_of_formula,
 )
 from .oracle import (
     Bound, brute_membership_fixed_I, brute_membership_fixed_r,

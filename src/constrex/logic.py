@@ -31,7 +31,7 @@ from .syntax import (
     AND, CAT, EPSILON, EPS_TERM, NOT, OR,
     App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula, Match,
     Term, Var,
-    check_sum_only, connective, is_sum, term_str, term_variables,
+    check_sum_only, connective, is_sum, term_str, tree_variables, walk,
 )
 
 DEFAULT_MAX_PROPS = 20
@@ -55,38 +55,35 @@ def left_dot_level(t: Term) -> int:
 
 
 def normalize_term(t: Term) -> Term:
-    """Right-associate catenations and drop their eps children."""
+    """Right-associate catenations and drop their eps children: the leaves
+    of a catenation, read from one stack, are rebuilt right-nested."""
     if isinstance(t, Var):
         return t
     if t.fn != CAT:
         return App(t.fn, tuple(normalize_term(a) for a in t.args))
-    t1, t2 = t.args
-    if t1 == EPS_TERM:
-        return normalize_term(t2)
-    if t2 == EPS_TERM:
-        return normalize_term(t1)
-    if isinstance(t1, App) and t1.fn == CAT:
-        t3, t4 = t1.args
-        return normalize_term(App(CAT, (t3, App(CAT, (t4, t2)))))
-    n1 = normalize_term(t1)
-    n2 = normalize_term(t2)
-    if n2 == EPS_TERM:
-        return n1
-    return App(CAT, (n1, n2))
+    leaves, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, App) and u.fn == CAT:
+            stack += (u.args[1], u.args[0])
+        elif u != EPS_TERM:
+            leaves.append(normalize_term(u))
+    if not leaves:
+        return EPS_TERM
+    out = leaves.pop()
+    while leaves:
+        out = App(CAT, (leaves.pop(), out))
+    return out
 
 
 def is_normalized(t: Term) -> bool:
     """No eps child under a catenation; no catenation as a left child of one."""
-    if isinstance(t, Var):
-        return True
-    if t.fn == CAT:
-        t1, t2 = t.args
-        if t1 == EPS_TERM or t2 == EPS_TERM:
-            return False
-        if isinstance(t1, App) and t1.fn == CAT:
-            return False
-        return is_normalized(t1) and is_normalized(t2)
-    return all(is_normalized(a) for a in t.args)
+    for n in walk(t):
+        if isinstance(n, App) and n.fn == CAT:
+            left = n.args[0]
+            if EPS_TERM in n.args or isinstance(left, App) and left.fn == CAT:
+                return False
+    return True
 
 
 def normalize_formula(phi: Formula) -> Formula:
@@ -96,12 +93,7 @@ def normalize_formula(phi: Formula) -> Formula:
 
 
 def terms_of_formula(phi: Formula) -> frozenset:
-    if isinstance(phi, Atom):
-        return frozenset(phi.args)
-    out = frozenset()
-    for c in phi.children:
-        out |= terms_of_formula(c)
-    return out
+    return frozenset(t for n in walk(phi) if isinstance(n, Atom) for t in n.args)
 
 
 # ---------------------------------------------------------------------------
@@ -236,65 +228,36 @@ def sat_truth_table(psi, max_props: Optional[int] = None) -> Optional[Dict[PropA
 # separator words
 
 
-def _concat_sets(s1: frozenset, s2: frozenset) -> frozenset:
-    return frozenset(u + v for u in s1 for v in s2)
-
-
-def word_skeletons(env: Environment, t: Term):
-    """(left words, right words, middle words) of a term.
-
-    Leaves denoting a word contribute that word; opaque leaves (variables,
-    other constants) contribute the empty word, since nothing is known about
-    the letters they may produce. An application other than catenation is
-    opaque at its edges too: its left and right words are the empty word,
-    so the letters next to it stay in the middle words of the catenation
-    around it, and its middle words are those of its arguments.
-    """
-    return _skeletons(env, t)[:3]
-
-
-def _skeletons(env: Environment, t: Term):
-    """word_skeletons of t, and whether t is a ground word: a term over
-    symbol constants, eps and catenation only."""
-    if isinstance(t, Var) or not t.args:
-        if isinstance(t, App) and env.is_symbol(t.fn):
-            base = frozenset({t.fn})
-        else:
-            base = frozenset({""})
-        return base, base, base, isinstance(t, App) and (
-            t.fn == EPSILON or env.is_symbol(t.fn))
-    if t.fn != CAT:
-        middle = frozenset()
-        for a in t.args:
-            middle |= _skeletons(env, a)[2]
-        return frozenset({""}), frozenset({""}), middle, False
-    l1, r1, m1, w1 = _skeletons(env, t.args[0])
-    l2, r2, m2, w2 = _skeletons(env, t.args[1])
-    left = _concat_sets(l1, l2) if w1 else l1
-    right = _concat_sets(r1, r2) if w2 else r2
-    middle = _concat_sets(r1, l2)
-    if not w1:
-        middle |= m1
-    if not w2:
-        middle |= m2
-    return left, right, middle, w1 and w2
-
-
 def separator_word(env: Environment, terms: Iterable[Term]) -> str:
     """A word a b^p a that is not a factor of any of the given terms.
 
-    p is one more than the longest run of b in the terms' middle words.
+    p is one more than the longest run of b in a ground segment: a run of
+    symbol and eps leaves read left to right along a catenation. Nothing is
+    known of the letters a variable or another application gives, so each
+    ends a segment, and so does each boundary between two arguments. One
+    stack walk per term reads the leaves in order.
     """
     if len(env.symbols) < 2:
         raise UnsupportedAlphabetError(
             "separator words need at least two symbols (unary alphabets are open)")
     a, b = env.symbols[0], env.symbols[1]
-    run = 0
+    longest = 0
     for t in terms:
-        for w in word_skeletons(env, t)[2]:
-            while b * (run + 1) in w:
+        run, stack = 0, [t]
+        while stack:
+            node = stack.pop()
+            if node is None or isinstance(node, Var):  # None: after an argument
+                run = 0
+            elif node.fn == CAT:
+                stack += (node.args[1], node.args[0])
+            elif node.fn == b:
                 run += 1
-    return a + b * (run + 1) + a
+                longest = max(longest, run)
+            elif node.fn != EPSILON:
+                run = 0
+                for arg in reversed(node.args):
+                    stack += (None, arg)
+    return a + b * (longest + 1) + a
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +286,12 @@ def build_witness(env: Environment, phi: Formula,
     evaluation is an injection of the formula's terms, so predicate tables
     can mirror the assignment tuple by tuple.
     """
-    if len(env.symbols) < 2:
-        raise UnsupportedAlphabetError("witness construction needs two symbols")
     phi = normalize_formula(phi)
     terms = terms_of_formula(phi)
-    a, b = env.symbols[0], env.symbols[1]
-    first = len(separator_word(env, terms)) - 2
-    separators = (a + b * p + a for p in itertools.count(first))
-    bindings = {x: next(separators)
-                for x in sorted({v for t in terms for v in term_variables(t)})}
+    first = separator_word(env, terms)
+    a, b = first[0], first[1]
+    separators = (a + b * p + a for p in itertools.count(len(first) - 2))
+    bindings = {x: next(separators) for x in sorted(tree_variables(phi))}
     overrides: Dict[str, dict] = {name: {} for name in env.functions}
 
     def value(t: Term, ready: dict) -> Optional[str]:
@@ -483,8 +443,6 @@ def membership_general(env: Environment, e: Expr, w: str,
     original expression, not just the empty word on a derived one.
     """
     max_props = _resolve_max_props(max_props)
-    if w == "":
-        return null_general(env, e, max_props)
     void = void_test(env, max_props)
     for derived, chain in derive_paths(env, e, w, lambda s: not void(s)):
         witness = _null_general(env, derived, max_props)

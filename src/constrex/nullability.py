@@ -15,7 +15,7 @@ from .syntax import (
     AND, TOP,
     Bool, Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
     Match, Star, Word,
-    check_sum_only, connective, formula_str, formula_variables, subst_formula,
+    check_sum_only, connective, formula_str, subst_formula, tree_variables,
     variables_of,
 )
 from .semantics import Interpretation, Realization, eval_formula
@@ -132,4 +132,4 @@ def indicator_pair_str(env: Environment, pair: IndicatorPair) -> str:
 def check_erasure(pair: IndicatorPair) -> bool:
     """No erased variable may survive into the residual formula."""
     xs, phi = pair
-    return not (xs & formula_variables(phi))
+    return not (xs & tree_variables(phi))

@@ -19,7 +19,7 @@ from .semantics import (
 )
 from .syntax import (
     Bool, Cat, Constraint, Empty, Environment, Expr, Formula, Match, Star,
-    Word, connective, expr_variables, formula_variables,
+    Word, connective, expr_variables, tree_variables,
 )
 
 
@@ -159,7 +159,7 @@ def brute_satisfiable_free(env: Environment, phi: Formula,
     bound = bound or Bound()
     samples = bound.interpretation_samples or sample_interpretations(env)
     for interp in samples:
-        for r in realizations(env, formula_variables(phi), bound.max_realization_len):
+        for r in realizations(env, tree_variables(phi), bound.max_realization_len):
             if eval_formula(interp, r, phi):
                 return interp, r
     return None

@@ -29,8 +29,7 @@ from .errors import ParseError
 from .syntax import (
     AND, CAT, IMPLIES, NOT, OR, TRUE, FALSE,
     App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Term, Var, Word, EPS_TERM, as_mixed_word, check_expr,
-    check_formula, check_term, sum_expr,
+    Match, Star, Term, Var, Word, EPS_TERM, as_mixed_word, check_tree, sum_expr,
 )
 
 _PUNCT = ["-|", "&&", "||", "->", "(", ")", "*", "+", "|", "!", ","]
@@ -305,15 +304,15 @@ def _parse_whole(text: str, env: Environment, rule, what: str):
 
 
 def parse_expression(text: str, env: Environment) -> Expr:
-    return check_expr(env, _parse_whole(text, env, _Parser.expr, "expression"))
+    return check_tree(env, _parse_whole(text, env, _Parser.expr, "expression"))
 
 
 def parse_formula(text: str, env: Environment) -> Formula:
-    return check_formula(env, _parse_whole(text, env, _Parser.formula, "formula"))
+    return check_tree(env, _parse_whole(text, env, _Parser.formula, "formula"))
 
 
 def parse_term(text: str, env: Environment) -> Term:
-    return check_term(env, _parse_whole(text, env, _Parser.term, "term"))
+    return check_tree(env, _parse_whole(text, env, _Parser.term, "term"))
 
 
 # ---------------------------------------------------------------------------

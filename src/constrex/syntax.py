@@ -4,6 +4,9 @@ Mixed words are plain strings over the symbol and variable alphabets (both
 restricted to single characters), with "" playing the role of the empty word.
 Terms, formulas and expressions are immutable dataclass trees; every operation
 here is a pure function, so values can be shared freely across threads.
+`walk` yields the nodes of any such tree from an explicit stack; the validator
+`check_tree` and the collectors (`subterms`, `tree_variables`,
+`expr_variables`, `check_sum_only`) read it, so they accept trees of any depth.
 """
 
 from __future__ import annotations
@@ -158,40 +161,6 @@ def term_of_word(env: Environment, w: str) -> Term:
     return App(CAT, (head, term_of_word(env, w[1:])))
 
 
-def subterms(t: Term) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset({t})
-    out = {t}
-    for a in t.args:
-        out |= subterms(a)
-    return frozenset(out)
-
-
-def term_variables(t: Term) -> frozenset:
-    names, stack = set(), [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Var):
-            names.add(s.name)
-        else:
-            stack.extend(s.args)
-    return frozenset(names)
-
-
-def check_term(env: Environment, t: Term) -> Term:
-    if isinstance(t, Var):
-        if not env.is_variable(t.name):
-            raise ConfigError("unknown variable %r" % t.name)
-        return t
-    arity = env.function_arity(t.fn)
-    if len(t.args) != arity:
-        raise ConfigError("function %r expects %d arguments, got %d"
-                          % (t.fn, arity, len(t.args)))
-    for a in t.args:
-        check_term(env, a)
-    return t
-
-
 # ---------------------------------------------------------------------------
 # formulas
 
@@ -212,34 +181,6 @@ Formula = Union[Atom, Conn]
 
 TOP = Conn(TRUE)
 BOT = Conn(FALSE)
-
-
-def check_formula(env: Environment, phi: Formula) -> Formula:
-    if isinstance(phi, Atom):
-        if len(phi.args) != env.predicate_arity(phi.pred):
-            raise ConfigError("predicate %r expects %d arguments, got %d"
-                              % (phi.pred, env.predicate_arity(phi.pred), len(phi.args)))
-        for t in phi.args:
-            check_term(env, t)
-        return phi
-    arity, _ = connective(phi.tag)
-    if len(phi.children) != arity:
-        raise ConfigError("operator %r expects %d operands" % (phi.tag, arity))
-    for c in phi.children:
-        check_formula(env, c)
-    return phi
-
-
-def formula_variables(phi: Formula) -> frozenset:
-    if isinstance(phi, Atom):
-        out = frozenset()
-        for t in phi.args:
-            out |= term_variables(t)
-        return out
-    out = frozenset()
-    for c in phi.children:
-        out |= formula_variables(c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +228,6 @@ class Match:
 
 Expr = Union[Word, Empty, Bool, Cat, Star, Constraint, Match]
 
-EPS_WORD = Word("")
-EMPTY = Empty()
-
 
 def sum_expr(left: Expr, right: Expr) -> Bool:
     """The binary sum, the only Bool shape the derivative rules cover."""
@@ -298,30 +236,6 @@ def sum_expr(left: Expr, right: Expr) -> Bool:
 
 def is_sum(e: Expr) -> bool:
     return isinstance(e, Bool) and e.op == OR and len(e.children) == 2
-
-
-def check_sum_only(e: Expr) -> Expr:
-    """Return e if every Bool node of e is the binary sum, else raise.
-
-    Derivatives, indicator sets and regularization are defined for sums only;
-    each of their public entries calls this once, so the recursions need not.
-    """
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Bool):
-            if not is_sum(node):
-                raise UnsupportedOperatorError(
-                    "only the binary sum is supported as a boolean expression "
-                    "node, got %r" % node.op)
-            stack.extend(node.children)
-        elif isinstance(node, Cat):
-            stack += (node.left, node.right)
-        elif isinstance(node, (Star, Constraint, Match)):
-            stack.append(node.child)
-        elif not isinstance(node, (Word, Empty)):
-            raise TypeError(node)
-    return e
 
 
 def as_mixed_word(e: Expr):
@@ -341,52 +255,109 @@ def variables_of(env: Environment, alpha: str) -> frozenset:
     return frozenset(c for c in alpha if env.is_variable(c))
 
 
+# ---------------------------------------------------------------------------
+# the node walk
+
+# The children of each node type, last first, so that the walk's stack pops
+# them left to right.
+_CHILDREN_REVERSED = {
+    Var: lambda n: (),
+    App: lambda n: n.args[::-1],
+    Atom: lambda n: n.args[::-1],
+    Conn: lambda n: n.children[::-1],
+    Word: lambda n: (),
+    Empty: lambda n: (),
+    Bool: lambda n: n.children[::-1],
+    Cat: lambda n: (n.right, n.left),
+    Star: lambda n: (n.child,),
+    Constraint: lambda n: (n.formula, n.child),
+    Match: lambda n: (n.child,),
+}
+
+
+def walk(root):
+    """Every node of a term, formula or expression, parents first, children
+    left to right; a constraint's formula comes after its child.
+
+    An explicit stack keeps the place, so a deep tree needs no recursion.
+    Raises TypeError on a node that is none of these.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        children = _CHILDREN_REVERSED.get(type(node))
+        if children is None:
+            raise TypeError(node)
+        yield node
+        stack += children(node)
+
+
+def check_tree(env: Environment, root):
+    """Return root if it is well formed over env, else raise ConfigError.
+
+    Letters must be declared and every function, predicate and operator must
+    get its arity; the first offending node in walk order is reported.
+    """
+    for node in walk(root):
+        kind = type(node)
+        if kind is Word:
+            env.check_word(node.letters)
+        elif kind is Var:
+            if not env.is_variable(node.name):
+                raise ConfigError("unknown variable %r" % node.name)
+        elif kind is App:
+            arity = env.function_arity(node.fn)
+            if len(node.args) != arity:
+                raise ConfigError("function %r expects %d arguments, got %d"
+                                  % (node.fn, arity, len(node.args)))
+        elif kind is Atom:
+            arity = env.predicate_arity(node.pred)
+            if len(node.args) != arity:
+                raise ConfigError("predicate %r expects %d arguments, got %d"
+                                  % (node.pred, arity, len(node.args)))
+        elif kind is Conn or kind is Bool:
+            tag = node.tag if kind is Conn else node.op
+            arity, _ = connective(tag)
+            if len(node.children) != arity:
+                raise ConfigError("operator %r expects %d operands" % (tag, arity))
+        elif kind is Match:
+            env.check_word(node.word)
+    return root
+
+
+def subterms(t: Term) -> frozenset:
+    return frozenset(walk(t))
+
+
+def tree_variables(root) -> frozenset:
+    """The variables of the terms in a term or formula."""
+    return frozenset(n.name for n in walk(root) if isinstance(n, Var))
+
+
 def expr_variables(env: Environment, e: Expr) -> frozenset:
     """All variables occurring in e, embedded formulas included."""
-    if isinstance(e, Word):
-        return variables_of(env, e.letters)
-    if isinstance(e, Empty):
-        return frozenset()
-    if isinstance(e, Bool):
-        out = frozenset()
-        for c in e.children:
-            out |= expr_variables(env, c)
-        return out
-    if isinstance(e, Cat):
-        return expr_variables(env, e.left) | expr_variables(env, e.right)
-    if isinstance(e, Star):
-        return expr_variables(env, e.child)
-    if isinstance(e, Constraint):
-        return expr_variables(env, e.child) | formula_variables(e.formula)
-    if isinstance(e, Match):
-        return variables_of(env, e.word) | expr_variables(env, e.child)
-    raise TypeError(e)
+    names = set()
+    for node in walk(e):
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, Word):
+            names |= variables_of(env, node.letters)
+        elif isinstance(node, Match):
+            names |= variables_of(env, node.word)
+    return frozenset(names)
 
 
-def check_expr(env: Environment, e: Expr) -> Expr:
-    if isinstance(e, Word):
-        env.check_word(e.letters)
-    elif isinstance(e, Empty):
-        pass
-    elif isinstance(e, Bool):
-        arity, _ = connective(e.op)
-        if len(e.children) != arity:
-            raise ConfigError("operator %r expects %d operands" % (e.op, arity))
-        for c in e.children:
-            check_expr(env, c)
-    elif isinstance(e, Cat):
-        check_expr(env, e.left)
-        check_expr(env, e.right)
-    elif isinstance(e, Star):
-        check_expr(env, e.child)
-    elif isinstance(e, Constraint):
-        check_expr(env, e.child)
-        check_formula(env, e.formula)
-    elif isinstance(e, Match):
-        env.check_word(e.word)
-        check_expr(env, e.child)
-    else:
-        raise TypeError(e)
+def check_sum_only(e: Expr) -> Expr:
+    """Return e if every Bool node of e is the binary sum, else raise.
+
+    Derivatives, indicator sets and regularization are defined for sums only;
+    each of their public entries calls this once, so the recursions need not.
+    """
+    for node in walk(e):
+        if type(node) is Bool and not is_sum(node):
+            raise UnsupportedOperatorError(
+                "only the binary sum is supported as a boolean expression "
+                "node, got %r" % node.op)
     return e
 
 
@@ -578,9 +549,17 @@ def _expr_level(e: Expr) -> int:
 
 
 def _cat_factors(e: Expr) -> list:
-    if isinstance(e, Cat):
-        return _cat_factors(e.left) + _cat_factors(e.right)
-    return [e]
+    """The factors of a catenation, left to right. The right spine is a loop;
+    only a left factor that is itself a catenation is entered recursively."""
+    out = []
+    while isinstance(e, Cat):
+        if isinstance(e.left, Cat):
+            out += _cat_factors(e.left)
+        else:
+            out.append(e.left)
+        e = e.right
+    out.append(e)
+    return out
 
 
 def expr_str(e: Expr, _level: int = 0) -> str:

@@ -1,7 +1,9 @@
 """Shared fixtures and seeded random generators for the property suites."""
 
+import contextlib
 import os
 import random
+import sys
 
 import pytest
 
@@ -10,11 +12,11 @@ from constrex import (
     Star, TableFunction, Witness, Word,
     eval_term, normalize_formula, normalize_term, parse_environment,
     parse_expression, prop_alphabet, separator_word, sum_expr, term_of_word,
-    term_str, terms_of_formula, word_skeletons,
+    term_str, terms_of_formula,
 )
 from constrex.syntax import (
     AND, CAT, EPSILON, IMPLIES, NOT, OR, App, Atom, Conn, Var,
-    subst_term, term_variables,
+    subst_term, tree_variables,
 )
 
 ENV3_TEXT = """\
@@ -113,17 +115,6 @@ def r2(env3):
 FUZZ_SCALE = int(os.environ.get("CONSTREX_FUZZ_SCALE", "1"))
 
 
-def factors(env, terms):
-    """All contiguous subwords of all middle words of the given terms."""
-    out = {""}
-    for t in terms:
-        for w in word_skeletons(env, t)[2]:
-            for i in range(len(w)):
-                for j in range(i + 1, len(w) + 1):
-                    out.add(w[i:j])
-    return frozenset(out)
-
-
 def rand_word(rng, letters, max_len=3):
     return "".join(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
 
@@ -180,6 +171,88 @@ def rand_realization(rng, env, max_len=2):
 
 
 # ---------------------------------------------------------------------------
+# deep trees
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames=50):
+    """Hold the recursion limit at the caller's depth plus frames, so a
+    traversal that recurses once per node of a deep tree fails."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# catenation depth of the traversal tests: five times the default limit
+DEEP = 5000
+
+
+# ---------------------------------------------------------------------------
+# the word skeletons of terms, the reference definition of separator words
+
+
+def _concat_sets(s1: frozenset, s2: frozenset) -> frozenset:
+    return frozenset(u + v for u in s1 for v in s2)
+
+
+def word_skeletons(env, t):
+    """(left words, right words, middle words) of a term.
+
+    Leaves denoting a word contribute that word; opaque leaves (variables,
+    other constants) contribute the empty word, since nothing is known about
+    the letters they may produce. An application other than catenation is
+    opaque at its edges too: its left and right words are the empty word,
+    so the letters next to it stay in the middle words of the catenation
+    around it, and its middle words are those of its arguments.
+    """
+    return _skeletons(env, t)[:3]
+
+
+def _skeletons(env, t):
+    """word_skeletons of t, and whether t is a ground word: a term over
+    symbol constants, eps and catenation only."""
+    if isinstance(t, Var) or not t.args:
+        if isinstance(t, App) and env.is_symbol(t.fn):
+            base = frozenset({t.fn})
+        else:
+            base = frozenset({""})
+        return base, base, base, isinstance(t, App) and (
+            t.fn == EPSILON or env.is_symbol(t.fn))
+    if t.fn != CAT:
+        middle = frozenset()
+        for a in t.args:
+            middle |= _skeletons(env, a)[2]
+        return frozenset({""}), frozenset({""}), middle, False
+    l1, r1, m1, w1 = _skeletons(env, t.args[0])
+    l2, r2, m2, w2 = _skeletons(env, t.args[1])
+    left = _concat_sets(l1, l2) if w1 else l1
+    right = _concat_sets(r1, r2) if w2 else r2
+    middle = _concat_sets(r1, l2)
+    if not w1:
+        middle |= m1
+    if not w2:
+        middle |= m2
+    return left, right, middle, w1 and w2
+
+
+def factors(env, terms):
+    """All contiguous subwords of all middle words of the given terms."""
+    out = {""}
+    for t in terms:
+        for w in word_skeletons(env, t)[2]:
+            for i in range(len(w)):
+                for j in range(i + 1, len(w) + 1):
+                    out.add(w[i:j])
+    return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
 # the rewriting witness construction
 
 
@@ -224,7 +297,7 @@ def rewriting_witness(env, phi, assignment):
     terms = {normalize_term(t) for t in terms_of_formula(phi)}
     bindings, overrides, separators = {}, {}, []
     while True:
-        variables = {v for t in terms for v in term_variables(t)}
+        variables = {v for t in terms for v in tree_variables(t)}
         if not variables:
             break
         x = min(variables)

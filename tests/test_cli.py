@@ -192,6 +192,14 @@ def test_robustness_inputs_end_cleanly(env_file, capsys, monkeypatch,
         assert (status, captured.out.splitlines()[0]) == (0, answer)
 
 
+def test_derive_on_a_3000_symbol_catenation(env_file, capsys):
+    letters = " ".join("ab" * 1500)
+    status, out = invoke(capsys, "derive", "--env", env_file, "--expr", letters,
+                         "--word", "ab")
+    assert status == 0
+    assert out.splitlines() == ["eps %s\t{}" % letters[4:]]
+
+
 @pytest.mark.parametrize("expr, word", [
     (E1, "ab"),
     ("(x y + a)* c | sim(f(x), f(y))", "abab"),

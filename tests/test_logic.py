@@ -16,18 +16,19 @@ from constrex import (
     membership_general, normalize_formula, normalize_term, null_general,
     parse_environment, parse_expression, parse_formula, parse_term, prop_alphabet,
     propositionalize, sample_interpretations, sat_truth_table, satisfiable_free,
-    separator_word, sum_expr, terms_of_formula, word_skeletons,
+    separator_word, sum_expr, terms_of_formula,
 )
 from constrex import syntax
 from constrex.logic import PropAtom, is_normalized, void_test
 from constrex.oracle import realizations
 from constrex.syntax import (
-    TOP, BOT, Conn, connective, expr_variables, register_connective, term_str,
+    CAT, EPSILON, TOP, BOT, App, Conn, Var, connective, expr_variables,
+    register_connective, term_str,
 )
 
 from conftest import (
-    FUZZ_SCALE, NEXT_TO_AN_APPLICATION, factors, rand_expr, rand_formula,
-    rand_term, rewriting_witness,
+    DEEP, FUZZ_SCALE, NEXT_TO_AN_APPLICATION, factors, rand_expr, rand_formula,
+    rand_term, recursion_headroom, rewriting_witness, word_skeletons,
 )
 
 
@@ -275,10 +276,26 @@ def test_separator_word_matches_factor_definition(envf, envp):
 
     rng = random.Random(73)
     for env in (envf, envp):
-        for _ in range(300):
-            terms = [normalize_term(rand_term(rng, env, 4))
-                     for _ in range(rng.randint(0, 4))]
-            assert separator_word(env, terms) == by_factors(env, terms)
+        for _ in range(300 * FUZZ_SCALE):
+            raw = [rand_term(rng, env, 4) for _ in range(rng.randint(0, 4))]
+            for terms in (raw, [normalize_term(t) for t in raw]):
+                assert separator_word(env, terms) == by_factors(env, terms)
+
+
+def test_deep_catenations_are_scanned_without_recursion(envp):
+    # a left-nested catenation, eps between the letters: the runs of b
+    # are two long, since x ends each run and eps does not
+    leaves = [App("b"), App(EPSILON), App("b"), App("a"), Var("x")] * (DEEP // 5)
+    t = leaves[0]
+    for leaf in leaves[1:]:
+        t = App(CAT, (t, leaf))
+    with recursion_headroom():
+        assert separator_word(envp, [t]) == "abbba"
+        normal = normalize_term(t)
+        assert is_normalized(normal)
+        assert separator_word(envp, [normal]) == "abbba"
+        # printed without parentheses: right-nested, eps gone
+        assert term_str(normal) == "bbax" * (DEEP // 5)
 
 
 def test_separator_requires_two_symbols():
@@ -615,3 +632,9 @@ def test_constraint_over_the_limit_is_not_cut(env3):
     with pytest.raises(TruthTableLimitError):
         _eager_membership(env3, e, "a", 3)
     assert membership_general(env3, e, "a", 3) is None
+    # the empty word goes through the same cut
+    e = parse_expression("(eps | sim(x, a) && !sim(x, a)) "
+                         "(y | lt(y, a) && lt(y, b) && lt(y, c))", env3)
+    with pytest.raises(TruthTableLimitError):
+        _eager_membership(env3, e, "", 3)
+    assert membership_general(env3, e, "", 3) is None

@@ -111,7 +111,7 @@ def test_null_I_characterization_bounded(env3, interp_len):
     # under the same bounded realization enumeration
     from constrex import Bound, brute_membership_fixed_I, eval_formula
     from constrex.oracle import realizations
-    from constrex.syntax import expr_variables, formula_variables
+    from constrex.syntax import expr_variables, tree_variables
     rng = random.Random(97)
     bound = Bound(max_realization_len=1)
     for _ in range(150):
@@ -119,7 +119,7 @@ def test_null_I_characterization_bounded(env3, interp_len):
         lhs = brute_membership_fixed_I(interp_len, e, "", bound) is not None
         rhs = False
         for _xs, phi in indicator_set(env3, e):
-            for r in realizations(env3, formula_variables(phi), 1):
+            for r in realizations(env3, tree_variables(phi), 1):
                 if eval_formula(interp_len, r, phi):
                     rhs = True
                     break

@@ -14,10 +14,13 @@ from constrex import (
 )
 from constrex.errors import ConfigError
 from constrex.syntax import (
-    EPS_TERM, formula_str, subst_expr, subst_formula, subst_word,
+    EPS_TERM, check_sum_only, check_tree, expr_variables, formula_str,
+    subst_expr, subst_formula, subst_word, tree_variables, walk,
 )
 
-from conftest import ENV3_TEXT, rand_expr, rand_term, rand_word
+from conftest import (
+    DEEP, ENV3_TEXT, rand_expr, rand_term, rand_word, recursion_headroom,
+)
 
 
 def test_parse_environment_running_example():
@@ -218,3 +221,27 @@ def test_term_round_trip(env3):
 
 def test_subst_word_is_total():
     assert subst_word("", {"x": "ax"}) == ""
+
+
+def test_walk_order_and_unknown_nodes(env3):
+    e = parse_expression("x* a | sim(x, a)", env3)
+    phi = e.formula
+    x, a = phi.args
+    assert list(walk(e)) == [e, e.child, e.child.left, e.child.left.child,
+                             e.child.right, phi, x, a]
+    with pytest.raises(TypeError):
+        list(walk(Star("x")))
+
+
+def test_deep_trees_are_walked_without_recursion(env3):
+    letters = "xa" * (DEEP // 2)
+    with recursion_headroom():
+        t = parse_term(letters, env3)
+        e = parse_expression(" ".join(letters), env3)
+        assert tree_variables(t) == {"x"}
+        assert tree_variables(Atom("sim", (t, t))) == {"x"}
+        assert expr_variables(env3, Constraint(e, Atom("lt", (t, App("b"))))) == {"x"}
+        assert check_sum_only(e) is e
+        assert expr_str(e) == " ".join(letters)
+        with pytest.raises(ConfigError, match="'w' is not a letter"):
+            check_tree(env3, Cat(e, Word("w")))
