@@ -20,12 +20,12 @@ from .syntax import (
 from .parser import parse_environment, parse_expression, parse_formula, parse_term
 from .semantics import (
     FiniteRelation, Interpretation, Realization, TableFunction,
-    eval_formula, eval_term, membership_fixed, regex_derivative,
-    regex_null, regex_str, regularize,
+    eval_formula, eval_term, membership_fixed, regex_derivative, regex_str,
+    regularize,
 )
 from .derivation import (
-    associated_realization, derive_expr, derive_expr_word, derive_paths,
-    derive_word, simplify, simplify_expr,
+    associated_realization, const_null, derive_expr, derive_expr_word,
+    derive_paths, derive_word, simplify, simplify_expr,
 )
 from .nullability import (
     erase_vars, indicator_set, null_fixed, null_fixed_via_indicator,
@@ -33,8 +33,7 @@ from .nullability import (
 from .logic import (
     Witness, build_witness, left_dot_level, membership_general,
     normalize_formula, normalize_term, null_general, prop_alphabet,
-    propositionalize, sat_truth_table, satisfiable_free, separator_word,
-    terms_of_formula,
+    sat_truth_table, satisfiable_free, separator_word, terms_of_formula,
 )
 from .oracle import (
     Bound, brute_membership_fixed_I, brute_membership_fixed_r,

@@ -3,8 +3,8 @@ the SAT search, separator words and witness construction.
 
 Satisfiability of a constraint formula when neither the interpretation nor
 the realization is fixed reduces to propositional satisfiability: normalize
-the terms (right-associate catenations, drop eps units), replace every atom
-by a propositional symbol indexed by its argument terms, and search for the
+the terms (right-associate catenations, drop eps units), read every atom
+as a propositional symbol indexed by its argument terms, and search for the
 lexicographically first satisfying assignment by backtracking with
 three-valued evaluation (after Davis, Logemann and Loveland, 1962). A
 satisfying assignment is turned back into a concrete witness
@@ -97,47 +97,26 @@ def terms_of_formula(phi: Formula) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# propositionalisation
+# propositionalisation: each atom of a normalized formula is its own symbol
 
 
-@dataclass(frozen=True)
-class PropAtom:
-    """Propositional symbol indexed by a predicate and its argument terms."""
-
-    pred: str
-    args: tuple
-
-    def __str__(self):
-        return "%s_{%s}" % (self.pred, ",".join(term_str(t) for t in self.args))
+def _prop_name(atom: Atom) -> str:
+    """The name p_{t1,...,tn} of an atom's propositional symbol."""
+    return "%s_{%s}" % (atom.pred, ",".join(term_str(t) for t in atom.args))
 
 
-def propositionalize(phi: Formula):
-    if isinstance(phi, Atom):
-        return PropAtom(phi.pred, phi.args)
-    return Conn(phi.tag, tuple(propositionalize(c) for c in phi.children))
+def prop_alphabet(phi: Formula) -> Tuple[Atom, ...]:
+    """The distinct atoms of phi, ordered by their propositional names."""
+    return tuple(sorted({n for n in walk(phi) if isinstance(n, Atom)}, key=_prop_name))
 
 
-def prop_alphabet(phi: Formula) -> Tuple[PropAtom, ...]:
-    def collect(psi):
-        if isinstance(psi, Atom):
-            return {PropAtom(psi.pred, psi.args)}
-        if isinstance(psi, PropAtom):
-            return {psi}
-        out = set()
-        for c in psi.children:
-            out |= collect(c)
-        return out
-
-    return tuple(sorted(collect(phi), key=str))
-
-
-def _compile(psi, index: Dict[PropAtom, int]):
+def _compile(psi: Formula, index: Dict[Atom, int]):
     """psi with atoms replaced by their positions and connectives resolved.
 
     A connective node becomes (tag, truth, children). The tag is kept only
     for the built-in and, or and not, which get short-circuit evaluation.
     """
-    if isinstance(psi, PropAtom):
+    if isinstance(psi, Atom):
         return index[psi]
     entry = connective(psi.tag)
     fast = psi.tag if _BUILTIN.get(psi.tag) is entry else None
@@ -190,7 +169,8 @@ def _resolve_max_props(max_props: Optional[int] = None) -> int:
     return int(text)
 
 
-def sat_truth_table(psi, max_props: Optional[int] = None) -> Optional[Dict[PropAtom, bool]]:
+def sat_truth_table(psi: Formula,
+                    max_props: Optional[int] = None) -> Optional[Dict[Atom, bool]]:
     """First satisfying assignment in lexicographic order, or None.
 
     The order reads False before True, with the first atom of prop_alphabet
@@ -273,7 +253,7 @@ class Witness:
 
 
 def build_witness(env: Environment, phi: Formula,
-                  assignment: Dict[PropAtom, bool]) -> Witness:
+                  assignment: Dict[Atom, bool]) -> Witness:
     """Turn a satisfying propositional assignment into a concrete witness.
 
     Variables in name order, then innermost applications, are bound to the
@@ -342,7 +322,7 @@ def satisfiable_free(env: Environment, phi: Formula,
             "free satisfiability is implemented for alphabets with two symbols or more")
     max_props = _resolve_max_props(max_props)
     normalized = normalize_formula(phi)
-    assignment = sat_truth_table(propositionalize(normalized), max_props)
+    assignment = sat_truth_table(normalized, max_props)
     if assignment is None:
         return None
     return build_witness(env, normalized, assignment)
@@ -406,8 +386,7 @@ def void_test(env: Environment, max_props: int) -> Callable[[Expr], bool]:
         known = unsat.get(phi)
         if known is None:
             try:
-                known = sat_truth_table(
-                    propositionalize(normalize_formula(phi)), max_props) is None
+                known = sat_truth_table(normalize_formula(phi), max_props) is None
             except TruthTableLimitError:
                 known = False
             unsat[phi] = known

@@ -13,10 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from .semantics import (
-    FiniteRelation, Interpretation, RCat, REmpty, RInter, RLit, RUnion,
-    Realization, Regex, eval_formula,
-)
+from .semantics import FiniteRelation, Interpretation, Realization, eval_formula
 from .syntax import (
     Bool, Cat, Constraint, Empty, Environment, Expr, Formula, Match, Star,
     Word, connective, expr_variables, tree_variables,
@@ -32,20 +29,23 @@ class Bound:
     interpretation_samples: Optional[list] = None
 
 
-def enumerate_language(rx: Regex, max_len: int) -> frozenset:
-    """Exactly the words of length <= max_len denoted by rx."""
-    if isinstance(rx, RLit):
-        return frozenset({rx.word} if len(rx.word) <= max_len else ())
-    if isinstance(rx, REmpty):
+def enumerate_language(rx: Expr, max_len: int) -> frozenset:
+    """Exactly the words of length <= max_len denoted by a regular form."""
+    if isinstance(rx, Word):
+        return frozenset({rx.letters} if len(rx.letters) <= max_len else ())
+    if isinstance(rx, Empty):
         return frozenset()
-    if isinstance(rx, RUnion):
-        return enumerate_language(rx.left, max_len) | enumerate_language(rx.right, max_len)
-    if isinstance(rx, RInter):
-        return enumerate_language(rx.left, max_len) & enumerate_language(rx.right, max_len)
-    if isinstance(rx, RCat):
+    if isinstance(rx, Bool):
+        return (enumerate_language(rx.children[0], max_len)
+                | enumerate_language(rx.children[1], max_len))
+    if isinstance(rx, Match):
+        return enumerate_language(rx.child, max_len) & {rx.word}
+    if isinstance(rx, Cat):
         left = enumerate_language(rx.left, max_len)
         right = enumerate_language(rx.right, max_len)
         return frozenset(u + v for u in left for v in right if len(u) + len(v) <= max_len)
+    if not isinstance(rx, Star):
+        raise TypeError(rx)
     child = enumerate_language(rx.child, max_len)
     out = {""}
     frontier = {""}

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
+from .derivation import const_null
 from .errors import ConfigError
 from .syntax import (
     CAT, EPSILON,
     Atom, Bool, Cat, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Term, Var, Word, check_sum_only, connective,
+    Match, Star, Term, Var, Word, check_sum_only, connective, sum_expr, word_str,
 )
 
 
@@ -171,146 +172,103 @@ def eval_formula(interp: Interpretation, r: Realization, phi: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# classical regular expressions, extended with intersection
-
-
-@dataclass(frozen=True)
-class RLit:
-    word: str
-
-
-@dataclass(frozen=True)
-class REmpty:
-    pass
-
-
-@dataclass(frozen=True)
-class RUnion:
-    left: "Regex"
-    right: "Regex"
-
-
-@dataclass(frozen=True)
-class RInter:
-    left: "Regex"
-    right: "Regex"
-
-
-@dataclass(frozen=True)
-class RCat:
-    left: "Regex"
-    right: "Regex"
-
-
-@dataclass(frozen=True)
-class RStar:
-    child: "Regex"
-
-
-Regex = Union[RLit, REmpty, RUnion, RInter, RCat, RStar]
+# regular forms: regularization and Antimirov derivatives
+#
+# Under a fixed (I, r) an expression is regular: realizing every word and
+# deciding every constraint leaves an expression of Word, Empty, sum, Cat,
+# Star and Match nodes over symbols only, where `w -| E` reads {w} & L(E).
 
 _R_UNION, _R_INTER, _R_CAT, _R_STAR, _R_ATOM = 1, 2, 3, 4, 5
 
 
-def _regex_level(r: Regex) -> int:
-    if isinstance(r, RUnion):
+def _regex_level(rx: Expr) -> int:
+    if isinstance(rx, Bool):
         return _R_UNION
-    if isinstance(r, RInter):
+    if isinstance(rx, Match):
         return _R_INTER
-    if isinstance(r, RCat):
+    if isinstance(rx, Cat):
         return _R_CAT
-    if isinstance(r, RStar):
+    if isinstance(rx, Star):
         return _R_STAR
     return _R_ATOM
 
 
-def regex_str(r: Regex, _level: int = 0) -> str:
-    own = _regex_level(r)
-    if isinstance(r, RLit):
-        s = r.word if r.word else "eps"
-    elif isinstance(r, REmpty):
+def regex_str(rx: Expr, _level: int = 0) -> str:
+    """A regular form in regex notation; `w -| E` prints as `w & E`."""
+    own = _regex_level(rx)
+    if isinstance(rx, Word):
+        s = word_str(rx.letters)
+    elif isinstance(rx, Empty):
         s = "empty"
-    elif isinstance(r, RUnion):
-        s = "%s + %s" % (regex_str(r.left, _R_UNION), regex_str(r.right, _R_UNION + 1))
-    elif isinstance(r, RInter):
-        s = "%s & %s" % (regex_str(r.left, _R_INTER), regex_str(r.right, _R_INTER + 1))
-    elif isinstance(r, RCat):
-        s = "%s %s" % (regex_str(r.left, _R_CAT), regex_str(r.right, _R_CAT))
+    elif isinstance(rx, Bool):
+        s = "%s + %s" % (regex_str(rx.children[0], _R_UNION),
+                         regex_str(rx.children[1], _R_UNION + 1))
+    elif isinstance(rx, Match):
+        s = "%s & %s" % (word_str(rx.word), regex_str(rx.child, _R_INTER + 1))
+    elif isinstance(rx, Cat):
+        s = "%s %s" % (regex_str(rx.left, _R_CAT), regex_str(rx.right, _R_CAT))
     else:
-        cs = regex_str(r.child, 0)
-        atomic = isinstance(r.child, (RStar, REmpty)) or \
-            (isinstance(r.child, RLit) and len(r.child.word) == 1)
+        cs = regex_str(rx.child, 0)
+        atomic = isinstance(rx.child, (Star, Empty)) or \
+            (isinstance(rx.child, Word) and len(rx.child.letters) == 1)
         s = (cs if atomic else "(" + cs + ")") + "*"
     if own < _level:
         return "(" + s + ")"
     return s
 
 
-for _cls in (RLit, REmpty, RUnion, RInter, RCat, RStar):
-    _cls.__str__ = lambda self: regex_str(self)
-
-
-def regularize(interp: Interpretation, r: Realization, e: Expr) -> Regex:
-    """The variable-free regular expression with the same (I,r)-language."""
+def regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
+    """The variable-free, constraint-free expression with the same
+    (I,r)-language."""
     return _regularize(interp, r, check_sum_only(e))
 
 
-def _regularize(interp: Interpretation, r: Realization, e: Expr) -> Regex:
+def _regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
     if isinstance(e, Word):
-        return RLit(r.realize(e.letters))
+        return Word(r.realize(e.letters))
     if isinstance(e, Empty):
-        return REmpty()
+        return e
     if isinstance(e, Bool):
-        return RUnion(_regularize(interp, r, e.children[0]),
-                      _regularize(interp, r, e.children[1]))
+        return sum_expr(_regularize(interp, r, e.children[0]),
+                        _regularize(interp, r, e.children[1]))
     if isinstance(e, Cat):
-        return RCat(_regularize(interp, r, e.left), _regularize(interp, r, e.right))
+        return Cat(_regularize(interp, r, e.left), _regularize(interp, r, e.right))
     if isinstance(e, Star):
-        return RStar(_regularize(interp, r, e.child))
+        return Star(_regularize(interp, r, e.child))
     if isinstance(e, Constraint):
         if eval_formula(interp, r, e.formula):
             return _regularize(interp, r, e.child)
-        return REmpty()
+        return Empty()
     if isinstance(e, Match):
-        return RInter(RLit(r.realize(e.word)), _regularize(interp, r, e.child))
+        return Match(r.realize(e.word), _regularize(interp, r, e.child))
     raise TypeError(e)
 
 
-def regex_null(rx: Regex) -> bool:
-    if isinstance(rx, RLit):
-        return rx.word == ""
-    if isinstance(rx, REmpty):
-        return False
-    if isinstance(rx, RUnion):
-        return regex_null(rx.left) or regex_null(rx.right)
-    if isinstance(rx, (RInter, RCat)):
-        return regex_null(rx.left) and regex_null(rx.right)
-    return True  # star
-
-
-def regex_derivative(rx: Regex, a: str) -> frozenset:
-    """Antimirov partial derivative w.r.t. one symbol."""
-    if isinstance(rx, RLit):
+def regex_derivative(rx: Expr, a: str) -> frozenset:
+    """Antimirov partial derivative of a regular form w.r.t. one symbol."""
+    if isinstance(rx, Word):
+        if rx.letters and rx.letters[0] == a:
+            return frozenset({Word(rx.letters[1:])})
+        return frozenset()
+    if isinstance(rx, Empty):
+        return frozenset()
+    if isinstance(rx, Bool):
+        return regex_derivative(rx.children[0], a) | regex_derivative(rx.children[1], a)
+    if isinstance(rx, Match):
         if rx.word and rx.word[0] == a:
-            return frozenset({RLit(rx.word[1:])})
+            return frozenset(Match(rx.word[1:], d) for d in regex_derivative(rx.child, a))
         return frozenset()
-    if isinstance(rx, REmpty):
-        return frozenset()
-    if isinstance(rx, RUnion):
-        return regex_derivative(rx.left, a) | regex_derivative(rx.right, a)
-    if isinstance(rx, RInter):
-        return frozenset(RInter(l, r)
-                         for l in regex_derivative(rx.left, a)
-                         for r in regex_derivative(rx.right, a))
-    if isinstance(rx, RCat):
-        out = frozenset(RCat(d, rx.right) for d in regex_derivative(rx.left, a))
-        if regex_null(rx.left):
+    if isinstance(rx, Cat):
+        out = frozenset(Cat(d, rx.right) for d in regex_derivative(rx.left, a))
+        if const_null(rx.left):
             out |= regex_derivative(rx.right, a)
         return out
-    return frozenset(RCat(d, rx) for d in regex_derivative(rx.child, a))
+    if isinstance(rx, Star):
+        return frozenset(Cat(d, rx) for d in regex_derivative(rx.child, a))
+    raise TypeError(rx)
 
 
-def regex_word_derivative(rx: Regex, w: str) -> frozenset:
+def regex_word_derivative(rx: Expr, w: str) -> frozenset:
     out = frozenset({rx})
     for a in w:
         out = frozenset(d for r0 in out for d in regex_derivative(r0, a))
@@ -320,4 +278,4 @@ def regex_word_derivative(rx: Regex, w: str) -> frozenset:
 def membership_fixed(interp: Interpretation, r: Realization, e: Expr, w: str) -> bool:
     """Decide w in the (I,r)-language via regularization and derivatives."""
     rx = regularize(interp, r, e)
-    return any(regex_null(d) for d in regex_word_derivative(rx, w))
+    return any(const_null(d) for d in regex_word_derivative(rx, w))

@@ -5,8 +5,9 @@ restricted to single characters), with "" playing the role of the empty word.
 Terms, formulas and expressions are immutable dataclass trees; every operation
 here is a pure function, so values can be shared freely across threads.
 `walk` yields the nodes of any such tree from an explicit stack; the validator
-`check_tree` and the collectors (`subterms`, `tree_variables`,
-`expr_variables`, `check_sum_only`) read it, so they accept trees of any depth.
+`check_tree` and the collectors (`as_mixed_word`, `subterms`,
+`tree_variables`, `expr_variables`, `check_sum_only`) read it, so they accept
+trees of any depth.
 """
 
 from __future__ import annotations
@@ -238,18 +239,6 @@ def is_sum(e: Expr) -> bool:
     return isinstance(e, Bool) and e.op == OR and len(e.children) == 2
 
 
-def as_mixed_word(e: Expr):
-    """Flatten a catenation of Word nodes to one mixed word, else None."""
-    if isinstance(e, Word):
-        return e.letters
-    if isinstance(e, Cat):
-        left = as_mixed_word(e.left)
-        right = as_mixed_word(e.right)
-        if left is not None and right is not None:
-            return left + right
-    return None
-
-
 def variables_of(env: Environment, alpha: str) -> frozenset:
     """The variables occurring in a mixed word."""
     return frozenset(c for c in alpha if env.is_variable(c))
@@ -290,6 +279,17 @@ def walk(root):
             raise TypeError(node)
         yield node
         stack += children(node)
+
+
+def as_mixed_word(e: Expr):
+    """Flatten a catenation of Word nodes to one mixed word, else None."""
+    letters = []
+    for node in walk(e):
+        if isinstance(node, Word):
+            letters.append(node.letters)
+        elif not isinstance(node, Cat):
+            return None
+    return "".join(letters)
 
 
 def check_tree(env: Environment, root):

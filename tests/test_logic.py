@@ -15,14 +15,14 @@ from constrex import (
     derive_paths, eval_formula, eval_term, indicator_set, left_dot_level,
     membership_general, normalize_formula, normalize_term, null_general,
     parse_environment, parse_expression, parse_formula, parse_term, prop_alphabet,
-    propositionalize, sample_interpretations, sat_truth_table, satisfiable_free,
-    separator_word, sum_expr, terms_of_formula,
+    sample_interpretations, sat_truth_table, satisfiable_free, separator_word,
+    sum_expr, terms_of_formula,
 )
 from constrex import syntax
-from constrex.logic import PropAtom, is_normalized, void_test
+from constrex.logic import is_normalized, void_test
 from constrex.oracle import realizations
 from constrex.syntax import (
-    CAT, EPSILON, TOP, BOT, App, Conn, Var, connective, expr_variables,
+    CAT, EPSILON, TOP, BOT, App, Atom, Conn, Var, connective, expr_variables,
     register_connective, term_str,
 )
 
@@ -78,12 +78,11 @@ def test_normalize_formula_examples(env3):
 
 def test_propositionalize_examples(env5):
     phi = parse_formula("lt((xy)z, x(yz))", env5)
-    psi = propositionalize(phi)
-    assert isinstance(psi, PropAtom)
+    assert isinstance(phi, Atom)
     phi1 = parse_formula("lt(g(ab, x), abx) && !sim(abx, g(a, bx))", env5)
     alphabet = prop_alphabet(phi1)
     assert len(alphabet) == 2
-    single = propositionalize(parse_formula("lt(x, x)", env5))
+    single = parse_formula("lt(x, x)", env5)
     assert prop_alphabet(parse_formula("lt(x, x) || lt(x, x)", env5)) == (single,)
 
 
@@ -91,19 +90,32 @@ def test_prop_alphabet_of_constants(env5):
     assert prop_alphabet(TOP) == ()
 
 
+def test_prop_alphabet_order_and_first_model():
+    # the order reads p_{t1,...,tn}: "A" and "_" sort before "{", and
+    # "p_{ab}" before "p_{a}"
+    env = parse_environment("alphabet: a b\nvariables: x\npredicates: p/1 pA/1 p_x/1")
+    phi = parse_formula("(p(a) || pA(a) || p_x(a) || p(ab)) && !(p(a) && p(ab))", env)
+    order = ["%s(%s)" % (atom.pred, ", ".join(term_str(t) for t in atom.args))
+             for atom in prop_alphabet(phi)]
+    assert order == ["pA(a)", "p_x(a)", "p(ab)", "p(a)"]
+    witness = satisfiable_free(env, phi)
+    tables = {name: sorted(relation.tuples)
+              for name, relation in witness.interpretation.predicates.items()}
+    assert tables == {"p": [("a",)], "pA": [], "p_x": []}
+
+
 def test_sat_truth_table_examples(env5):
     # P((xy)z) & !P(x(yz)) is propositionally satisfiable: 1 for the first
     # atom, 0 for the second
     phi = parse_formula("lt((xy)z, xyz) && !lt(x(yz), xyz)", env5)
-    psi = propositionalize(phi)
-    assignment = sat_truth_table(psi)
-    first = PropAtom("lt", parse_formula("lt((xy)z, xyz)", env5).args)
-    second = PropAtom("lt", parse_formula("lt(x(yz), xyz)", env5).args)
+    assignment = sat_truth_table(phi)
+    first = Atom("lt", parse_formula("lt((xy)z, xyz)", env5).args)
+    second = Atom("lt", parse_formula("lt(x(yz), xyz)", env5).args)
     assert assignment == {first: True, second: False}
     p = parse_formula("lt(x, x)", env5)
     contradiction = Conn("and", (p, Conn("not", (p,))))
-    assert sat_truth_table(propositionalize(contradiction)) is None
-    assert sat_truth_table(propositionalize(TOP)) == {}
+    assert sat_truth_table(contradiction) is None
+    assert sat_truth_table(TOP) == {}
 
 
 def test_sat_truth_table_limit(env5, monkeypatch):
@@ -112,22 +124,22 @@ def test_sat_truth_table_limit(env5, monkeypatch):
     for i in range(25):
         big = Conn("or", (big, parse_formula("lt(x, %s)" % ("a" * (i + 1)), env5)))
     with pytest.raises(TruthTableLimitError):
-        sat_truth_table(propositionalize(big))
+        sat_truth_table(big)
     monkeypatch.setenv("CONSTREX_MAX_PROPS", "40")
-    assert sat_truth_table(propositionalize(big)) is not None
+    assert sat_truth_table(big) is not None
 
 
 def test_sat_truth_table_rejects_malformed_limit(monkeypatch):
     for text in ("abc", "-1"):
         monkeypatch.setenv("CONSTREX_MAX_PROPS", text)
         with pytest.raises(ConfigError):
-            sat_truth_table(propositionalize(TOP))
+            sat_truth_table(TOP)
 
 
 def _brute_first_model(psi):
     # the lexicographic truth table: first atom most significant, False first
     def value(node, assignment):
-        if isinstance(node, PropAtom):
+        if isinstance(node, Atom):
             return assignment[node]
         _, truth = connective(node.tag)
         return bool(truth(*(value(c, assignment) for c in node.children)))
@@ -159,7 +171,7 @@ def test_sat_search_matches_truth_table(monkeypatch):
     for _ in range(500):
         n = rng.randint(1, 12)
         # names p0..p11 sort as strings, so the search order is not index order
-        atoms = [PropAtom("p%d" % i, ()) for i in range(n)]
+        atoms = [Atom("p%d" % i, ()) for i in range(n)]
         psi = _rand_prop(rng, atoms, rng.randint(1, 6))
         if rng.random() < 0.25:
             psi = Conn("and", (psi, Conn("not", (psi,))))
@@ -173,7 +185,7 @@ def test_sat_search_uses_a_re_registered_builtin(monkeypatch):
     # short-circuiting applies only to the built-in meaning of and/or/not
     monkeypatch.setattr(syntax, "_CONNECTIVES", dict(syntax._CONNECTIVES))
     register_connective("and", 2, lambda p, q: p != q)
-    p = PropAtom("p", ())
+    p = Atom("p", ())
     assert sat_truth_table(Conn("and", (p, p)), 12) is None
     assert sat_truth_table(Conn("and", (p, Conn("not", (p,)))), 12) == {p: False}
 
@@ -187,7 +199,7 @@ def _conjunction(atoms):
 
 
 def _wide_pair(n):
-    atoms = [PropAtom("p%02d" % i, ()) for i in range(n)]
+    atoms = [Atom("p%02d" % i, ()) for i in range(n)]
     conj = _conjunction(atoms)
     return atoms, conj, Conn("and", (conj, Conn("not", (conj,))))
 
@@ -307,7 +319,7 @@ def test_separator_requires_two_symbols():
 def test_build_witness_injection_example(env5):
     phi1 = normalize_formula(
         parse_formula("lt(g(ab, x), abx) && !sim(abx, g(a, bx))", env5))
-    assignment = sat_truth_table(propositionalize(phi1))
+    assignment = sat_truth_table(phi1)
     witness = build_witness(env5, phi1, assignment)
     assert eval_formula(witness.interpretation, witness.realization, phi1) is True
     values = [eval_term(witness.interpretation, witness.realization, t)
@@ -424,7 +436,7 @@ def test_contradiction_transfer_random(envp):
             normalize_formula(Conn("and", (base, Conn("not", (base,))))),
         ]
         for phi in candidates:
-            if sat_truth_table(propositionalize(phi)) is None:
+            if sat_truth_table(phi) is None:
                 checked += 1
                 assert brute_satisfiable_free(envp, phi) is None
     assert checked >= 100

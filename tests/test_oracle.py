@@ -8,16 +8,16 @@ from constrex import (
     enumerate_language, eval_formula, membership_fixed, membership_general,
     parse_expression, parse_formula,
 )
-from constrex.semantics import RCat, REmpty, RLit, RStar, RUnion
+from constrex.syntax import Cat, Empty, Star, Word, sum_expr
 
 from conftest import rand_expr, rand_realization
 
 
 def test_enumerate_language_examples():
-    rx = RCat(RLit("aba"), RCat(RStar(RLit("b")), RLit("aa")))
+    rx = Cat(Word("aba"), Cat(Star(Word("b")), Word("aa")))
     assert "ababbbaa" in enumerate_language(rx, 8)
-    assert enumerate_language(REmpty(), 5) == frozenset()
-    rx2 = RStar(RUnion(RLit("a"), RLit("b")))
+    assert enumerate_language(Empty(), 5) == frozenset()
+    rx2 = Star(sum_expr(Word("a"), Word("b")))
     assert enumerate_language(rx2, 2) == frozenset(
         {"", "a", "b", "aa", "ab", "ba", "bb"})
 

@@ -6,12 +6,15 @@ import pytest
 
 from constrex import (
     ConfigError, Interpretation, Realization, UnsupportedOperatorError,
-    enumerate_language, eval_formula, eval_term, membership_fixed,
-    parse_expression, parse_formula, parse_term, regex_derivative,
-    regex_null, regex_str, regularize,
+    const_null, enumerate_language, eval_formula, eval_term, membership_fixed,
+    parse_expression, parse_formula, parse_term, regex_derivative, regex_str,
+    regularize,
 )
-from constrex.semantics import RCat, REmpty, RInter, RLit, RStar, RUnion
-from constrex.syntax import BOT, Bool, Conn, Constraint, Word, register_connective
+from constrex import syntax
+from constrex.syntax import (
+    BOT, Bool, Cat, Conn, Constraint, Empty, Match, Star, Word, register_connective,
+    sum_expr,
+)
 
 from conftest import rand_expr, rand_realization
 
@@ -33,10 +36,11 @@ def test_eval_term_examples(env2, interp2, r_ex2):
     assert eval_term(interp2, r_ex2, parse_term("h(z, z)", env2)) == ""
 
 
-def test_eval_formula_evaluation_example(env2, interp2, r_ex2):
+def test_eval_formula_evaluation_example(env2, interp2, r_ex2, monkeypatch):
     phi1 = parse_formula("P(x) || Q(x, z)", env2)
     phi2 = parse_formula("Q(y, f(x)) && R(h(z, z), g(f(y), z))", env2)
     phi3 = parse_formula("!P(f(g(x, x)))", env2)
+    monkeypatch.setattr(syntax, "_CONNECTIVES", dict(syntax._CONNECTIVES))
     register_connective("ite", 3, lambda c, t, e: ((not c) or t) and (c or e))
     phi4 = Conn("ite", (phi1, phi2, phi3))
     assert eval_formula(interp2, r_ex2, phi1) is True
@@ -65,21 +69,21 @@ def test_realize_word(env3, r1, r2):
 
 def test_regularize_e1(env3, interp_len, r1, e1):
     rx = regularize(interp_len, r1, e1)
-    assert rx == RCat(RLit("aba"), RCat(RStar(RLit("b")), RLit("aa")))
+    assert rx == Cat(Word("aba"), Cat(Star(Word("b")), Word("aa")))
     assert regex_str(rx) == "aba b* aa"
 
 
 def test_regularize_false_constraint(env3, interp_len, r1):
     e = parse_expression("a b | lt(xx, y)", env3)
     # |r1(xx)| = 6 > |r1(y)| = 2, so the constraint fails
-    assert regularize(interp_len, r1, e) == REmpty()
+    assert regularize(interp_len, r1, e) == Empty()
 
 
 def test_regularize_e2(env3, interp_len, r2):
     e2 = parse_expression("(a b)* x -| (y x | lt(y, x))", env3)
     rx = regularize(interp_len, r2, e2)
-    assert isinstance(rx, RInter)
-    assert RLit("ababbbaa") in (rx.left, rx.right)
+    assert isinstance(rx, Match)
+    assert rx.word == "ababbbaa"
     assert enumerate_language(rx, 8) == frozenset({"ababbbaa"})
 
 
@@ -97,12 +101,18 @@ def test_regularize_is_variable_free(env3, interp_len):
     rng = random.Random(5)
 
     def literals(rx):
-        if isinstance(rx, RLit):
+        if isinstance(rx, Word):
+            yield rx.letters
+        elif isinstance(rx, Match):
             yield rx.word
-        elif isinstance(rx, (RUnion, RInter, RCat)):
+            yield from literals(rx.child)
+        elif isinstance(rx, Bool):
+            for child in rx.children:
+                yield from literals(child)
+        elif isinstance(rx, Cat):
             yield from literals(rx.left)
             yield from literals(rx.right)
-        elif isinstance(rx, RStar):
+        elif isinstance(rx, Star):
             yield from literals(rx.child)
 
     for _ in range(100):
@@ -112,18 +122,50 @@ def test_regularize_is_variable_free(env3, interp_len):
             assert all(env3.is_symbol(c) for c in w)
 
 
+@pytest.mark.parametrize("text, printed", [
+    ("a + (x -| a*)", "a + aba & a*"),
+    ("x -| a + b*", "aba & (a + b*)"),
+    ("x -| (a b)* + (b a)*", "aba & ((a b)* + (b a)*)"),
+    ("a (x -| a*) b", "a (aba & a*) b"),
+    ("(x -| a*)*", "(aba & a*)*"),
+    ("x -| y -| a*", "aba & (aa & a*)"),
+    ("x -| (y -| a*) b", "aba & (aa & a*) b"),
+    ("x y", "aba aa"),
+    ("eps", "eps"),
+    ("z", "eps"),
+    ("z*", "(eps)*"),
+    ("empty", "empty"),
+    ("empty*", "empty*"),
+    ("a b | lt(xx, y)", "empty"),
+    ("a (b | lt(xx, y)) + c", "a empty + c"),
+    ("(a b | lt(y, x))*", "(a b)*"),
+])
+def test_regex_str_golden(env3, interp_len, r1, text, printed):
+    rx = regularize(interp_len, r1, parse_expression(text, env3))
+    assert regex_str(rx) == printed
+
+
 def test_regex_derivative_examples():
-    assert regex_derivative(RLit("a"), "a") == frozenset({RLit("")})
-    assert regex_derivative(RLit("b"), "a") == frozenset()
-    rx = RInter(RUnion(RLit("a"), RLit("ab")), RLit("ab"))
+    assert regex_derivative(Word("a"), "a") == frozenset({Word("")})
+    assert regex_derivative(Word("b"), "a") == frozenset()
+    rx = Match("ab", sum_expr(Word("a"), Word("ab")))
     assert regex_derivative(rx, "a") == frozenset({
-        RInter(RLit(""), RLit("b")), RInter(RLit("b"), RLit("b"))})
+        Match("b", Word("")), Match("b", Word("b"))})
+
+
+def test_regular_forms_have_no_constraints(env3):
+    # a constraint has a child, like a star, but is no regular form
+    e = parse_expression("a | sim(x, x)", env3)
+    with pytest.raises(TypeError):
+        regex_derivative(e, "a")
+    with pytest.raises(TypeError):
+        enumerate_language(e, 2)
 
 
 def test_regex_null_examples():
-    assert regex_null(RStar(RLit("ab"))) is True
-    assert regex_null(REmpty()) is False
-    assert regex_null(RInter(RLit("ab"), RLit(""))) is False
+    assert const_null(Star(Word("ab"))) is True
+    assert const_null(Empty()) is False
+    assert const_null(Match("ab", Word(""))) is False
 
 
 def test_membership_fixed_section3(env3, interp_len, r1, r2, e1):

@@ -8,7 +8,7 @@ import pytest
 from constrex import (
     App, Atom, Cat, Constraint, Match, ParseError, PreconditionError, Star,
     Var, Word,
-    apply_subst_set, check_subst_set, expr_str, parse_environment,
+    apply_subst_set, check_subst_set, derive_expr_word, expr_str, parse_environment,
     parse_expression, parse_formula, parse_term, subterms, term_of_word,
     term_str, variables_of,
 )
@@ -245,3 +245,10 @@ def test_deep_trees_are_walked_without_recursion(env3):
         assert expr_str(e) == " ".join(letters)
         with pytest.raises(ConfigError, match="'w' is not a letter"):
             check_tree(env3, Cat(e, Word("w")))
+        # a long mixed word on either side of -|
+        word = "ab" * (DEEP // 2)
+        left = parse_expression(" ".join(word) + " -| (a + b)*", env3)
+        right = parse_expression("(a + b)* -| " + " ".join(word), env3)
+        assert left == right == Match(word, Star(parse_expression("a + b", env3)))
+        derived = derive_expr_word(env3, left, "ab")
+        assert [(d.word, X) for d, X in derived] == [(word[2:], frozenset())]
