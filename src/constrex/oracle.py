@@ -24,9 +24,7 @@ from .syntax import (
 class Bound:
     """Search limits for the bounded oracles."""
 
-    max_word_len: int = 4
     max_realization_len: int = 2
-    interpretation_samples: Optional[list] = None
 
 
 def enumerate_language(rx: Expr, max_len: int) -> frozenset:
@@ -157,8 +155,7 @@ def brute_satisfiable_free(env: Environment, phi: Formula,
                            bound: Optional[Bound] = None):
     """An (interpretation, realization) satisfying phi, or None within bounds."""
     bound = bound or Bound()
-    samples = bound.interpretation_samples or sample_interpretations(env)
-    for interp in samples:
+    for interp in sample_interpretations(env):
         for r in realizations(env, tree_variables(phi), bound.max_realization_len):
             if eval_formula(interp, r, phi):
                 return interp, r

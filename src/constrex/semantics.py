@@ -4,21 +4,21 @@ An expression interpretation fixes the domain to words over the symbol
 alphabet, sends each constant to itself and the catenation symbol to word
 catenation. User predicate symbols are bound to builtin relations or finite
 tables (with a default polarity, so co-finite relations are expressible);
-user function symbols to builtin functions or finite override tables backed
-by a total default.
+user function symbols to builtin functions or to finite override tables, on
+whose misses a function catenates its arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import ClassVar, Mapping, Optional, Union
 
 from .derivation import const_null
 from .errors import ConfigError
 from .syntax import (
     CAT, EPSILON,
     Atom, Bool, Cat, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Term, Var, Word, check_sum_only, connective, sum_expr, word_str,
+    Match, Star, Term, Var, Word, check_sum_only, connective, regex_str, sum_expr,
 )
 
 
@@ -60,14 +60,15 @@ class FiniteRelation:
 
 @dataclass(frozen=True)
 class TableFunction:
-    """A finite override table evaluated before a total builtin default."""
+    """A finite override table; arguments it does not list are catenated."""
 
     table: tuple  # sorted ((args, value), ...) pairs
-    default: str = ARGCAT
+    # a constant, not an option: bench/run.py's witness key reads it
+    default: ClassVar[str] = ARGCAT
 
     @staticmethod
-    def from_dict(table: Mapping, default: str = ARGCAT) -> "TableFunction":
-        return TableFunction(tuple(sorted(table.items())), default)
+    def from_dict(table: Mapping) -> "TableFunction":
+        return TableFunction(tuple(sorted(table.items())))
 
     def lookup(self, args: tuple) -> Optional[str]:
         for key, value in self.table:
@@ -99,14 +100,12 @@ class Interpretation:
                                       % (spec, BUILTIN_PREDICATES[spec][0], name, arity))
         for name, spec in self.functions.items():
             arity = env.function_arity(name)
-            default = spec if isinstance(spec, str) else spec.default
-            if default != ARGCAT:
-                if default not in BUILTIN_FUNCTIONS:
-                    raise ConfigError("unknown builtin function %r" % default)
-                if BUILTIN_FUNCTIONS[default][0] != arity:
+            if isinstance(spec, str) and spec != ARGCAT:
+                if spec not in BUILTIN_FUNCTIONS:
+                    raise ConfigError("unknown builtin function %r" % spec)
+                if BUILTIN_FUNCTIONS[spec][0] != arity:
                     raise ConfigError("builtin %r has arity %d, %r needs %d"
-                                      % (default, BUILTIN_FUNCTIONS[default][0],
-                                         name, arity))
+                                      % (spec, BUILTIN_FUNCTIONS[spec][0], name, arity))
 
     def eval_predicate(self, name: str, args: tuple) -> bool:
         spec = self.predicates.get(name)
@@ -130,10 +129,9 @@ class Interpretation:
             hit = spec.lookup(args)
             if hit is not None:
                 return hit
-            spec = spec.default
-        if spec == ARGCAT:
-            return "".join(args)
-        return BUILTIN_FUNCTIONS[spec][1](self.env, *args)
+        elif spec != ARGCAT:
+            return BUILTIN_FUNCTIONS[spec][1](self.env, *args)
+        return "".join(args)
 
 
 class Realization:
@@ -176,46 +174,8 @@ def eval_formula(interp: Interpretation, r: Realization, phi: Formula) -> bool:
 #
 # Under a fixed (I, r) an expression is regular: realizing every word and
 # deciding every constraint leaves an expression of Word, Empty, sum, Cat,
-# Star and Match nodes over symbols only, where `w -| E` reads {w} & L(E).
-
-_R_UNION, _R_INTER, _R_CAT, _R_STAR, _R_ATOM = 1, 2, 3, 4, 5
-
-
-def _regex_level(rx: Expr) -> int:
-    if isinstance(rx, Bool):
-        return _R_UNION
-    if isinstance(rx, Match):
-        return _R_INTER
-    if isinstance(rx, Cat):
-        return _R_CAT
-    if isinstance(rx, Star):
-        return _R_STAR
-    return _R_ATOM
-
-
-def regex_str(rx: Expr, _level: int = 0) -> str:
-    """A regular form in regex notation; `w -| E` prints as `w & E`."""
-    own = _regex_level(rx)
-    if isinstance(rx, Word):
-        s = word_str(rx.letters)
-    elif isinstance(rx, Empty):
-        s = "empty"
-    elif isinstance(rx, Bool):
-        s = "%s + %s" % (regex_str(rx.children[0], _R_UNION),
-                         regex_str(rx.children[1], _R_UNION + 1))
-    elif isinstance(rx, Match):
-        s = "%s & %s" % (word_str(rx.word), regex_str(rx.child, _R_INTER + 1))
-    elif isinstance(rx, Cat):
-        s = "%s %s" % (regex_str(rx.left, _R_CAT), regex_str(rx.right, _R_CAT))
-    else:
-        cs = regex_str(rx.child, 0)
-        atomic = isinstance(rx.child, (Star, Empty)) or \
-            (isinstance(rx.child, Word) and len(rx.child.letters) == 1)
-        s = (cs if atomic else "(" + cs + ")") + "*"
-    if own < _level:
-        return "(" + s + ")"
-    return s
-
+# Star and Match nodes over symbols only, where `w -| E` reads {w} & L(E);
+# `regex_str` prints it in that reading.
 
 def regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
     """The variable-free, constraint-free expression with the same
@@ -224,24 +184,32 @@ def regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
 
 
 def _regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
+    # a catenation's right spine is a loop, rebuilt with the same nesting
+    lefts = []
+    while isinstance(e, Cat):
+        lefts.append(_regularize(interp, r, e.left))
+        e = e.right
     if isinstance(e, Word):
-        return Word(r.realize(e.letters))
-    if isinstance(e, Empty):
-        return e
-    if isinstance(e, Bool):
-        return sum_expr(_regularize(interp, r, e.children[0]),
-                        _regularize(interp, r, e.children[1]))
-    if isinstance(e, Cat):
-        return Cat(_regularize(interp, r, e.left), _regularize(interp, r, e.right))
-    if isinstance(e, Star):
-        return Star(_regularize(interp, r, e.child))
-    if isinstance(e, Constraint):
+        out = Word(r.realize(e.letters))
+    elif isinstance(e, Empty):
+        out = e
+    elif isinstance(e, Bool):
+        out = sum_expr(_regularize(interp, r, e.children[0]),
+                       _regularize(interp, r, e.children[1]))
+    elif isinstance(e, Star):
+        out = Star(_regularize(interp, r, e.child))
+    elif isinstance(e, Constraint):
         if eval_formula(interp, r, e.formula):
-            return _regularize(interp, r, e.child)
-        return Empty()
-    if isinstance(e, Match):
-        return Match(r.realize(e.word), _regularize(interp, r, e.child))
-    raise TypeError(e)
+            out = _regularize(interp, r, e.child)
+        else:
+            out = Empty()
+    elif isinstance(e, Match):
+        out = Match(r.realize(e.word), _regularize(interp, r, e.child))
+    else:
+        raise TypeError(e)
+    for left in reversed(lefts):
+        out = Cat(left, out)
+    return out
 
 
 def regex_derivative(rx: Expr, a: str) -> frozenset:

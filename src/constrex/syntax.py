@@ -156,10 +156,10 @@ def term_of_word(env: Environment, w: str) -> Term:
     """Right-nested catenation term denoting the mixed word w."""
     if w == "":
         return EPS_TERM
-    head = Var(w[0]) if env.is_variable(w[0]) else App(w[0])
-    if len(w) == 1:
-        return head
-    return App(CAT, (head, term_of_word(env, w[1:])))
+    *heads, t = (Var(c) if env.is_variable(c) else App(c) for c in w)
+    for head in reversed(heads):
+        t = App(CAT, (head, t))
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -496,56 +496,34 @@ def term_str(t: Term) -> str:
     return "%s(%s)" % (t.fn, ", ".join(term_str(a) for a in t.args))
 
 
-_F_IMPLIES, _F_OR, _F_AND, _F_NOT, _F_ATOM = 1, 2, 3, 4, 5
-
-
-def _formula_level(phi: Formula) -> int:
-    if isinstance(phi, Atom):
-        return _F_ATOM
-    return {IMPLIES: _F_IMPLIES, OR: _F_OR, AND: _F_AND, NOT: _F_NOT}.get(phi.tag, _F_ATOM)
+# The binary connectives: glyph, own level, left and right operand levels.
+# `and` and `or` associate left, `implies` right; a negation binds tighter
+# than all three, and any other formula is atomic.
+_F_BINARY = {
+    IMPLIES: (" -> ", 1, 2, 1),
+    OR: (" || ", 2, 2, 3),
+    AND: (" && ", 3, 3, 4),
+}
+_F_NOT = 4
 
 
 def formula_str(phi: Formula, _level: int = 0) -> str:
-    own = _formula_level(phi)
     if isinstance(phi, Atom):
-        s = phi.pred if not phi.args else \
-            "%s(%s)" % (phi.pred, ", ".join(term_str(t) for t in phi.args))
-    elif phi.tag in (TRUE, FALSE):
-        s = phi.tag
-    elif phi.tag == NOT:
-        s = "!" + formula_str(phi.children[0], _F_NOT)
-    elif phi.tag == AND:
-        s = "%s && %s" % (formula_str(phi.children[0], _F_AND),
-                          formula_str(phi.children[1], _F_AND + 1))
-    elif phi.tag == OR:
-        s = "%s || %s" % (formula_str(phi.children[0], _F_OR),
-                          formula_str(phi.children[1], _F_OR + 1))
-    elif phi.tag == IMPLIES:
-        s = "%s -> %s" % (formula_str(phi.children[0], _F_IMPLIES + 1),
-                          formula_str(phi.children[1], _F_IMPLIES))
+        if not phi.args:
+            return phi.pred
+        return "%s(%s)" % (phi.pred, ", ".join(term_str(t) for t in phi.args))
+    tag = phi.tag
+    if tag in _F_BINARY:
+        glyph, own, left, right = _F_BINARY[tag]
+        s = formula_str(phi.children[0], left) + glyph + \
+            formula_str(phi.children[1], right)
+    elif tag == NOT:
+        own, s = _F_NOT, "!" + formula_str(phi.children[0], _F_NOT)
+    elif tag in (TRUE, FALSE):
+        return tag
     else:
-        s = "%s(%s)" % (phi.tag, ", ".join(formula_str(c) for c in phi.children))
-        own = _F_ATOM
-    if own < _level:
-        return "(" + s + ")"
-    return s
-
-
-_E_CONSTRAINT, _E_MATCH, _E_SUM, _E_CAT, _E_STAR, _E_ATOM = 1, 2, 3, 4, 5, 6
-
-
-def _expr_level(e: Expr) -> int:
-    if isinstance(e, Constraint):
-        return _E_CONSTRAINT
-    if isinstance(e, Match):
-        return _E_MATCH
-    if is_sum(e):
-        return _E_SUM
-    if isinstance(e, Cat):
-        return _E_CAT
-    if isinstance(e, Star):
-        return _E_STAR
-    return _E_ATOM
+        return "%s(%s)" % (tag, ", ".join(formula_str(c) for c in phi.children))
+    return "(" + s + ")" if own < _level else s
 
 
 def _cat_factors(e: Expr) -> list:
@@ -562,41 +540,57 @@ def _cat_factors(e: Expr) -> list:
     return out
 
 
-def expr_str(e: Expr, _level: int = 0) -> str:
-    own = _expr_level(e)
-    if isinstance(e, Word):
-        s = word_str(e.letters)
-    elif isinstance(e, Empty):
-        s = "empty"
-    elif isinstance(e, Star):
-        child = e.child
-        cs = expr_str(child, 0)
-        atomic = isinstance(child, Star) or isinstance(child, Empty) or \
-            (isinstance(child, Word) and len(child.letters) == 1)
-        s = (cs if atomic else "(" + cs + ")") + "*"
-    elif isinstance(e, Cat):
-        parts = []
-        for f in _cat_factors(e):
-            fs = expr_str(f, 0)
-            if _expr_level(f) < _E_STAR and not isinstance(f, Word):
-                fs = "(" + fs + ")"
-            parts.append(fs)
-        s = " ".join(parts)
-    elif is_sum(e):
-        s = "%s + %s" % (expr_str(e.children[0], _E_SUM),
-                         expr_str(e.children[1], _E_SUM + 1))
-    elif isinstance(e, Bool):
-        s = "%s(%s)" % (e.op, ", ".join(expr_str(c) for c in e.children))
-        own = _E_ATOM
-    elif isinstance(e, Match):
-        s = "%s -| %s" % (word_str(e.word), expr_str(e.child, _E_MATCH))
-    elif isinstance(e, Constraint):
-        s = "%s | %s" % (expr_str(e.child, _E_MATCH), formula_str(e.formula))
-    else:
-        raise TypeError(e)
-    if own < _level:
-        return "(" + s + ")"
-    return s
+def _printer(levels: dict, match_operand: int, match_glyph: str):
+    """The expression printer of one notation, given as data: the level of
+    each node type (higher binds tighter; an unlisted type, or a boolean node
+    other than the sum, is atomic), the level of a match's operand and the
+    match glyph. A constraint in a notation without its level raises
+    TypeError, as does a node of no expression type."""
+    star = levels[Star]
+
+    def show(e: Expr, level: int) -> str:
+        kind = type(e)
+        if kind is Word:
+            return word_str(e.letters)
+        if kind is Empty:
+            return "empty"
+        own = levels.get(kind, star + 1)
+        if kind is Star:
+            child = e.child
+            s = show(child, 0)
+            atomic = type(child) in (Star, Empty) or \
+                type(child) is Word and len(child.letters) == 1
+            s = (s if atomic else "(" + s + ")") + "*"
+        elif kind is Cat:
+            s = " ".join([show(f, star) for f in _cat_factors(e)])
+        elif kind is Bool:
+            if not is_sum(e):
+                return "%s(%s)" % (e.op, ", ".join(show(c, 0) for c in e.children))
+            s = show(e.children[0], own) + " + " + show(e.children[1], own + 1)
+        elif kind is Match:
+            s = word_str(e.word) + match_glyph + show(e.child, match_operand)
+        elif kind is Constraint and kind in levels:
+            s = show(e.child, own + 1) + " | " + formula_str(e.formula)
+        else:
+            raise TypeError(e)
+        return "(" + s + ")" if own < level else s
+
+    return show
+
+
+_expr_printer = _printer({Constraint: 1, Match: 2, Bool: 3, Cat: 4, Star: 5}, 2, " -| ")
+# A regular form reads `w -| E` as the intersection {w} & L(E), which binds
+# tighter than a sum; a regular form has no constraints.
+_regex_printer = _printer({Bool: 1, Match: 2, Cat: 3, Star: 4}, 3, " & ")
+
+
+def expr_str(e: Expr) -> str:
+    return _expr_printer(e, 0)
+
+
+def regex_str(rx: Expr) -> str:
+    """A regular form in regex notation: `w -| E` prints as `w & E`."""
+    return _regex_printer(rx, 0)
 
 
 def subst_set_str(env: Environment, X: Iterable[Assumption]) -> str:

@@ -200,6 +200,14 @@ def test_derive_on_a_3000_symbol_catenation(env_file, capsys):
     assert out.splitlines() == ["eps %s\t{}" % letters[4:]]
 
 
+def test_regularize_on_a_3000_symbol_catenation(env_file, capsys):
+    letters = " ".join("ab" * 1500)
+    status, out = invoke(capsys, "regularize", "--env", env_file, "--expr", letters,
+                         "--interp", INTERP, "--real", "")
+    assert status == 0
+    assert out.splitlines() == [letters]
+
+
 @pytest.mark.parametrize("expr, word", [
     (E1, "ab"),
     ("(x y + a)* c | sim(f(x), f(y))", "abab"),

@@ -504,7 +504,7 @@ def _witness_view(interpretation, assignment):
     def spec(s):
         if isinstance(s, FiniteRelation):
             return tuple(sorted(s.tuples)), s.default
-        return s.table, s.default
+        return s.table
 
     return (tuple(sorted(assignment.items())),
             tuple(sorted((k, spec(v)) for k, v in interpretation.predicates.items())),

@@ -1,5 +1,6 @@
 """Evaluation, regularization and the classical derivative engine."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,11 +13,13 @@ from constrex import (
 )
 from constrex import syntax
 from constrex.syntax import (
-    BOT, Bool, Cat, Conn, Constraint, Empty, Match, Star, Word, register_connective,
-    sum_expr,
+    AND, BOT, IMPLIES, NOT, OR, TOP, Atom, Bool, Cat, Conn, Constraint, Empty,
+    Match, Star, Word, expr_str, formula_str, register_connective, sum_expr,
 )
 
-from conftest import rand_expr, rand_realization
+from conftest import (
+    DEEP, rand_expr, rand_realization, rand_term, rand_word, recursion_headroom,
+)
 
 
 @pytest.fixture
@@ -143,6 +146,59 @@ def test_regularize_is_variable_free(env3, interp_len):
 def test_regex_str_golden(env3, interp_len, r1, text, printed):
     rx = regularize(interp_len, r1, parse_expression(text, env3))
     assert regex_str(rx) == printed
+
+
+def _rand_printed_formula(rng, env, depth):
+    """A random formula over every connective the printer knows, plus a
+    3-ary operator it prints in prefix form."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        if roll < 0.03:
+            return rng.choice([TOP, BOT])
+        name, arity = rng.choice(sorted(env.predicates.items()))
+        return Atom(name, tuple(rand_term(rng, env, 2) for _ in range(arity)))
+    tag = rng.choice([NOT, AND, OR, IMPLIES, AND, OR, IMPLIES, "ite"])
+    arity = {NOT: 1, "ite": 3}.get(tag, 2)
+    return Conn(tag, tuple(_rand_printed_formula(rng, env, depth - 1)
+                           for _ in range(arity)))
+
+
+def test_printers_match_recorded_digest(env3, interp_len):
+    # 2,000 random regular forms in both notations and 2,000 random formulas;
+    # the digest was recorded before the two expression printers were merged
+    rng = random.Random(43)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        rx = regularize(interp_len, rand_realization(rng, env3), rand_expr(rng, env3, 4))
+        word = rand_word(rng, list(env3.symbols))
+        for form in (rx, sum_expr(Match(word, rx), rx)):
+            digest.update(("%s\n%s\n" % (regex_str(form), expr_str(form))).encode())
+    for _ in range(2000):
+        digest.update((formula_str(_rand_printed_formula(rng, env3, 4)) + "\n").encode())
+    assert digest.hexdigest() == (
+        "0e6b840b88b27e6bdfa78e2c115f396052417da09942664a966458184fdb2a4e")
+
+
+def test_regex_str_rejects_what_is_not_a_regular_form():
+    # a constraint has a child, like a star, but is no regular form
+    with pytest.raises(TypeError):
+        regex_str(Constraint(Word("a"), TOP))
+    with pytest.raises(TypeError):
+        regex_str(Cat(Word("a"), Constraint(Word("a"), TOP)))
+    # a boolean node other than the sum prints in prefix form in both notations
+    e = Bool("not", (Word("a"),))
+    assert regex_str(e) == expr_str(e) == "not(a)"
+    assert regex_str(Match("a", e)) == "a & not(a)"
+
+
+def test_regularize_walks_long_catenations(env3, interp_len, r1):
+    letters = "xa" * (DEEP // 2)
+    e = parse_expression(" ".join(letters), env3)
+    printed = " ".join(["aba", "a"] * (DEEP // 2))
+    with recursion_headroom():
+        assert regex_str(regularize(interp_len, r1, e)) == printed
+        true = Constraint(e, parse_formula("lt(y, x)", env3))
+        assert regex_str(regularize(interp_len, r1, true)) == printed
 
 
 def test_regex_derivative_examples():

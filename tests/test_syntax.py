@@ -252,3 +252,11 @@ def test_deep_trees_are_walked_without_recursion(env3):
         assert left == right == Match(word, Star(parse_expression("a + b", env3)))
         derived = derive_expr_word(env3, left, "ab")
         assert [(d.word, X) for d, X in derived] == [(word[2:], frozenset())]
+
+
+def test_term_of_word_builds_long_words_without_recursion(env3):
+    letters = "xa" * (DEEP // 2)
+    with recursion_headroom():
+        t = term_of_word(env3, letters)
+        assert term_str(t) == letters
+        assert tree_variables(t) == {"x"}
