@@ -8,13 +8,13 @@ neither the interpretation nor the realization is fixed.
 
 from .errors import (
     ConfigError, ConstrexError, ParseError, PreconditionError,
-    TruthTableLimitError, UnsupportedAlphabetError, UnsupportedOperatorError,
+    TruthTableLimitError, UnsupportedAlphabetError,
 )
 from .syntax import (
-    App, Atom, Bool, Cat, Conn, Constraint, Empty, Environment, Match, Star,
+    App, Atom, Cat, Conn, Constraint, Empty, Environment, Match, Star, Sum,
     Var, Word,
     apply_subst_set, check_subst_set, expr_str, expr_variables, formula_str,
-    subst_set_str, subterms, sum_expr, term_of_word,
+    subst_set_str, subterms, term_of_word,
     term_str, variables_of, word_str,
 )
 from .parser import parse_environment, parse_expression, parse_formula, parse_term

@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 accepted/SAT, 1 rejected/UNSAT or not-found-within-bound,
-2 usage, parse or configuration errors and input nested too deeply,
-3 oracle disagreement (with --oracle).
+2 usage, parse or configuration errors, an input file that is not text and
+input nested too deeply, 3 oracle disagreement (with --oracle).
 All output is deterministic and line-oriented.
 """
 
@@ -102,10 +102,17 @@ def _realization(env: Environment, text: str) -> Realization:
     return Realization(env, _parse_bindings(text))
 
 
+def _read_file(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConstrexError("cannot decode %s: %s" % (path, exc)) from None
+
+
 def _read_expression(args, env: Environment):
     text = args.expr
     if args.expr_file:
-        text = Path(args.expr_file).read_text()
+        text = _read_file(args.expr_file)
     if text is None:
         raise ConstrexError("an expression is required (--expr or --expr-file)")
     return parse_expression(text, env)
@@ -255,7 +262,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     out: list = []
     try:
-        env = parse_environment(Path(args.env).read_text())
+        env = parse_environment(_read_file(args.env))
         if args.mode != "sat" and getattr(args, "word", ""):
             env.check_word(args.word)
             for c in args.word:

@@ -15,9 +15,8 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import PreconditionError
 from .syntax import (
-    Bool, Cat, Constraint, Empty, Environment, Expr, Match, Star, Word,
-    apply_subst_set, as_mixed_word, check_sum_only, expr_str, is_sum, subst_set_str,
-    subst_word,
+    Cat, Constraint, Empty, Environment, Expr, Match, Star, Sum, Word,
+    apply_subst_set, as_mixed_word, expr_str, subst_set_str, subst_word,
 )
 
 DerivPair = Tuple[Expr, frozenset]
@@ -48,8 +47,8 @@ def const_null(e: Expr) -> bool:
         return True
     if isinstance(e, Cat):
         return const_null(e.left) and const_null(e.right)
-    if is_sum(e):
-        return const_null(e.children[0]) or const_null(e.children[1])
+    if isinstance(e, Sum):
+        return const_null(e.left) or const_null(e.right)
     if isinstance(e, Match):
         return e.word == "" and const_null(e.child)
     return False
@@ -67,8 +66,8 @@ def may_null(env: Environment, e: Expr) -> bool:
         return True
     if isinstance(e, Cat):
         return may_null(env, e.left) and may_null(env, e.right)
-    if is_sum(e):
-        return may_null(env, e.children[0]) or may_null(env, e.children[1])
+    if isinstance(e, Sum):
+        return may_null(env, e.left) or may_null(env, e.right)
     if isinstance(e, Match):
         return all(env.is_variable(c) for c in e.word) and may_null(env, e.child)
     if isinstance(e, Constraint):
@@ -93,8 +92,8 @@ def _derive(env: Environment, e: Expr, a: str) -> List[DerivPair]:
         return [(Word(alpha), X) for alpha, X in derive_word(env, e.letters, a)]
     if isinstance(e, Empty):
         return []
-    if isinstance(e, Bool):
-        return _derive(env, e.children[0], a) + _derive(env, e.children[1], a)
+    if isinstance(e, Sum):
+        return _derive(env, e.left, a) + _derive(env, e.right, a)
     if isinstance(e, Star):
         return _odot_left(env, _derive(env, e.child, a), e)
     if isinstance(e, Constraint):
@@ -145,7 +144,6 @@ def _check_symbols(env: Environment, letters) -> None:
 
 def derive_expr(env: Environment, e: Expr, a: str) -> DerivativeSet:
     """Constrained derivative of an expression w.r.t. one symbol, canonical."""
-    check_sum_only(e)
     _check_symbols(env, [a])
     return canonical(env, _derive(env, e, a))
 
@@ -171,7 +169,6 @@ def derive_paths(env: Environment, e: Expr, w: str,
     deriving every path by each letter in turn. A state for which keep is
     false, the input included, is neither yielded nor derived further.
     """
-    check_sum_only(e)
     _check_symbols(env, w)
     return _walk_paths(env, e, w, keep)
 
@@ -230,15 +227,14 @@ def simplify_expr(env: Environment, e: Expr) -> Expr:
     """Rewrite with sound rules (empty propagation, eps units, word matches)."""
     if isinstance(e, (Word, Empty)):
         return e
-    if isinstance(e, Bool):
-        children = tuple(simplify_expr(env, c) for c in e.children)
-        if is_sum(e):
-            left, right = children
-            if isinstance(left, Empty):
-                return right
-            if isinstance(right, Empty):
-                return left
-        return Bool(e.op, children)
+    if isinstance(e, Sum):
+        left = simplify_expr(env, e.left)
+        right = simplify_expr(env, e.right)
+        if isinstance(left, Empty):
+            return right
+        if isinstance(right, Empty):
+            return left
+        return Sum(left, right)
     if isinstance(e, Star):
         return Star(simplify_expr(env, e.child))
     if isinstance(e, Cat):

@@ -24,10 +24,6 @@ class PreconditionError(ConstrexError):
     """Raised when an operation's stated precondition is violated."""
 
 
-class UnsupportedOperatorError(ConstrexError):
-    """Raised where only sum-shaped boolean nodes are defined."""
-
-
 class UnsupportedAlphabetError(ConstrexError):
     """Raised by the free-satisfiability pipeline on unary alphabets."""
 

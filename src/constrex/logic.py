@@ -30,8 +30,8 @@ from .semantics import FiniteRelation, Interpretation, Realization, TableFunctio
 from .syntax import (
     AND, CAT, EPSILON, EPS_TERM, NOT, OR,
     App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula, Match,
-    Term, Var,
-    check_sum_only, connective, is_sum, term_str, tree_variables, walk,
+    Sum, Term, Var,
+    connective, term_str, tree_variables, walk,
 )
 
 DEFAULT_MAX_PROPS = 20
@@ -335,11 +335,11 @@ def satisfiable_free(env: Environment, phi: Formula,
 def null_general(env: Environment, e: Expr,
                  max_props: Optional[int] = None) -> Optional[Witness]:
     """A witness that the empty word belongs to the language of e, if any."""
-    return _null_general(env, check_sum_only(e), _resolve_max_props(max_props))
+    return _null_general(env, e, _resolve_max_props(max_props))
 
 
 def _null_general(env: Environment, e: Expr, max_props: int) -> Optional[Witness]:
-    """null_general for a sum-only e: the first satisfiable indicator pair wins."""
+    """null_general with a resolved limit: the first satisfiable indicator pair wins."""
     for erased, phi in indicator_pairs(env, e):
         witness = satisfiable_free(env, phi, max_props)
         if witness is not None:
@@ -393,12 +393,15 @@ def void_test(env: Environment, max_props: int) -> Callable[[Expr], bool]:
         return known
 
     def void(e: Expr) -> bool:
+        # a catenation's right spine is a loop, its left factors tested first
+        while isinstance(e, Cat):
+            if void(e.left):
+                return True
+            e = e.right
         if isinstance(e, Empty):
             return True
-        if isinstance(e, Cat):
-            return void(e.left) or void(e.right)
-        if is_sum(e):
-            return void(e.children[0]) and void(e.children[1])
+        if isinstance(e, Sum):
+            return void(e.left) and void(e.right)
         if isinstance(e, Match):
             return void(e.child) or (e.word == "" and not may_null(env, e.child))
         if isinstance(e, Constraint):

@@ -13,10 +13,9 @@ from typing import Iterable, Tuple
 
 from .syntax import (
     AND, TOP,
-    Bool, Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Word,
-    check_sum_only, connective, formula_str, subst_formula, tree_variables,
-    variables_of,
+    Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
+    Match, Star, Sum, Word,
+    formula_str, subst_formula, tree_variables, variables_of,
 )
 from .semantics import Interpretation, Realization, eval_formula
 
@@ -32,9 +31,8 @@ def null_fixed(interp: Interpretation, r: Realization, e: Expr) -> bool:
         return False
     if isinstance(e, Match):
         return r.realize(e.word) == "" and null_fixed(interp, r, e.child)
-    if isinstance(e, Bool):
-        _, truth = connective(e.op)
-        return bool(truth(*(null_fixed(interp, r, c) for c in e.children)))
+    if isinstance(e, Sum):
+        return null_fixed(interp, r, e.left) or null_fixed(interp, r, e.right)
     if isinstance(e, Cat):
         return null_fixed(interp, r, e.left) and null_fixed(interp, r, e.right)
     if isinstance(e, Star):
@@ -65,38 +63,44 @@ def _pairs(env: Environment, e: Expr) -> list:
     erasing at every step gave: erasure is idempotent, and it commutes with
     _conj because no erasure turns a formula into or out of TOP.
     """
+    # a catenation's right spine is a loop; its pairs combine from the right
+    lefts = []
+    while isinstance(e, Cat):
+        lefts.append(e.left)
+        e = e.right
     if isinstance(e, Word):
+        out = []
         if all(env.is_variable(c) for c in e.letters):
-            return [(variables_of(env, e.letters), TOP)]
-        return []
-    if isinstance(e, Empty):
-        return []
-    if isinstance(e, Match):
+            out = [(variables_of(env, e.letters), TOP)]
+    elif isinstance(e, Empty):
+        out = []
+    elif isinstance(e, Match):
+        out = []
         if all(env.is_variable(c) for c in e.word):
             xs = variables_of(env, e.word)
-            return [(xs | x2, psi) for x2, psi in _pairs(env, e.child)]
-        return []
-    if isinstance(e, Bool):
-        return _pairs(env, e.children[0]) + _pairs(env, e.children[1])
-    if isinstance(e, Cat):
-        right = _pairs(env, e.right)
-        return [(x1 | x2, _conj(phi1, phi2))
-                for x1, phi1 in _pairs(env, e.left) for x2, phi2 in right]
-    if isinstance(e, Star):
-        return [(frozenset(), TOP)]
-    if isinstance(e, Constraint):
-        return [(xs, _conj(e.formula, psi)) for xs, psi in _pairs(env, e.child)]
-    raise TypeError(e)
+            out = [(xs | x2, psi) for x2, psi in _pairs(env, e.child)]
+    elif isinstance(e, Sum):
+        out = _pairs(env, e.left) + _pairs(env, e.right)
+    elif isinstance(e, Star):
+        out = [(frozenset(), TOP)]
+    elif isinstance(e, Constraint):
+        out = [(xs, _conj(e.formula, psi)) for xs, psi in _pairs(env, e.child)]
+    else:
+        raise TypeError(e)
+    for left in reversed(lefts):
+        out = [(x1 | x2, _conj(phi1, phi2))
+               for x1, phi1 in _pairs(env, left) for x2, phi2 in out]
+    return out
 
 
 def indicator_pairs(env: Environment, e: Expr):
-    """The indicator set of a sum-only e, lazily, in canonical order.
+    """The indicator set of e, lazily, in canonical order.
 
     The order sorts by the erased variables (in the environment's letter
     order), then by the printed residual formula; of two pairs that print
     alike, the later one is kept. The pairs are grouped by their erased
     variables before any erasure, and a group is erased, printed and sorted
-    only when the iteration reaches it. The caller checks that e is sum-only.
+    only when the iteration reaches it.
     """
     groups: dict = {}
     for xs, phi in _pairs(env, e):
@@ -113,12 +117,12 @@ def indicator_pairs(env: Environment, e: Expr):
 
 def indicator_set(env: Environment, e: Expr) -> IndicatorSet:
     """The S-epsilon reduction of empty-word membership to satisfiability."""
-    return tuple(indicator_pairs(env, check_sum_only(e)))
+    return tuple(indicator_pairs(env, e))
 
 
 def null_fixed_via_indicator(interp: Interpretation, r: Realization, e: Expr) -> bool:
-    """Empty-word test through the indicator set (sum-only expressions)."""
-    for xs, phi in indicator_pairs(interp.env, check_sum_only(e)):
+    """Empty-word test through the indicator set."""
+    for xs, phi in indicator_pairs(interp.env, e):
         if all(r(x) == "" for x in xs) and eval_formula(interp, r, phi):
             return True
     return False

@@ -15,8 +15,8 @@ from typing import Iterable, Optional, Tuple
 
 from .semantics import FiniteRelation, Interpretation, Realization, eval_formula
 from .syntax import (
-    Bool, Cat, Constraint, Empty, Environment, Expr, Formula, Match, Star,
-    Word, connective, expr_variables, tree_variables,
+    Cat, Constraint, Empty, Environment, Expr, Formula, Match, Star, Sum,
+    Word, expr_variables, tree_variables,
 )
 
 
@@ -33,9 +33,8 @@ def enumerate_language(rx: Expr, max_len: int) -> frozenset:
         return frozenset({rx.letters} if len(rx.letters) <= max_len else ())
     if isinstance(rx, Empty):
         return frozenset()
-    if isinstance(rx, Bool):
-        return (enumerate_language(rx.children[0], max_len)
-                | enumerate_language(rx.children[1], max_len))
+    if isinstance(rx, Sum):
+        return enumerate_language(rx.left, max_len) | enumerate_language(rx.right, max_len)
     if isinstance(rx, Match):
         return enumerate_language(rx.child, max_len) & {rx.word}
     if isinstance(rx, Cat):
@@ -70,9 +69,8 @@ def brute_membership_fixed_r(interp: Interpretation, r: Realization,
             out = False
         elif isinstance(node, Match):
             out = word == r.realize(node.word) and member(node.child, word)
-        elif isinstance(node, Bool):
-            _, truth = connective(node.op)
-            out = bool(truth(*(member(c, word) for c in node.children)))
+        elif isinstance(node, Sum):
+            out = member(node.left, word) or member(node.right, word)
         elif isinstance(node, Cat):
             out = any(member(node.left, word[:i]) and member(node.right, word[i:])
                       for i in range(len(word) + 1))

@@ -29,7 +29,7 @@ from .errors import ParseError
 from .syntax import (
     AND, CAT, IMPLIES, NOT, OR, TRUE, FALSE,
     App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Term, Var, Word, EPS_TERM, as_mixed_word, check_tree, sum_expr,
+    Match, Star, Sum, Term, Var, Word, EPS_TERM, as_mixed_word, check_tree,
 )
 
 _PUNCT = ["-|", "&&", "||", "->", "(", ")", "*", "+", "|", "!", ","]
@@ -164,7 +164,7 @@ class _Parser:
         e = self.cat()
         while self.peek().kind == "+":
             self.next()
-            e = sum_expr(e, self.cat())
+            e = Sum(e, self.cat())
         return e
 
     def cat(self) -> Expr:
@@ -320,6 +320,7 @@ def parse_term(text: str, env: Environment) -> Term:
 
 _SECTIONS = ("alphabet", "variables", "predicates", "functions")
 _NAME = re.compile(r"[A-Za-z_]\w*\Z")
+_ARITY = re.compile(r"[0-9]+\Z")  # ASCII digits only: int() rejects "²"
 
 
 def parse_environment(text: str) -> Environment:
@@ -357,7 +358,7 @@ def parse_environment(text: str) -> Environment:
             target = predicates if key == "predicates" else functions
             for entry in entries:
                 name, slash, arity = entry.partition("/")
-                if not slash or not arity.isdigit() or not _NAME.match(name):
+                if not slash or not _ARITY.match(arity) or not _NAME.match(name):
                     raise ParseError("expected name/arity, found %r" % entry,
                                      lineno, raw.index(entry) + 1)
                 if name in predicates or name in functions:

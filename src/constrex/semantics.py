@@ -17,8 +17,8 @@ from .derivation import const_null
 from .errors import ConfigError
 from .syntax import (
     CAT, EPSILON,
-    Atom, Bool, Cat, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Term, Var, Word, check_sum_only, connective, regex_str, sum_expr,
+    Atom, Cat, Constraint, Empty, Environment, Expr, Formula,
+    Match, Star, Sum, Term, Var, Word, connective, regex_str,
 )
 
 
@@ -180,7 +180,7 @@ def eval_formula(interp: Interpretation, r: Realization, phi: Formula) -> bool:
 def regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
     """The variable-free, constraint-free expression with the same
     (I,r)-language."""
-    return _regularize(interp, r, check_sum_only(e))
+    return _regularize(interp, r, e)
 
 
 def _regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
@@ -193,9 +193,8 @@ def _regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
         out = Word(r.realize(e.letters))
     elif isinstance(e, Empty):
         out = e
-    elif isinstance(e, Bool):
-        out = sum_expr(_regularize(interp, r, e.children[0]),
-                       _regularize(interp, r, e.children[1]))
+    elif isinstance(e, Sum):
+        out = Sum(_regularize(interp, r, e.left), _regularize(interp, r, e.right))
     elif isinstance(e, Star):
         out = Star(_regularize(interp, r, e.child))
     elif isinstance(e, Constraint):
@@ -220,8 +219,8 @@ def regex_derivative(rx: Expr, a: str) -> frozenset:
         return frozenset()
     if isinstance(rx, Empty):
         return frozenset()
-    if isinstance(rx, Bool):
-        return regex_derivative(rx.children[0], a) | regex_derivative(rx.children[1], a)
+    if isinstance(rx, Sum):
+        return regex_derivative(rx.left, a) | regex_derivative(rx.right, a)
     if isinstance(rx, Match):
         if rx.word and rx.word[0] == a:
             return frozenset(Match(rx.word[1:], d) for d in regex_derivative(rx.child, a))

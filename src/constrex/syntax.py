@@ -6,8 +6,8 @@ Terms, formulas and expressions are immutable dataclass trees; every operation
 here is a pure function, so values can be shared freely across threads.
 `walk` yields the nodes of any such tree from an explicit stack; the validator
 `check_tree` and the collectors (`as_mixed_word`, `subterms`,
-`tree_variables`, `expr_variables`, `check_sum_only`) read it, so they accept
-trees of any depth.
+`tree_variables`, `expr_variables`) read it, so they accept trees of any
+depth.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Union
 
-from .errors import ConfigError, PreconditionError, UnsupportedOperatorError
+from .errors import ConfigError, PreconditionError
 
 # Internal names of the two function symbols every environment carries.
 CAT = "·"
@@ -25,7 +25,7 @@ RESERVED_NAMES = frozenset({"eps", "empty", "true", "false"})
 
 
 # ---------------------------------------------------------------------------
-# boolean operator registry (shared by formula connectives and Bool nodes)
+# boolean connective registry (the tags of formula Conn nodes)
 
 TRUE, FALSE, NOT, AND, OR, IMPLIES = "true", "false", "not", "and", "or", "implies"
 
@@ -40,7 +40,7 @@ _CONNECTIVES: dict = {
 
 
 def register_connective(tag: str, arity: int, truth: Callable) -> None:
-    """Register a k-ary boolean operator usable in Conn and Bool nodes."""
+    """Register a k-ary boolean connective usable in formula Conn nodes."""
     _CONNECTIVES[tag] = (arity, truth)
 
 
@@ -199,9 +199,9 @@ class Empty:
 
 
 @dataclass(frozen=True)
-class Bool:
-    op: str
-    children: tuple
+class Sum:
+    left: "Expr"
+    right: "Expr"
 
 
 @dataclass(frozen=True)
@@ -227,16 +227,7 @@ class Match:
     child: "Expr"
 
 
-Expr = Union[Word, Empty, Bool, Cat, Star, Constraint, Match]
-
-
-def sum_expr(left: Expr, right: Expr) -> Bool:
-    """The binary sum, the only Bool shape the derivative rules cover."""
-    return Bool(OR, (left, right))
-
-
-def is_sum(e: Expr) -> bool:
-    return isinstance(e, Bool) and e.op == OR and len(e.children) == 2
+Expr = Union[Word, Empty, Sum, Cat, Star, Constraint, Match]
 
 
 def variables_of(env: Environment, alpha: str) -> frozenset:
@@ -256,7 +247,7 @@ _CHILDREN_REVERSED = {
     Conn: lambda n: n.children[::-1],
     Word: lambda n: (),
     Empty: lambda n: (),
-    Bool: lambda n: n.children[::-1],
+    Sum: lambda n: (n.right, n.left),
     Cat: lambda n: (n.right, n.left),
     Star: lambda n: (n.child,),
     Constraint: lambda n: (n.formula, n.child),
@@ -315,11 +306,10 @@ def check_tree(env: Environment, root):
             if len(node.args) != arity:
                 raise ConfigError("predicate %r expects %d arguments, got %d"
                                   % (node.pred, arity, len(node.args)))
-        elif kind is Conn or kind is Bool:
-            tag = node.tag if kind is Conn else node.op
-            arity, _ = connective(tag)
+        elif kind is Conn:
+            arity, _ = connective(node.tag)
             if len(node.children) != arity:
-                raise ConfigError("operator %r expects %d operands" % (tag, arity))
+                raise ConfigError("operator %r expects %d operands" % (node.tag, arity))
         elif kind is Match:
             env.check_word(node.word)
     return root
@@ -345,20 +335,6 @@ def expr_variables(env: Environment, e: Expr) -> frozenset:
         elif isinstance(node, Match):
             names |= variables_of(env, node.word)
     return frozenset(names)
-
-
-def check_sum_only(e: Expr) -> Expr:
-    """Return e if every Bool node of e is the binary sum, else raise.
-
-    Derivatives, indicator sets and regularization are defined for sums only;
-    each of their public entries calls this once, so the recursions need not.
-    """
-    for node in walk(e):
-        if type(node) is Bool and not is_sum(node):
-            raise UnsupportedOperatorError(
-                "only the binary sum is supported as a boolean expression "
-                "node, got %r" % node.op)
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +377,8 @@ def subst_expr(env: Environment, e: Expr, m: Substitution) -> Expr:
         return Word(subst_word(e.letters, m))
     if isinstance(e, Empty):
         return e
-    if isinstance(e, Bool):
-        return Bool(e.op, tuple(subst_expr(env, c, m) for c in e.children))
+    if isinstance(e, Sum):
+        return Sum(subst_expr(env, e.left, m), subst_expr(env, e.right, m))
     if isinstance(e, Cat):
         return Cat(subst_expr(env, e.left, m), subst_expr(env, e.right, m))
     if isinstance(e, Star):
@@ -542,9 +518,8 @@ def _cat_factors(e: Expr) -> list:
 
 def _printer(levels: dict, match_operand: int, match_glyph: str):
     """The expression printer of one notation, given as data: the level of
-    each node type (higher binds tighter; an unlisted type, or a boolean node
-    other than the sum, is atomic), the level of a match's operand and the
-    match glyph. A constraint in a notation without its level raises
+    each node type (higher binds tighter), the level of a match's operand and
+    the match glyph. A constraint in a notation without its level raises
     TypeError, as does a node of no expression type."""
     star = levels[Star]
 
@@ -554,7 +529,7 @@ def _printer(levels: dict, match_operand: int, match_glyph: str):
             return word_str(e.letters)
         if kind is Empty:
             return "empty"
-        own = levels.get(kind, star + 1)
+        own = levels.get(kind)
         if kind is Star:
             child = e.child
             s = show(child, 0)
@@ -563,10 +538,8 @@ def _printer(levels: dict, match_operand: int, match_glyph: str):
             s = (s if atomic else "(" + s + ")") + "*"
         elif kind is Cat:
             s = " ".join([show(f, star) for f in _cat_factors(e)])
-        elif kind is Bool:
-            if not is_sum(e):
-                return "%s(%s)" % (e.op, ", ".join(show(c, 0) for c in e.children))
-            s = show(e.children[0], own) + " + " + show(e.children[1], own + 1)
+        elif kind is Sum:
+            s = show(e.left, own) + " + " + show(e.right, own + 1)
         elif kind is Match:
             s = word_str(e.word) + match_glyph + show(e.child, match_operand)
         elif kind is Constraint and kind in levels:
@@ -578,10 +551,10 @@ def _printer(levels: dict, match_operand: int, match_glyph: str):
     return show
 
 
-_expr_printer = _printer({Constraint: 1, Match: 2, Bool: 3, Cat: 4, Star: 5}, 2, " -| ")
+_expr_printer = _printer({Constraint: 1, Match: 2, Sum: 3, Cat: 4, Star: 5}, 2, " -| ")
 # A regular form reads `w -| E` as the intersection {w} & L(E), which binds
 # tighter than a sum; a regular form has no constraints.
-_regex_printer = _printer({Bool: 1, Match: 2, Cat: 3, Star: 4}, 3, " & ")
+_regex_printer = _printer({Sum: 1, Match: 2, Cat: 3, Star: 4}, 3, " & ")
 
 
 def expr_str(e: Expr) -> str:
@@ -602,5 +575,5 @@ for _cls in (Var, App):
     _cls.__str__ = lambda self: term_str(self)
 for _cls in (Atom, Conn):
     _cls.__str__ = lambda self: formula_str(self)
-for _cls in (Word, Empty, Bool, Cat, Star, Constraint, Match):
+for _cls in (Word, Empty, Sum, Cat, Star, Constraint, Match):
     _cls.__str__ = lambda self: expr_str(self)

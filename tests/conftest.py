@@ -9,9 +9,9 @@ import pytest
 
 from constrex import (
     Cat, Constraint, Empty, FiniteRelation, Interpretation, Match, Realization,
-    Star, TableFunction, Witness, Word,
+    Star, Sum, TableFunction, Witness, Word,
     eval_term, normalize_formula, normalize_term, parse_environment,
-    parse_expression, prop_alphabet, separator_word, sum_expr, term_of_word,
+    parse_expression, prop_alphabet, separator_word, term_of_word,
     term_str, terms_of_formula,
 )
 from constrex.syntax import (
@@ -147,7 +147,7 @@ def rand_formula(rng, env, depth):
 
 
 def rand_expr(rng, env, depth):
-    """A random sum-only constrained expression."""
+    """A random constrained expression."""
     letters = list(env.symbols) + list(env.variables)
     roll = rng.random()
     if depth <= 0 or roll < 0.3:
@@ -157,7 +157,7 @@ def rand_expr(rng, env, depth):
     if roll < 0.54:
         return Cat(rand_expr(rng, env, depth - 1), rand_expr(rng, env, depth - 1))
     if roll < 0.68:
-        return sum_expr(rand_expr(rng, env, depth - 1), rand_expr(rng, env, depth - 1))
+        return Sum(rand_expr(rng, env, depth - 1), rand_expr(rng, env, depth - 1))
     if roll < 0.8:
         return Star(rand_expr(rng, env, depth - 1))
     if roll < 0.92:

@@ -200,6 +200,39 @@ def test_derive_on_a_3000_symbol_catenation(env_file, capsys):
     assert out.splitlines() == ["eps %s\t{}" % letters[4:]]
 
 
+LONG = " ".join("ab" * 1500)
+
+
+@pytest.mark.parametrize("argv, status, lines", [
+    (("check-free", "--expr", LONG, "--word", "ab"), 1, ["REJECT"]),
+    (("check-free", "--expr", LONG, "--word", "ab" * 1500), 0, ["ACCEPT"]),
+    (("indicator", "--expr", LONG), 0, []),
+    (("indicator", "--expr", " ".join("xy" * 1500)), 0, ["{x,y} :: true"]),
+], ids=["check-free-reject", "check-free-accept", "indicator-none", "indicator-xy"])
+def test_free_pipeline_on_a_3000_symbol_catenation(env_file, capsys, argv, status, lines):
+    assert run([argv[0], "--env", env_file, *argv[1:]]) == status
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == lines
+
+
+@pytest.mark.parametrize("env_bytes, expr_bytes", [
+    (ENV3_TEXT.replace("sim/2", "sim/\u00b2").encode(), None),
+    (b"alphabet: a b\n\xff\n", None),
+    (ENV3_TEXT.encode(), b"a \xff"),
+], ids=["superscript-arity", "undecodable-env", "undecodable-expr-file"])
+def test_malformed_files_exit_2(tmp_path, capsys, env_bytes, expr_bytes):
+    env_path, expr_path = tmp_path / "env.txt", tmp_path / "expr.txt"
+    env_path.write_bytes(env_bytes)
+    expr_path.write_bytes(expr_bytes or b"a")
+    status = run(["indicator", "--env", str(env_path), "--expr-file", str(expr_path)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_regularize_on_a_3000_symbol_catenation(env_file, capsys):
     letters = " ".join("ab" * 1500)
     status, out = invoke(capsys, "regularize", "--env", env_file, "--expr", letters,

@@ -7,13 +7,13 @@ import time
 import pytest
 
 from constrex import (
-    PreconditionError, UnsupportedOperatorError,
+    PreconditionError,
     associated_realization, brute_membership_fixed_r, check_subst_set,
     derive_expr, derive_expr_word, derive_paths, derive_word, parse_expression,
     simplify, subst_set_str,
 )
 from constrex.derivation import const_null, simplify_expr
-from constrex.syntax import Bool, Cat, Empty, Match, Word, expr_str
+from constrex.syntax import Cat, Empty, Match, Word, expr_str
 
 from conftest import rand_expr, rand_realization
 
@@ -110,15 +110,6 @@ def test_derive_rejects_non_symbol_letters(env3):
     for a in ("x", "", "ab"):
         with pytest.raises(PreconditionError):
             derive_expr(env3, Word("a"), a)
-
-
-def test_derive_rejects_general_operators(env3):
-    e = Bool("not", (Word("a"),))
-    # deriving b . not(a) by a never reaches the node, yet it is rejected
-    for expr in (e, Cat(Word("b"), e)):
-        for derive in (derive_expr, derive_expr_word, derive_paths):
-            with pytest.raises(UnsupportedOperatorError):
-                derive(env3, expr, "a")
 
 
 def test_derive_paths_is_lazy(env3):

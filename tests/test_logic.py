@@ -9,14 +9,14 @@ import time
 import pytest
 
 from constrex import (
-    ConfigError, Constraint, FiniteRelation, Match, TruthTableLimitError,
+    ConfigError, Constraint, FiniteRelation, Match, Sum, TruthTableLimitError,
     UnsupportedAlphabetError, Word,
     brute_membership_fixed_r, brute_satisfiable_free, build_witness, derive_expr,
     derive_paths, eval_formula, eval_term, indicator_set, left_dot_level,
     membership_general, normalize_formula, normalize_term, null_general,
     parse_environment, parse_expression, parse_formula, parse_term, prop_alphabet,
     sample_interpretations, sat_truth_table, satisfiable_free, separator_word,
-    sum_expr, terms_of_formula,
+    terms_of_formula,
 )
 from constrex import syntax
 from constrex.logic import is_normalized, void_test
@@ -571,6 +571,15 @@ def test_void_test_shapes(env3, text, void):
     assert void_test(env3, 20)(parse_expression(text, env3)) is void
 
 
+def test_void_test_walks_long_catenations(env3):
+    letters = " ".join("ab" * (DEEP // 2))
+    void = void_test(env3, 20)
+    with recursion_headroom():
+        assert not void(parse_expression(letters, env3))
+        assert void(parse_expression(letters + " empty", env3))
+        assert void(parse_expression("empty " + letters, env3))
+
+
 def test_void_test_uses_a_re_registered_builtin(env3, monkeypatch):
     # and/or joins are taken as satisfiable only under their built-in meaning
     monkeypatch.setattr(syntax, "_CONNECTIVES", dict(syntax._CONNECTIVES))
@@ -630,12 +639,12 @@ def test_constraint_over_the_limit_is_not_cut(env3):
     assert void_test(env3, 4)(Constraint(x, big))
     a, ax = Word("a"), Word("ax")
     # derived by a, the constraint's state is the only one, then the first
-    for e in (Constraint(ax, big), sum_expr(Constraint(a, big), ax)):
+    for e in (Constraint(ax, big), Sum(Constraint(a, big), ax)):
         with pytest.raises(TruthTableLimitError):
             _eager_membership(env3, e, "a", 3)
         with pytest.raises(TruthTableLimitError):
             membership_general(env3, e, "a", 3)
-    e = sum_expr(a, Constraint(ax, big))
+    e = Sum(a, Constraint(ax, big))
     assert _lazy_membership(env3, e, "a", 3) == _eager_membership(env3, e, "a", 3)
     assert _lazy_membership(env3, e, "a", 3) is not None
     # a formula below a cut state never reaches the SAT search: the eager

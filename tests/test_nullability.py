@@ -2,24 +2,24 @@
 
 import random
 
-import pytest
-
 from constrex import (
-    Realization, UnsupportedOperatorError,
+    Realization,
     const_null, erase_vars, null_fixed, null_fixed_via_indicator, parse_environment,
     parse_expression, parse_formula, regularize,
 )
-from constrex import nullability, syntax
+from constrex import nullability
 from constrex.nullability import (
     check_erasure, indicator_pair_str, indicator_pairs, indicator_set,
 )
-from constrex.logic import membership_general, null_general
+from constrex.logic import null_general
 from constrex.syntax import (
-    AND, TOP, Bool, Cat, Conn, Constraint, Empty, Match, Star, Word, formula_str,
-    register_connective, variables_of,
+    AND, TOP, Cat, Conn, Constraint, Empty, Match, Star, Sum, Word, formula_str,
+    variables_of,
 )
 
-from conftest import FUZZ_SCALE, rand_expr, rand_realization
+from conftest import (
+    DEEP, FUZZ_SCALE, rand_expr, rand_realization, recursion_headroom,
+)
 
 
 def view(env, e):
@@ -33,15 +33,6 @@ def test_null_fixed_base_cases(env3, interp_len):
     assert null_fixed(interp_len, r_empty, parse_expression("x", env3)) is True
     r = Realization(env3, {"x": "a"})
     assert null_fixed(interp_len, r, parse_expression("x", env3)) is False
-
-
-def test_null_fixed_general_operator(env3, interp_len, monkeypatch):
-    monkeypatch.setattr(syntax, "_CONNECTIVES", dict(syntax._CONNECTIVES))
-    register_connective("nand", 2, lambda p, q: not (p and q))
-    e = Bool("nand", (Word("a"), Word("")))
-    r = Realization(env3)
-    # Null(a) = 0, Null(eps) = 1, nand(0, 1) = 1
-    assert null_fixed(interp_len, r, e) is True
 
 
 def test_erase_vars_examples(env3):
@@ -66,18 +57,14 @@ def test_indicator_set_sum_union(env3):
     assert view(env3, e) == ["{x} :: true"]
 
 
-def test_indicator_rejects_general_operators(env3, monkeypatch):
-    monkeypatch.setattr(syntax, "_CONNECTIVES", dict(syntax._CONNECTIVES))
-    register_connective("nand", 2, lambda p, q: not (p and q))
-    e = Bool("nand", (Word("a"), Word("")))
-    # the indicator rule for a star never visits the node, yet it is rejected
-    for expr in (e, Star(e)):
-        with pytest.raises(UnsupportedOperatorError):
-            indicator_set(env3, expr)
-        with pytest.raises(UnsupportedOperatorError):
-            null_general(env3, expr)
-        with pytest.raises(UnsupportedOperatorError):
-            membership_general(env3, expr, "a")
+def test_indicator_pairs_walk_long_catenations(env3):
+    factors = " ".join(["x", "b*"] * (DEEP // 2))
+    erasable = parse_expression(factors + " (y | lt(y, a))", env3)
+    blocked = parse_expression(factors + " a", env3)
+    with recursion_headroom():
+        assert indicator_set(env3, erasable) == (
+            (frozenset("xy"), parse_formula("lt(eps, a)", env3)),)
+        assert indicator_set(env3, blocked) == ()
 
 
 def test_null_via_indicator_examples(env3, interp_len, interp_leneq, e1):
@@ -156,8 +143,8 @@ def eager_indicator_set(env, e):
             if all(env.is_variable(c) for c in e.word):
                 return otimes([(variables_of(env, e.word), TOP)], pairs(e.child))
             return []
-        if isinstance(e, Bool):
-            return pairs(e.children[0]) + pairs(e.children[1])
+        if isinstance(e, Sum):
+            return pairs(e.left) + pairs(e.right)
         if isinstance(e, Cat):
             return otimes(pairs(e.left), pairs(e.right))
         if isinstance(e, Star):

@@ -8,7 +8,7 @@ from constrex import (
     enumerate_language, eval_formula, membership_fixed, membership_general,
     parse_expression, parse_formula,
 )
-from constrex.syntax import Cat, Empty, Star, Word, sum_expr
+from constrex.syntax import Cat, Empty, Star, Sum, Word
 
 from conftest import rand_expr, rand_realization
 
@@ -17,7 +17,7 @@ def test_enumerate_language_examples():
     rx = Cat(Word("aba"), Cat(Star(Word("b")), Word("aa")))
     assert "ababbbaa" in enumerate_language(rx, 8)
     assert enumerate_language(Empty(), 5) == frozenset()
-    rx2 = Star(sum_expr(Word("a"), Word("b")))
+    rx2 = Star(Sum(Word("a"), Word("b")))
     assert enumerate_language(rx2, 2) == frozenset(
         {"", "a", "b", "aa", "ab", "ba", "bb"})
 

@@ -6,15 +6,15 @@ import random
 import pytest
 
 from constrex import (
-    ConfigError, Interpretation, Realization, UnsupportedOperatorError,
+    ConfigError, Interpretation, Realization,
     const_null, enumerate_language, eval_formula, eval_term, membership_fixed,
     parse_expression, parse_formula, parse_term, regex_derivative, regex_str,
     regularize,
 )
 from constrex import syntax
 from constrex.syntax import (
-    AND, BOT, IMPLIES, NOT, OR, TOP, Atom, Bool, Cat, Conn, Constraint, Empty,
-    Match, Star, Word, expr_str, formula_str, register_connective, sum_expr,
+    AND, BOT, IMPLIES, NOT, OR, TOP, Atom, Cat, Conn, Constraint, Empty,
+    Match, Star, Sum, Word, expr_str, formula_str, register_connective,
 )
 
 from conftest import (
@@ -90,16 +90,6 @@ def test_regularize_e2(env3, interp_len, r2):
     assert enumerate_language(rx, 8) == frozenset({"ababbbaa"})
 
 
-def test_regularize_rejects_general_operators(env3, interp_len, r1):
-    e = Bool("not", (Word("a"),))
-    # a false constraint hides the node from regularization, yet it is rejected
-    for expr in (e, Constraint(e, BOT)):
-        with pytest.raises(UnsupportedOperatorError):
-            regularize(interp_len, r1, expr)
-        with pytest.raises(UnsupportedOperatorError):
-            membership_fixed(interp_len, r1, expr, "a")
-
-
 def test_regularize_is_variable_free(env3, interp_len):
     rng = random.Random(5)
 
@@ -109,10 +99,7 @@ def test_regularize_is_variable_free(env3, interp_len):
         elif isinstance(rx, Match):
             yield rx.word
             yield from literals(rx.child)
-        elif isinstance(rx, Bool):
-            for child in rx.children:
-                yield from literals(child)
-        elif isinstance(rx, Cat):
+        elif isinstance(rx, (Sum, Cat)):
             yield from literals(rx.left)
             yield from literals(rx.right)
         elif isinstance(rx, Star):
@@ -171,7 +158,7 @@ def test_printers_match_recorded_digest(env3, interp_len):
     for _ in range(1000):
         rx = regularize(interp_len, rand_realization(rng, env3), rand_expr(rng, env3, 4))
         word = rand_word(rng, list(env3.symbols))
-        for form in (rx, sum_expr(Match(word, rx), rx)):
+        for form in (rx, Sum(Match(word, rx), rx)):
             digest.update(("%s\n%s\n" % (regex_str(form), expr_str(form))).encode())
     for _ in range(2000):
         digest.update((formula_str(_rand_printed_formula(rng, env3, 4)) + "\n").encode())
@@ -185,10 +172,6 @@ def test_regex_str_rejects_what_is_not_a_regular_form():
         regex_str(Constraint(Word("a"), TOP))
     with pytest.raises(TypeError):
         regex_str(Cat(Word("a"), Constraint(Word("a"), TOP)))
-    # a boolean node other than the sum prints in prefix form in both notations
-    e = Bool("not", (Word("a"),))
-    assert regex_str(e) == expr_str(e) == "not(a)"
-    assert regex_str(Match("a", e)) == "a & not(a)"
 
 
 def test_regularize_walks_long_catenations(env3, interp_len, r1):
@@ -204,7 +187,7 @@ def test_regularize_walks_long_catenations(env3, interp_len, r1):
 def test_regex_derivative_examples():
     assert regex_derivative(Word("a"), "a") == frozenset({Word("")})
     assert regex_derivative(Word("b"), "a") == frozenset()
-    rx = Match("ab", sum_expr(Word("a"), Word("ab")))
+    rx = Match("ab", Sum(Word("a"), Word("ab")))
     assert regex_derivative(rx, "a") == frozenset({
         Match("b", Word("")), Match("b", Word("b"))})
 

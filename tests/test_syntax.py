@@ -14,7 +14,7 @@ from constrex import (
 )
 from constrex.errors import ConfigError
 from constrex.syntax import (
-    EPS_TERM, check_sum_only, check_tree, expr_variables, formula_str,
+    EPS_TERM, check_tree, expr_variables, formula_str,
     subst_expr, subst_formula, subst_word, tree_variables, walk,
 )
 
@@ -241,7 +241,6 @@ def test_deep_trees_are_walked_without_recursion(env3):
         assert tree_variables(t) == {"x"}
         assert tree_variables(Atom("sim", (t, t))) == {"x"}
         assert expr_variables(env3, Constraint(e, Atom("lt", (t, App("b"))))) == {"x"}
-        assert check_sum_only(e) is e
         assert expr_str(e) == " ".join(letters)
         with pytest.raises(ConfigError, match="'w' is not a letter"):
             check_tree(env3, Cat(e, Word("w")))
