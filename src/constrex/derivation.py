@@ -54,27 +54,6 @@ def const_null(e: Expr) -> bool:
     return False
 
 
-def may_null(env: Environment, e: Expr) -> bool:
-    """False only if the empty word is denoted under no interpretation and realization.
-
-    Variables may be realized empty and constraints may hold, so this reads
-    the shape of e only; it errs on the side of True.
-    """
-    if isinstance(e, Word):
-        return all(env.is_variable(c) for c in e.letters)
-    if isinstance(e, Star):
-        return True
-    if isinstance(e, Cat):
-        return may_null(env, e.left) and may_null(env, e.right)
-    if isinstance(e, Sum):
-        return may_null(env, e.left) or may_null(env, e.right)
-    if isinstance(e, Match):
-        return all(env.is_variable(c) for c in e.word) and may_null(env, e.child)
-    if isinstance(e, Constraint):
-        return may_null(env, e.child)
-    return False
-
-
 def _odot_left(env, pairs, right: Expr):
     """pairs (.) F: append the substituted factor on the right."""
     return [(Cat(e, apply_subst_set(env, right, X)), X) for e, X in pairs]
@@ -160,44 +139,48 @@ def derive_expr_word(env: Environment, e: Expr, w: str) -> DerivativeSet:
 
 
 def derive_paths(env: Environment, e: Expr, w: str,
-                 keep: Optional[Callable[[Expr], bool]] = None):
+                 keep: Optional[Callable[[Expr, int], bool]] = None):
     """The (derived expression, substitution-set chain) paths along w, lazily.
 
     The input and every letter of w are checked at call time; the paths then
     come from a generator that walks the canonical derivative sets depth
     first, in the order of the sets, so the paths arrive in the order of
-    deriving every path by each letter in turn. A state for which keep is
-    false, the input included, is neither yielded nor derived further.
+    deriving every path by each letter in turn. keep(state, i) is asked of
+    each state entered, the input included, where i is the number of
+    letters of w read to reach it (0 for the input, len(w) for the end of a
+    path), so w[i:] is what the state has yet to read. A state for which
+    keep is false is neither yielded nor derived further.
     """
     _check_symbols(env, w)
     return _walk_paths(env, e, w, keep)
 
 
 def _walk_paths(env: Environment, e: Expr, w: str, keep):
-    if keep is not None and not keep(e):
+    if keep is not None and not keep(e, 0):
         return
     if w == "":
         yield e, []
         return
     # stack[i] iterates the derivative set by w[i] of the path's state after
-    # i letters; chain holds the substitution sets of the states entered so
-    # far, one fewer than the stack holds
+    # i letters, so its states have read i + 1; chain holds the substitution
+    # sets of the states entered so far, one fewer than the stack holds
     chain: list = []
     stack = [iter(canonical(env, _derive(env, e, w[0])))]
     while stack:
+        read = len(stack)
         for e2, X in stack[-1]:
-            if keep is None or keep(e2):
+            if keep is None or keep(e2, read):
                 break
         else:
             stack.pop()
             if chain:
                 chain.pop()
             continue
-        if len(stack) == len(w):
+        if read == len(w):
             yield e2, chain + [X]
         else:
             chain.append(X)
-            stack.append(iter(canonical(env, _derive(env, e2, w[len(stack)]))))
+            stack.append(iter(canonical(env, _derive(env, e2, w[read]))))
 
 
 def associated_realization(r, X: frozenset):

@@ -19,18 +19,19 @@ edges, like a variable, so the letters on either side of it stay visible.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .errors import ConfigError, TruthTableLimitError, UnsupportedAlphabetError
-from .derivation import derive_paths, may_null
+from .derivation import derive_paths
 from .nullability import indicator_pairs
 from .semantics import FiniteRelation, Interpretation, Realization, TableFunction
 from .syntax import (
     AND, CAT, EPSILON, EPS_TERM, NOT, OR,
-    App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula, Match,
-    Sum, Term, Var,
+    App, Atom, Cat, Conn, Constraint, Environment, Expr, Formula, Match,
+    Star, Sum, Term, Var, Word,
     connective, term_str, tree_variables, walk,
 )
 
@@ -368,17 +369,42 @@ def _positive(phi: Formula) -> bool:
             and all(_positive(c) for c in phi.children))
 
 
-def void_test(env: Environment, max_props: int) -> Callable[[Expr], bool]:
-    """A test for states that denote the empty language under every (I, r).
+def letter_need(env: Environment, max_props: int) -> Callable[[Expr], Optional[tuple]]:
+    """What a state needs of the rest of the word, or None for a void state.
 
-    A state is void when it is empty, a catenation with a void factor, a sum
-    of two void children, a match or constraint with a void child, `eps -| c`
-    where c is never nullable, or a constraint whose formula is
-    unsatisfiable. A formula of atoms joined by and/or only is satisfiable;
-    any other is decided once by the SAT search, and one over more than
-    max_props symbols counts as satisfiable.
+    need(e) is a tuple that bounds from below, under every (I, r), the
+    letters of each word e denotes: first its length, then its copies of
+    each symbol of env.symbols, in their order. It is built bottom-up: a
+    word counts its symbol letters, since a variable may be realized empty;
+    a catenation adds; a sum takes the minimum over its non-void children;
+    a star needs nothing; a constraint passes its child's need; and
+    `w -| F` takes the maximum of w's and F's.
+
+    A state is void when it denotes the empty language under every (I, r):
+    it is empty, a catenation with a void factor, a sum of two void
+    children, a match or constraint with a void child, `eps -| c` where c
+    needs a letter, or a constraint whose formula is unsatisfiable. A
+    formula of atoms joined by and/or only is satisfiable; any other is
+    decided once by the SAT search, and one over more than max_props symbols
+    counts as satisfiable. One walk gives both answers.
     """
+    symbols = env.symbols
+    nothing = (0,) * (len(symbols) + 1)
+    words: Dict[str, tuple] = {}    # the need of each mixed word seen
     unsat: Dict[Formula, bool] = {}
+
+    def count(letters: str) -> tuple:
+        counts = [letters.count(a) for a in symbols]
+        out = words[letters] = (sum(counts), *counts) if any(counts) else nothing
+        return out
+
+    def combine(join, left: tuple, right: tuple) -> tuple:
+        # nothing is the unit of the sum and of the maximum
+        if left is nothing:
+            return right
+        if right is nothing:
+            return left
+        return tuple(map(join, left, right))
 
     def unsatisfiable(phi: Formula) -> bool:
         if _positive(phi):
@@ -392,23 +418,40 @@ def void_test(env: Environment, max_props: int) -> Callable[[Expr], bool]:
             unsat[phi] = known
         return known
 
-    def void(e: Expr) -> bool:
-        # a catenation's right spine is a loop, its left factors tested first
-        while isinstance(e, Cat):
-            if void(e.left):
-                return True
+    def need(e: Expr) -> Optional[tuple]:
+        # a catenation's right spine is a loop, its left factors walked first
+        total = nothing
+        while type(e) is Cat:
+            left = need(e.left)
+            if left is None:
+                return None
+            total = combine(operator.add, total, left)
             e = e.right
-        if isinstance(e, Empty):
-            return True
-        if isinstance(e, Sum):
-            return void(e.left) and void(e.right)
-        if isinstance(e, Match):
-            return void(e.child) or (e.word == "" and not may_null(env, e.child))
-        if isinstance(e, Constraint):
-            return void(e.child) or unsatisfiable(e.formula)
-        return False
+        kind = type(e)
+        if kind is Word:
+            last = words.get(e.letters) or count(e.letters)
+        elif kind is Star:
+            last = nothing
+        elif kind is Sum:
+            left, right = need(e.left), need(e.right)
+            if left is None or right is None:
+                last = right if left is None else left
+            else:
+                last = tuple(map(min, left, right))
+        elif kind is Match:
+            child = need(e.child)
+            if child is None or (e.word == "" and child[0]):
+                return None
+            last = combine(max, words.get(e.word) or count(e.word), child)
+        elif kind is Constraint:
+            last = need(e.child)
+            if last is not None and unsatisfiable(e.formula):
+                return None
+        else:   # Empty
+            return None
+        return None if last is None else combine(operator.add, total, last)
 
-    return void
+    return need
 
 
 def membership_general(env: Environment, e: Expr, w: str,
@@ -417,16 +460,31 @@ def membership_general(env: Environment, e: Expr, w: str,
 
     The derived states are searched lazily, depth first in derivative-set
     order, and the search stops at the first one whose empty-word test
-    succeeds. States that void_test finds void are cut with everything
-    derived from them: they denote the empty language under every (I, r),
-    and so does every state derived from them, so the first success and its
-    witness are those of the full search. The returned realization is
-    rewound through the derivative chain, so the witness accepts w on the
+    succeeds. A state reached after reading i letters is cut, with
+    everything derived from it, when letter_need finds it void or finds it
+    needs more letters, or more of some symbol, than w[i:] holds: under no
+    (I, r) does it accept w[i:], so no path through it succeeds, and the
+    first success and its witness are those of the full search. The letters
+    of each suffix of w are counted once per query. The returned realization
+    is rewound through the derivative chain, so the witness accepts w on the
     original expression, not just the empty word on a derived one.
     """
     max_props = _resolve_max_props(max_props)
-    void = void_test(env, max_props)
-    for derived, chain in derive_paths(env, e, w, lambda s: not void(s)):
+    need = letter_need(env, max_props)
+
+    def keep(state: Expr, i: int) -> bool:
+        wanted = need(state)
+        return wanted is not None and all(map(operator.le, wanted, have[i]))
+
+    paths = derive_paths(env, e, w, keep)   # raises unless w is all symbols
+    # have[i]: the letters of w[i:], counted in need's order
+    counts = [0] * len(env.symbols)
+    have = [(0, *counts)]
+    for a in reversed(w):
+        counts[env.letter_rank[a]] += 1
+        have.append((len(have), *counts))
+    have.reverse()
+    for derived, chain in paths:
         witness = _null_general(env, derived, max_props)
         if witness is not None:
             r = witness.realization

@@ -38,9 +38,16 @@ def enumerate_language(rx: Expr, max_len: int) -> frozenset:
     if isinstance(rx, Match):
         return enumerate_language(rx.child, max_len) & {rx.word}
     if isinstance(rx, Cat):
-        left = enumerate_language(rx.left, max_len)
-        right = enumerate_language(rx.right, max_len)
-        return frozenset(u + v for u in left for v in right if len(u) + len(v) <= max_len)
+        # a catenation's right spine is a loop; its factors combine from the right
+        lefts = []
+        while isinstance(rx, Cat):
+            lefts.append(rx.left)
+            rx = rx.right
+        out = enumerate_language(rx, max_len)
+        for left in reversed(lefts):
+            out = frozenset(u + v for u in enumerate_language(left, max_len) for v in out
+                            if len(u) + len(v) <= max_len)
+        return out
     if not isinstance(rx, Star):
         raise TypeError(rx)
     child = enumerate_language(rx.child, max_len)

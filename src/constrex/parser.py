@@ -319,7 +319,7 @@ def parse_term(text: str, env: Environment) -> Term:
 # environment files
 
 _SECTIONS = ("alphabet", "variables", "predicates", "functions")
-_NAME = re.compile(r"[A-Za-z_]\w*\Z")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")  # ASCII only, as _IDENT reads
 _ARITY = re.compile(r"[0-9]+\Z")  # ASCII digits only: int() rejects "²"
 
 

@@ -220,7 +220,8 @@ def test_free_pipeline_on_a_3000_symbol_catenation(env_file, capsys, argv, statu
     (ENV3_TEXT.replace("sim/2", "sim/\u00b2").encode(), None),
     (b"alphabet: a b\n\xff\n", None),
     (ENV3_TEXT.encode(), b"a \xff"),
-], ids=["superscript-arity", "undecodable-env", "undecodable-expr-file"])
+    (ENV3_TEXT.replace("sim/2", "p\u00e9/1 sim/2").encode(), None),
+], ids=["superscript-arity", "undecodable-env", "undecodable-expr-file", "non-ascii-name"])
 def test_malformed_files_exit_2(tmp_path, capsys, env_bytes, expr_bytes):
     env_path, expr_path = tmp_path / "env.txt", tmp_path / "expr.txt"
     env_path.write_bytes(env_bytes)
@@ -239,6 +240,14 @@ def test_regularize_on_a_3000_symbol_catenation(env_file, capsys):
                          "--interp", INTERP, "--real", "")
     assert status == 0
     assert out.splitlines() == [letters]
+
+
+def test_regularize_oracle_on_a_3000_symbol_catenation(env_file, capsys):
+    # the oracle's enumeration loops down the catenation, as regularize does
+    status, out = invoke(capsys, "regularize", "--env", env_file, "--expr", LONG,
+                         "--interp", INTERP, "--real", "", "--oracle")
+    assert status == 0
+    assert out.splitlines() == [LONG, "oracle: agree"]
 
 
 @pytest.mark.parametrize("expr, word", [

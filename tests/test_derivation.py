@@ -143,17 +143,22 @@ def test_derive_paths_cuts_where_keep_fails(env3):
     (first, _), (second, _) = derive_expr(env3, e, "a")
     asked = []
 
-    def keep(state):
-        asked.append(state)
+    def keep(state, i):
+        asked.append((state, i))
         return state != first
 
     # the three paths through the first state after a are gone, and that
-    # state was neither yielded nor derived by b
+    # state was neither yielded nor derived by b; each state is asked with
+    # the number of letters read to reach it
     assert list(derive_paths(env3, e, "ab", keep)) == every[3:]
-    assert asked == [e, first, second, every[3][0]]
-    assert list(derive_paths(env3, e, "ab", lambda state: state != e)) == []
-    assert list(derive_paths(env3, e, "", lambda state: True)) == [(e, [])]
-    assert list(derive_paths(env3, e, "", lambda state: False)) == []
+    assert [state for state, _i in asked] == [e, first, second, every[3][0]]
+    assert [i for _state, i in asked] == [0, 1, 1, 2]
+    assert list(derive_paths(env3, e, "ab", lambda state, i: state != e)) == []
+    assert list(derive_paths(env3, e, "", lambda state, i: True)) == [(e, [])]
+    assert list(derive_paths(env3, e, "", lambda state, i: False)) == []
+    asked.clear()
+    assert list(derive_paths(env3, e, "", keep)) == [(e, [])]
+    assert asked == [(e, 0)]
 
 
 def test_simplify_examples(env3):

@@ -1,6 +1,7 @@
 """Normalization, propositionalisation, separators, witnesses, membership."""
 
 import itertools
+import operator
 import os
 import random
 import sys
@@ -18,8 +19,8 @@ from constrex import (
     sample_interpretations, sat_truth_table, satisfiable_free, separator_word,
     terms_of_formula,
 )
-from constrex import syntax
-from constrex.logic import is_normalized, void_test
+from constrex import derivation, syntax
+from constrex.logic import is_normalized, letter_need
 from constrex.oracle import realizations
 from constrex.syntax import (
     CAT, EPSILON, TOP, BOT, App, Atom, Conn, Var, connective, expr_variables,
@@ -28,7 +29,8 @@ from constrex.syntax import (
 
 from conftest import (
     DEEP, FUZZ_SCALE, NEXT_TO_AN_APPLICATION, factors, rand_expr, rand_formula,
-    rand_term, recursion_headroom, rewriting_witness, word_skeletons,
+    rand_realization, rand_term, recursion_headroom, rewriting_witness,
+    word_skeletons,
 )
 
 
@@ -549,6 +551,12 @@ def test_membership_general_matches_eager_search(request, env_name, draws):
     assert accepted >= 5 * draws * FUZZ_SCALE
 
 
+def void_test(env, max_props):
+    # letter_need gives None for a void state
+    need = letter_need(env, max_props)
+    return lambda e: need(e) is None
+
+
 @pytest.mark.parametrize("text, void", [
     ("empty", True),
     ("a empty x", True),
@@ -621,12 +629,60 @@ def test_void_states_denote_nothing(envp):
     assert cut >= 60 * FUZZ_SCALE
 
 
+@pytest.mark.parametrize("env_name, draws", [("env3", 60), ("envp", 60)])
+def test_letter_need_holds_on_accepted_words(request, env_name, draws):
+    # checked against the oracle only: every word of at most 4 letters that a
+    # sampled (I, r) accepts holds at least the letters the state needs, and
+    # a state that letter_need finds void (None) accepts none
+    env = request.getfixturevalue(env_name)
+    rng = random.Random("need " + env_name)
+    need = letter_need(env, 20)
+    interps = sample_interpretations(env, 8)
+    words = [""] + ["".join(t) for n in range(1, 5)
+                    for t in itertools.product(env.symbols, repeat=n)]
+    held = {w: (len(w), *(w.count(a) for a in env.symbols)) for w in words}
+    checked = 0
+    for _ in range(draws * FUZZ_SCALE):
+        e = rand_expr(rng, env, 3)
+        states = {e}
+        for w in ("a", "ba"):
+            states.update(s for s, _chain in derive_paths(env, e, w))
+        for s in sorted(states, key=str):
+            wanted = need(s)
+            for _ in range(3):
+                interp, r = rng.choice(interps), rand_realization(rng, env)
+                for w in words:
+                    if brute_membership_fixed_r(interp, r, s, w):
+                        assert wanted is not None, (str(s), w)
+                        assert all(map(operator.le, wanted, held[w])), (str(s), w)
+                        checked += any(wanted)
+    assert checked >= 2 * draws * FUZZ_SCALE, checked
+
+
 def test_unsatisfiable_constraint_is_cut_at_once(env3):
     # the eager search took 22 s at 16 letters; the cut leaves no path at all
     e = parse_expression("(x y + a)* z | sim(f(x), f(y)) && !sim(f(x), f(y))", env3)
     start = time.perf_counter()
     assert membership_general(env3, e, "ab" * 20) is None
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("w, most", [("ab" * 6, 0), ("ab" * 3 + "c" + "ab" * 3, 1100)])
+def test_states_short_of_letters_are_cut(env3, monkeypatch, w, most):
+    # the input needs a c: with none in the word it is cut at once, and
+    # after the c every state that still needs one is cut; the search
+    # without the cut calls _derive 4625 and 3974 times
+    e = parse_expression("(x y + a)* c | sim(f(x), f(y))", env3)
+    calls = [0]
+    derive = derivation._derive
+
+    def counted(*args):
+        calls[0] += 1
+        return derive(*args)
+
+    monkeypatch.setattr(derivation, "_derive", counted)
+    assert membership_general(env3, e, w) is None
+    assert calls[0] <= most
 
 
 def test_constraint_over_the_limit_is_not_cut(env3):

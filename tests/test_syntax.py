@@ -47,6 +47,13 @@ def test_parse_environment_malformed_arity_has_position():
     assert err.value.line == 2
 
 
+def test_parse_environment_rejects_names_the_tokenizer_cannot_read():
+    # a formula could never name pé: the tokenizer reads ASCII names only
+    with pytest.raises(ParseError) as err:
+        parse_environment("alphabet: a b\npredicates: sim/2 p\u00e9/1")
+    assert (err.value.line, err.value.column) == (2, 19)
+
+
 def test_parse_expression_e1_structure(env3):
     e = parse_expression("x b* y | sim(f(x), f(y))", env3)
     assert e == Constraint(
