@@ -5,15 +5,20 @@ Satisfiability of a constraint formula when neither the interpretation nor
 the realization is fixed reduces to propositional satisfiability: normalize
 the terms (right-associate catenations, drop eps units), read every atom
 as a propositional symbol indexed by its argument terms, and search for the
-lexicographically first satisfying assignment by backtracking with
-three-valued evaluation (after Davis, Logemann and Loveland, 1962). A
-satisfying assignment is turned back into a concrete witness
-(interpretation, realization) by binding variables and application nodes to
-separator words of the shape a b^p a, which keeps distinct normalized terms
-evaluating to distinct words. One counter gives the separators: the first is
-the shortest a b^p a that is not a factor of the terms, and each later one
-has one b more. Separator words treat an application as opaque at its
-edges, like a variable, so the letters on either side of it stay visible.
+lexicographically first satisfying assignment. The search encodes the
+formula as clauses with one gate variable per distinct subformula (after
+Tseitin, 1968), decides the atoms in order, False first, and propagates
+unit clauses over two watched literals between decisions (after Davis,
+Logemann and Loveland, 1962, and Moskewicz et al., 2001). Propagation sets
+only values that every model below the current assignment shares, so the
+first model found is the lexicographically first. A satisfying assignment
+is turned back into a concrete witness (interpretation, realization) by
+binding variables and application nodes to separator words of the shape
+a b^p a, which keeps distinct normalized terms evaluating to distinct words.
+One counter gives the separators: the first is the shortest a b^p a that is
+not a factor of the terms, and each later one has one b more. Separator
+words treat an application as opaque at its edges, like a variable, so the
+letters on either side of it stay visible.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .derivation import derive_paths
 from .nullability import indicator_pairs
 from .semantics import FiniteRelation, Interpretation, Realization, TableFunction
 from .syntax import (
-    AND, CAT, EPSILON, EPS_TERM, NOT, OR,
+    AND, CAT, EPSILON, EPS_TERM, NOT, OR, TRUE,
     App, Atom, Cat, Conn, Constraint, Environment, Expr, Formula, Match,
     Star, Sum, Term, Var, Word,
     connective, term_str, tree_variables, walk,
@@ -38,10 +43,10 @@ from .syntax import (
 DEFAULT_MAX_PROPS = 20
 MAX_PROPS_ENV = "CONSTREX_MAX_PROPS"
 
-# The registry entries that _kleene may short-circuit and _positive may read
-# as and/or; a tag re-registered later is evaluated through its own truth
-# function instead.
-_BUILTIN = {tag: connective(tag) for tag in (AND, OR, NOT)}
+# The registry entries that _tseitin may encode natively and _one_sided may
+# read by their built-in meaning; a tag re-registered later is encoded
+# through its own truth function instead.
+_BUILTIN = {tag: connective(tag) for tag in (TRUE, AND, OR, NOT)}
 
 
 # ---------------------------------------------------------------------------
@@ -111,52 +116,157 @@ def prop_alphabet(phi: Formula) -> Tuple[Atom, ...]:
     return tuple(sorted({n for n in walk(phi) if isinstance(n, Atom)}, key=_prop_name))
 
 
-def _compile(psi: Formula, index: Dict[Atom, int]):
-    """psi with atoms replaced by their positions and connectives resolved.
+def _tseitin(psi: Formula, index: Dict[Atom, int]) -> Tuple[int, list]:
+    """The clauses of psi: its variable count, then its clauses, root last.
 
-    A connective node becomes (tag, truth, children). The tag is kept only
-    for the built-in and, or and not, which get short-circuit evaluation.
+    Literal 2v says variable v is true and 2v + 1 that it is false. Atom i
+    of index is variable i; each connective node becomes one gate variable,
+    keyed by its tag and its children's literals, so equal subformulas share
+    a gate. A built-in not is literal negation, a built-in and/or of any
+    arity gets its native clauses, and any other connective gets one clause
+    per row of its truth table. One stack keeps the place in psi.
     """
-    if isinstance(psi, Atom):
-        return index[psi]
-    entry = connective(psi.tag)
-    fast = psi.tag if _BUILTIN.get(psi.tag) is entry else None
-    return fast, entry[1], tuple(_compile(c, index) for c in psi.children)
+    gates: Dict[tuple, int] = {}
+    clauses: list = []
+    done: list = []     # the literals of the finished nodes, in order
+    stack = [psi]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Atom:
+            done.append(2 * index[node])
+            continue
+        if kind is Conn:    # first visit: the children go first
+            stack.append((node,))
+            stack += reversed(node.children)
+            continue
+        node = node[0]
+        start = len(done) - len(node.children)
+        lits = tuple(done[start:])
+        del done[start:]
+        tag, entry = node.tag, connective(node.tag)
+        native = tag if _BUILTIN.get(tag) is entry else None
+        if native == NOT:
+            done.append(lits[0] ^ 1)
+            continue
+        key = (tag, lits)
+        g = gates.get(key)
+        if g is None:
+            g = gates[key] = 2 * (len(index) + len(gates))
+            if native == AND:   # g -> each child; all children -> g
+                clauses += [(g ^ 1, c) for c in lits]
+                clauses.append((g, *[c ^ 1 for c in lits]))
+            elif native == OR:  # each child -> g; g -> some child
+                clauses += [(g, c ^ 1) for c in lits]
+                clauses.append((g ^ 1, *lits))
+            else:   # a row's inputs force g to the row's value
+                truth = entry[1]
+                for row in itertools.product((False, True), repeat=len(lits)):
+                    clauses.append((*map(operator.xor, lits, row),
+                                    g if truth(*row) else g ^ 1))
+        done.append(g)
+    clauses.append((done[0],))
+    return len(index) + len(gates), clauses
 
 
-def _kleene(node, value: list) -> Optional[bool]:
-    """Three-valued value of a compiled formula; None where it is not yet decided.
+def _first_model(variables: int, atoms: int, clauses: list) -> Optional[list]:
+    """The lexicographically first values of variables 0..atoms-1 in a model
+    of the clauses, or None: the search of sat_truth_table.
 
-    value holds True, False or None (unassigned) per atom position. A
-    registered connective with undecided children is decided only if every
-    completion of those children gives the same result.
+    value[lit] is True, False or None (unassigned) for each literal. A
+    two-literal clause (a, b) is kept as "not a forces b" and "not b forces
+    a"; a longer one watches its first two literals and is visited only
+    when one of them turns false.
     """
-    if type(node) is int:
-        return value[node]
-    tag, truth, children = node
-    if tag == NOT:
-        v = _kleene(children[0], value)
-        return None if v is None else not v
-    if tag is not None:
-        stop = tag == OR
-        out = not stop
-        for c in children:
-            v = _kleene(c, value)
-            if v is stop:
-                return stop
-            if v is None:
-                out = None
-        return out
-    known = [_kleene(c, value) for c in children]
-    unknown = [i for i, v in enumerate(known) if v is None]
-    results = set()
-    for bits in itertools.product((False, True), repeat=len(unknown)):
-        for i, b in zip(unknown, bits):
-            known[i] = b
-        results.add(bool(truth(*known)))
-        if len(results) > 1:
+    value: list = [None] * (2 * variables)
+    forces: list = [[] for _ in value]      # literal -> the literals it forces
+    watches: list = [[] for _ in value]     # literal -> clauses that watch it
+    units = []
+    for clause in clauses:
+        if len(clause) > 2 and len({lit >> 1 for lit in clause}) < len(clause):
+            lits = set(clause)      # a gate whose inputs repeat a variable
+            if any(lit ^ 1 in lits for lit in lits):
+                continue
+            clause = tuple(dict.fromkeys(clause))
+        if len(clause) > 2:
+            clause = list(clause)
+            watches[clause[0]].append(clause)
+            watches[clause[1]].append(clause)
+        elif len(clause) == 2:
+            a, b = clause
+            forces[a ^ 1].append(b)
+            forces[b ^ 1].append(a)
+        else:
+            units.append(clause[0])
+    trail: list = []
+    push = trail.append
+
+    def assign(lit: int) -> bool:
+        """Make lit true with all it forces; False on a conflict."""
+        if value[lit] is not None:
+            return value[lit]
+        value[lit], value[lit ^ 1] = True, False
+        head = len(trail)
+        push(lit)
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            for other in forces[lit]:
+                known = value[other]
+                if known is None:
+                    value[other], value[other ^ 1] = True, False
+                    push(other)
+                elif not known:
+                    return False
+            false = lit ^ 1
+            watching = watches[false]
+            if not watching:
+                continue
+            keep = []
+            for i, clause in enumerate(watching):
+                if clause[0] == false:
+                    clause[0], clause[1] = clause[1], false
+                other = clause[0]
+                if value[other]:
+                    keep.append(clause)
+                    continue
+                for j in range(2, len(clause)):
+                    if value[clause[j]] is not False:   # a new watch
+                        clause[1], clause[j] = clause[j], false
+                        watches[clause[1]].append(clause)
+                        break
+                else:
+                    keep.append(clause)
+                    if value[other] is None:
+                        value[other], value[other ^ 1] = True, False
+                        push(other)
+                    else:
+                        keep += watching[i + 1:]
+                        watches[false] = keep
+                        return False
+            watches[false] = keep
+        return True
+
+    for lit in units:
+        if not assign(lit):
             return None
-    return results.pop()
+    decisions = []      # (trail length before it, atom) per decision on False
+    atom = 0
+    while True:
+        while atom < atoms and value[2 * atom] is not None:
+            atom += 1
+        if atom == atoms:
+            return value[0:2 * atoms:2]
+        decisions.append((len(trail), atom))
+        ok = assign(2 * atom + 1)
+        while not ok:   # no model below: the latest False becomes True
+            if not decisions:
+                return None
+            mark, atom = decisions.pop()
+            for lit in trail[mark:]:
+                value[lit] = value[lit ^ 1] = None
+            del trail[mark:]
+            ok = assign(2 * atom)
 
 
 def _resolve_max_props(max_props: Optional[int] = None) -> int:
@@ -175,34 +285,30 @@ def sat_truth_table(psi: Formula,
     """First satisfying assignment in lexicographic order, or None.
 
     The order reads False before True, with the first atom of prop_alphabet
-    as the most significant. A depth-first search assigns the atoms in that
-    order, False first, and evaluates psi three-valued after each step: a
-    false prefix is cut, and a true one is completed with False, its
-    lexicographically first extension. The search keeps its place in one
-    list, so it never recurses once per atom.
+    as the most significant. psi becomes clauses (_tseitin): atom i is
+    variable i, and each distinct connective node is one gate defined by its
+    clauses, so a subformula that occurs twice is decided once. The search
+    (_first_model) decides the atoms only, in order, False first, and after
+    each decision propagates unit clauses over two watched literals (after
+    Moskewicz et al., Chaff, 2001); on a conflict it flips the latest
+    decision still on False. Once every atom has a value, propagation has
+    given every gate one too, so a conflict-free full assignment is a model.
+
+    The first model found is the lexicographically first: propagation only
+    sets a value that every model extending the current assignment shares,
+    so the subtree it skips holds no model, and the decisions visit the rest
+    in lexicographic order. The search keeps its place in lists, with no
+    clause learning, no backjumping and no restarts, so it never recurses
+    once per atom or per nesting level.
     """
     max_props = _resolve_max_props(max_props)
     atoms = prop_alphabet(psi)
     if len(atoms) > max_props:
         raise TruthTableLimitError(
             "propositional alphabet has %d symbols (limit %d)" % (len(atoms), max_props))
-    node = _compile(psi, {atom: i for i, atom in enumerate(atoms)})
-    value = [None] * len(atoms)
-    depth = -1
-    while True:
-        v = _kleene(node, value)
-        if v is True:
-            return {atom: b is True for atom, b in zip(atoms, value)}
-        if v is None:
-            depth += 1
-            value[depth] = False
-            continue
-        while depth >= 0 and value[depth]:
-            value[depth] = None
-            depth -= 1
-        if depth < 0:
-            return None
-        value[depth] = True
+    variables, clauses = _tseitin(psi, {atom: i for i, atom in enumerate(atoms)})
+    model = _first_model(variables, len(atoms), clauses)
+    return None if model is None else dict(zip(atoms, model))
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +467,27 @@ def _extend_realization(r: Realization, X: frozenset) -> Realization:
     return Realization(r.env, assignment)
 
 
-def _positive(phi: Formula) -> bool:
-    """True if phi joins atoms by the built-in and/or only; then all-true satisfies it."""
-    if isinstance(phi, Atom):
-        return True
-    return (phi.tag in (AND, OR) and _BUILTIN[phi.tag] is connective(phi.tag)
-            and all(_positive(c) for c in phi.children))
+def _one_sided(phi: Formula, polarity: Optional[dict], positive: bool = True) -> bool:
+    """True if phi is built from atoms by the built-in and, or, not and
+    true, with no true negated and no atom both negated and not.
+
+    Then the assignment that makes each atom occurrence true satisfies phi.
+    polarity maps each atom seen to its polarity; with polarity None, a
+    negated atom gives False as well and no atom is hashed, so phi must
+    join atoms by and/or/true only.
+    """
+    if type(phi) is Atom:
+        if polarity is None:
+            return positive
+        return polarity.setdefault(phi, positive) is positive
+    tag = phi.tag
+    if tag not in _BUILTIN or _BUILTIN[tag] is not connective(tag):
+        return False
+    if tag == TRUE:
+        return positive
+    if tag == NOT:
+        return _one_sided(phi.children[0], polarity, not positive)
+    return all(_one_sided(c, polarity, positive) for c in phi.children)
 
 
 def letter_need(env: Environment, max_props: int) -> Callable[[Expr], Optional[tuple]]:
@@ -384,9 +505,10 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], Optional[t
     it is empty, a catenation with a void factor, a sum of two void
     children, a match or constraint with a void child, `eps -| c` where c
     needs a letter, or a constraint whose formula is unsatisfiable. A
-    formula of atoms joined by and/or only is satisfiable; any other is
-    decided once by the SAT search, and one over more than max_props symbols
-    counts as satisfiable. One walk gives both answers.
+    formula of atoms joined by and/or only is satisfiable, read as it is.
+    Any other is normalized once: it is satisfiable if it is one-sided
+    (_one_sided), and else the SAT search decides it; one over more than
+    max_props symbols counts as satisfiable. One walk gives both answers.
     """
     symbols = env.symbols
     nothing = (0,) * (len(symbols) + 1)
@@ -407,12 +529,14 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], Optional[t
         return tuple(map(join, left, right))
 
     def unsatisfiable(phi: Formula) -> bool:
-        if _positive(phi):
+        if _one_sided(phi, None):
             return False
         known = unsat.get(phi)
         if known is None:
+            normal = normalize_formula(phi)
             try:
-                known = sat_truth_table(normalize_formula(phi), max_props) is None
+                known = (not _one_sided(normal, {})
+                         and sat_truth_table(normal, max_props) is None)
             except TruthTableLimitError:
                 known = False
             unsat[phi] = known

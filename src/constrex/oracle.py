@@ -82,13 +82,14 @@ def brute_membership_fixed_r(interp: Interpretation, r: Realization,
             out = any(member(node.left, word[:i]) and member(node.right, word[i:])
                       for i in range(len(word) + 1))
         elif isinstance(node, Star):
-            # Nonempty leading factors suffice: any star decomposition can
-            # drop its empty factors, so the recursion terminates.
-            if word == "":
-                out = True
-            else:
-                out = any(member(node.child, word[:i]) and member(node, word[i:])
-                          for i in range(1, len(word) + 1))
+            # Nonempty factors suffice: any star decomposition can drop its
+            # empty factors. ok[j] says word[j:] is a product of such
+            # factors; one loop fills it from the right, with no recursion.
+            ok = [False] * len(word) + [True]
+            for j in reversed(range(len(word))):
+                ok[j] = any(ok[k] and member(node.child, word[j:k])
+                            for k in range(j + 1, len(word) + 1))
+            out = ok[0]
         elif isinstance(node, Constraint):
             out = eval_formula(interp, r, node.formula) and member(node.child, word)
         else:

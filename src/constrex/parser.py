@@ -320,14 +320,16 @@ def parse_term(text: str, env: Environment) -> Term:
 
 _SECTIONS = ("alphabet", "variables", "predicates", "functions")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")  # ASCII only, as _IDENT reads
+_LETTER = re.compile(r"[A-Za-z0-9_]\Z")  # one character _IDENT reads
 _ARITY = re.compile(r"[0-9]+\Z")  # ASCII digits only: int() rejects "²"
 
 
 def parse_environment(text: str) -> Environment:
     """Parse the line-oriented environment format.
 
-    `alphabet:` and `variables:` lines list single characters; `predicates:`
-    and `functions:` lines list name/arity entries. `#` starts a comment.
+    `alphabet:` and `variables:` lines list single characters from
+    [A-Za-z0-9_], the ones the tokenizer reads; `predicates:` and
+    `functions:` lines list name/arity entries. `#` starts a comment.
     """
     symbols: list = []
     variables: list = []
@@ -347,8 +349,9 @@ def parse_environment(text: str) -> Environment:
         if key in ("alphabet", "variables"):
             target = symbols if key == "alphabet" else variables
             for entry in entries:
-                if len(entry) != 1:
-                    raise ParseError("letters must be single characters: %r" % entry,
+                if not _LETTER.match(entry):
+                    raise ParseError("letters must be single characters from "
+                                     "[A-Za-z0-9_]: %r" % entry,
                                      lineno, raw.index(entry) + 1)
                 if entry in symbols or entry in variables:
                     raise ParseError("duplicate letter %r" % entry,

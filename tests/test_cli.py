@@ -203,6 +203,16 @@ def test_derive_on_a_3000_symbol_catenation(env_file, capsys):
 LONG = " ".join("ab" * 1500)
 
 
+def test_check_fixed_oracle_on_a_1600_letter_star(env_file, capsys):
+    # the oracle decides a star by one loop over the word, not one frame per factor
+    word = "ab" * 800
+    status, out = invoke(capsys, "check-fixed", "--env", env_file,
+                         "--expr", "%s -| (a + b)*" % " ".join(word), "--word", word,
+                         "--interp", INTERP, "--real", "", "--oracle")
+    assert status == 0
+    assert out.splitlines() == ["ACCEPT", "oracle: agree"]
+
+
 @pytest.mark.parametrize("argv, status, lines", [
     (("check-free", "--expr", LONG, "--word", "ab"), 1, ["REJECT"]),
     (("check-free", "--expr", LONG, "--word", "ab" * 1500), 0, ["ACCEPT"]),
@@ -221,7 +231,9 @@ def test_free_pipeline_on_a_3000_symbol_catenation(env_file, capsys, argv, statu
     (b"alphabet: a b\n\xff\n", None),
     (ENV3_TEXT.encode(), b"a \xff"),
     (ENV3_TEXT.replace("sim/2", "p\u00e9/1 sim/2").encode(), None),
-], ids=["superscript-arity", "undecodable-env", "undecodable-expr-file", "non-ascii-name"])
+    (ENV3_TEXT.replace("alphabet: a", "alphabet: \u00e9").encode(), b"b"),
+], ids=["superscript-arity", "undecodable-env", "undecodable-expr-file", "non-ascii-name",
+        "non-ascii-letter"])
 def test_malformed_files_exit_2(tmp_path, capsys, env_bytes, expr_bytes):
     env_path, expr_path = tmp_path / "env.txt", tmp_path / "expr.txt"
     env_path.write_bytes(env_bytes)

@@ -19,7 +19,7 @@ from constrex import (
     sample_interpretations, sat_truth_table, satisfiable_free, separator_word,
     terms_of_formula,
 )
-from constrex import derivation, syntax
+from constrex import derivation, logic, syntax
 from constrex.logic import is_normalized, letter_need
 from constrex.oracle import realizations
 from constrex.syntax import (
@@ -164,6 +164,22 @@ def _rand_prop(rng, atoms, depth):
     return Conn(tag, tuple(_rand_prop(rng, atoms, depth - 1) for _ in range(arity)))
 
 
+_DUAL_TAG = {"and": "or", "or": "and", "maj3": "maj3",
+             "true": "false", "false": "true"}
+
+
+def _dual(psi):
+    # the negation of psi without a top-level not: and/or swap, leaves are
+    # negated, maj3 is self-dual, and !(p -> q) is p && !q
+    if isinstance(psi, Atom):
+        return Conn("not", (psi,))
+    if psi.tag == "implies":
+        return Conn("and", (psi.children[0], _dual(psi.children[1])))
+    if psi.tag == "not":
+        return Conn("not", (_dual(psi.children[0]),))
+    return Conn(_DUAL_TAG[psi.tag], tuple(_dual(c) for c in psi.children))
+
+
 def test_sat_search_matches_truth_table(monkeypatch):
     # register_connective is global: work on a copy of the registry
     monkeypatch.setattr(syntax, "_CONNECTIVES", dict(syntax._CONNECTIVES))
@@ -175,8 +191,11 @@ def test_sat_search_matches_truth_table(monkeypatch):
         # names p0..p11 sort as strings, so the search order is not index order
         atoms = [Atom("p%d" % i, ()) for i in range(n)]
         psi = _rand_prop(rng, atoms, rng.randint(1, 6))
-        if rng.random() < 0.25:
+        mode = rng.random()
+        if mode < 0.25:     # psi occurs twice: one shared gate
             psi = Conn("and", (psi, Conn("not", (psi,))))
+        elif mode < 0.4:    # no shared gate: propagation alone refutes it
+            psi = Conn("and", (psi, _dual(psi)))
         expected = _brute_first_model(psi)
         assert sat_truth_table(psi, 12) == expected
         unsat += expected is None
@@ -190,6 +209,37 @@ def test_sat_search_uses_a_re_registered_builtin(monkeypatch):
     p = Atom("p", ())
     assert sat_truth_table(Conn("and", (p, p)), 12) is None
     assert sat_truth_table(Conn("and", (p, Conn("not", (p,)))), 12) == {p: False}
+
+
+def test_sat_search_refutes_a_formula_and_its_dual():
+    # phi && dual(phi) shares no gate; a search without propagation takes
+    # seconds for each one at 20 atoms
+    elapsed = 0.0
+    for seed in range(5):
+        rng = random.Random(seed)
+        leaves = [Atom("p%02d" % i, ()) for i in range(20)]
+        leaves = [Conn("not", (p,)) if rng.random() < 0.3 else p
+                  for p in rng.sample(leaves, 20)]
+        while len(leaves) > 1:
+            i = rng.randrange(len(leaves) - 1)
+            leaves[i:i + 2] = [Conn(rng.choice(("and", "or")), tuple(leaves[i:i + 2]))]
+        phi = leaves[0]
+        start = time.perf_counter()
+        assert sat_truth_table(Conn("and", (phi, _dual(phi))), 20) is None
+        elapsed += time.perf_counter() - start
+    assert elapsed < 2.0
+
+
+def test_sat_search_encodes_a_deep_chain():
+    # 3000 nested ands: the encoder keeps its place on a stack
+    atoms = [Atom("p%02d" % i, ()) for i in range(16)]
+    chain, refuted = atoms[0], Conn("not", (atoms[0],))
+    for i in range(3000):
+        chain = Conn("and", (atoms[i % 16], chain))
+        refuted = Conn("and", (atoms[i % 16], refuted))
+    with recursion_headroom():
+        assert sat_truth_table(chain, 16) == dict.fromkeys(atoms, True)
+        assert sat_truth_table(refuted, 16) is None
 
 
 def _conjunction(atoms):
@@ -572,6 +622,8 @@ def void_test(env, max_props):
     ("empty | sim(x, x)", True),
     ("x | !(sim(x, a) -> sim(x, a))", True),
     ("x | sim(x, a) || !sim(x, a)", False),
+    # one-sided as written, one atom both negated and not once normalized
+    ("x | sim((xy)z, a) && !sim(x(yz), a)", True),
     ("x | sim(x, a) && (lt(x, a) || sim(a, x))", False),
     ("(eps -| a)*", False),
 ])
@@ -586,6 +638,18 @@ def test_void_test_walks_long_catenations(env3):
         assert not void(parse_expression(letters, env3))
         assert void(parse_expression(letters + " empty", env3))
         assert void(parse_expression("empty " + letters, env3))
+
+
+def test_void_test_needs_no_search_for_one_sided_formulas(env3, monkeypatch):
+    # no atom occurs both negated and not: all atoms at their polarity satisfy it
+    def no_search(*_args):
+        raise AssertionError("a one-sided formula went to the SAT search")
+
+    monkeypatch.setattr(logic, "sat_truth_table", no_search)
+    void = void_test(env3, 20)
+    for text in ("x | sim((xy)z, a) && !sim(x(yz), b)",
+                 "x | !(sim(x, a) || !lt(x, a) || !true) && lt(x, a)"):
+        assert not void(parse_expression(text, env3))
 
 
 def test_void_test_uses_a_re_registered_builtin(env3, monkeypatch):

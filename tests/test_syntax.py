@@ -54,6 +54,16 @@ def test_parse_environment_rejects_names_the_tokenizer_cannot_read():
     assert (err.value.line, err.value.column) == (2, 19)
 
 
+def test_parse_environment_rejects_letters_the_tokenizer_cannot_read():
+    # an expression could never spell \u00e9 or +: the tokenizer reads [A-Za-z0-9_]
+    for text, column in (("alphabet: \u00e9 b", 11), ("alphabet: a b\nvariables: x +", 14)):
+        with pytest.raises(ParseError) as err:
+            parse_environment(text)
+        assert (err.value.line, err.value.column) == (text.count("\n") + 1, column)
+    env = parse_environment("alphabet: a 0\nvariables: _ X")
+    assert (env.symbols, env.variables) == (("a", "0"), ("_", "X"))
+
+
 def test_parse_expression_e1_structure(env3):
     e = parse_expression("x b* y | sim(f(x), f(y))", env3)
     assert e == Constraint(
