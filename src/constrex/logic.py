@@ -60,26 +60,75 @@ def left_dot_level(t: Term) -> int:
     return 0
 
 
-def normalize_term(t: Term) -> Term:
-    """Right-associate catenations and drop their eps children: the leaves
-    of a catenation, read from one stack, are rebuilt right-nested."""
-    if isinstance(t, Var):
-        return t
-    if t.fn != CAT:
-        return App(t.fn, tuple(normalize_term(a) for a in t.args))
-    leaves, stack = [], [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, App) and u.fn == CAT:
-            stack += (u.args[1], u.args[0])
-        elif u != EPS_TERM:
-            leaves.append(normalize_term(u))
+def _right_nested(leaves: list) -> Term:
+    """The catenation of the leaves, right-nested; eps for none."""
     if not leaves:
         return EPS_TERM
     out = leaves.pop()
     while leaves:
         out = App(CAT, (leaves.pop(), out))
     return out
+
+
+def normalize_term(t: Term) -> Term:
+    """Right-associate catenations and drop their eps children; t itself
+    when it is already normal.
+
+    One stack keeps the place, so a deep term needs no recursion. A node's
+    parts are done before it: the arguments of an application, or the
+    leaves of a catenation, eps dropped. A catenation is rebuilt right-nested
+    from its leaves unless it was a right spine of them already and none
+    changed; any other node is rebuilt only if an argument changed. A
+    catenation of variables and constants is finished as it is read.
+    """
+    if type(t) is Var or not t.args:
+        return t
+    done: list = []     # the results of the finished nodes, in order
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is tuple:   # second visit: the parts are done
+            node, parts, normal = node
+            start = len(done) - len(parts)
+            new = done[start:]
+            del done[start:]
+            if normal and all(map(operator.is_, new, parts)):
+                done.append(node)
+            elif node.fn == CAT:
+                done.append(_right_nested(new))
+            else:
+                done.append(App(node.fn, tuple(new)))
+            continue
+        if kind is Var or not node.args:
+            done.append(node)
+            continue
+        if node.fn != CAT:
+            stack.append((node, node.args, True))
+            stack += reversed(node.args)
+            continue
+        # normal: a right spine with no eps and no catenation on its left
+        parts, normal, leaves_only, spine = [], True, True, [node]
+        while spine:
+            u = spine.pop()
+            if type(u) is Var:
+                parts.append(u)
+            elif u.fn == CAT:
+                left = u.args[0]
+                if type(left) is App and left.fn == CAT:
+                    normal = False
+                spine += (u.args[1], left)
+            elif u.fn == EPSILON:
+                normal = False
+            else:
+                parts.append(u)
+                leaves_only = leaves_only and not u.args
+        if leaves_only:
+            done.append(node if normal else _right_nested(parts))
+        else:
+            stack.append((node, parts, normal))
+            stack += reversed(parts)
+    return done[0]
 
 
 def is_normalized(t: Term) -> bool:
@@ -93,9 +142,29 @@ def is_normalized(t: Term) -> bool:
 
 
 def normalize_formula(phi: Formula) -> Formula:
-    if isinstance(phi, Atom):
-        return Atom(phi.pred, tuple(normalize_term(t) for t in phi.args))
-    return Conn(phi.tag, tuple(normalize_formula(c) for c in phi.children))
+    """phi with the terms of its atoms normalized; phi itself when they
+    already are. One stack keeps the place among the connectives, and a
+    node is rebuilt only if one of its children changed."""
+    done: list = []     # the results of the finished nodes, in order
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Atom:
+            args = tuple(map(normalize_term, node.args))
+            same = all(map(operator.is_, args, node.args))
+            done.append(node if same else Atom(node.pred, args))
+        elif kind is Conn:  # first visit: the children go first
+            stack.append((node,))
+            stack += reversed(node.children)
+        else:
+            node = node[0]
+            start = len(done) - len(node.children)
+            children = tuple(done[start:])
+            del done[start:]
+            same = all(map(operator.is_, children, node.children))
+            done.append(node if same else Conn(node.tag, children))
+    return done[0]
 
 
 def terms_of_formula(phi: Formula) -> frozenset:
@@ -111,16 +180,43 @@ def _prop_name(atom: Atom) -> str:
     return "%s_{%s}" % (atom.pred, ",".join(term_str(t) for t in atom.args))
 
 
+def _alphabet(phi: Formula) -> Tuple[Tuple[Atom, ...], list]:
+    """prop_alphabet(phi), and the index in it of each atom occurrence.
+
+    The occurrences are read in walk order from a stack over the connectives
+    alone, so no term is entered, and each is hashed once: distinct atoms
+    are numbered as first seen, and each distinct atom is printed once to
+    sort them.
+    """
+    first: Dict[Atom, int] = {}     # each distinct atom -> its first-seen number
+    seen = []
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if type(node) is Atom:
+            seen.append(first.setdefault(node, len(first)))
+        else:
+            stack += reversed(node.children)
+    distinct = list(first)
+    order = sorted(range(len(distinct)), key=lambda i: _prop_name(distinct[i]))
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return tuple(distinct[i] for i in order), [rank[i] for i in seen]
+
+
 def prop_alphabet(phi: Formula) -> Tuple[Atom, ...]:
     """The distinct atoms of phi, ordered by their propositional names."""
-    return tuple(sorted({n for n in walk(phi) if isinstance(n, Atom)}, key=_prop_name))
+    return _alphabet(phi)[0]
 
 
-def _tseitin(psi: Formula, index: Dict[Atom, int]) -> Tuple[int, list]:
+def _tseitin(psi: Formula, atoms: int, occurrences: list) -> Tuple[int, list]:
     """The clauses of psi: its variable count, then its clauses, root last.
 
-    Literal 2v says variable v is true and 2v + 1 that it is false. Atom i
-    of index is variable i; each connective node becomes one gate variable,
+    Literal 2v says variable v is true and 2v + 1 that it is false. The
+    atoms are variables 0..atoms-1, and occurrences gives the variable of
+    each atom occurrence in walk order, the order in which this stack visits
+    them (_alphabet). Each connective node becomes one gate variable,
     keyed by its tag and its children's literals, so equal subformulas share
     a gate. A built-in not is literal negation, a built-in and/or of any
     arity gets its native clauses, and any other connective gets one clause
@@ -129,12 +225,13 @@ def _tseitin(psi: Formula, index: Dict[Atom, int]) -> Tuple[int, list]:
     gates: Dict[tuple, int] = {}
     clauses: list = []
     done: list = []     # the literals of the finished nodes, in order
+    occurrence = iter(occurrences)
     stack = [psi]
     while stack:
         node = stack.pop()
         kind = type(node)
         if kind is Atom:
-            done.append(2 * index[node])
+            done.append(2 * next(occurrence))
             continue
         if kind is Conn:    # first visit: the children go first
             stack.append((node,))
@@ -152,7 +249,7 @@ def _tseitin(psi: Formula, index: Dict[Atom, int]) -> Tuple[int, list]:
         key = (tag, lits)
         g = gates.get(key)
         if g is None:
-            g = gates[key] = 2 * (len(index) + len(gates))
+            g = gates[key] = 2 * (atoms + len(gates))
             if native == AND:   # g -> each child; all children -> g
                 clauses += [(g ^ 1, c) for c in lits]
                 clauses.append((g, *[c ^ 1 for c in lits]))
@@ -166,7 +263,7 @@ def _tseitin(psi: Formula, index: Dict[Atom, int]) -> Tuple[int, list]:
                                     g if truth(*row) else g ^ 1))
         done.append(g)
     clauses.append((done[0],))
-    return len(index) + len(gates), clauses
+    return atoms + len(gates), clauses
 
 
 def _first_model(variables: int, atoms: int, clauses: list) -> Optional[list]:
@@ -287,7 +384,9 @@ def sat_truth_table(psi: Formula,
     The order reads False before True, with the first atom of prop_alphabet
     as the most significant. psi becomes clauses (_tseitin): atom i is
     variable i, and each distinct connective node is one gate defined by its
-    clauses, so a subformula that occurs twice is decided once. The search
+    clauses, so a subformula that occurs twice is decided once. Each atom
+    occurrence is hashed once, to number it (_alphabet); a model's dict
+    hashes each distinct atom once more. The search
     (_first_model) decides the atoms only, in order, False first, and after
     each decision propagates unit clauses over two watched literals (after
     Moskewicz et al., Chaff, 2001); on a conflict it flips the latest
@@ -302,11 +401,11 @@ def sat_truth_table(psi: Formula,
     once per atom or per nesting level.
     """
     max_props = _resolve_max_props(max_props)
-    atoms = prop_alphabet(psi)
+    atoms, occurrences = _alphabet(psi)
     if len(atoms) > max_props:
         raise TruthTableLimitError(
             "propositional alphabet has %d symbols (limit %d)" % (len(atoms), max_props))
-    variables, clauses = _tseitin(psi, {atom: i for i, atom in enumerate(atoms)})
+    variables, clauses = _tseitin(psi, len(atoms), occurrences)
     model = _first_model(variables, len(atoms), clauses)
     return None if model is None else dict(zip(atoms, model))
 

@@ -9,13 +9,16 @@ The concrete grammar (precedence from loosest to tightest):
     starred := atom "*"*
     atom    := letter | "eps" | "empty" | "(" expr ")"
 
-    formula := orf ["->" formula]
-    orf     := andf ("||" andf)*
-    andf    := notf ("&&" notf)*
-    notf    := "!" notf | "true" | "false" | pred "(" args ")" | "(" formula ")"
+    formula := notf (binop notf)*         # binop: "->", "||", "&&"
+    notf    := "!"* (pred "(" args ")" | "true" | "false" | "(" formula ")")
 
     term    := tatom+                     # juxtaposition, right-associated
     tatom   := letter | "eps" | func "(" args ")" | "(" term ")"
+
+The three binary connectives of a formula are read by operator precedence
+(after Dijkstra's shunting-yard, 1961) from `syntax._F_BINARY`, the table the
+printer reads: `->` binds loosest and associates right, `||` and `&&` bind
+tighter and associate left. One call reads each operand.
 
 A run of letters like `abx` denotes one letter per character; identifier runs
 followed by "(" name a declared predicate or function.
@@ -27,120 +30,108 @@ import re
 
 from .errors import ParseError
 from .syntax import (
-    AND, CAT, IMPLIES, NOT, OR, TRUE, FALSE,
+    CAT, NOT, TRUE, FALSE, _F_BINARY,
     App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
     Match, Star, Sum, Term, Var, Word, EPS_TERM, as_mixed_word, check_tree,
 )
 
-_PUNCT = ["-|", "&&", "||", "->", "(", ")", "*", "+", "|", "!", ","]
-_IDENT = re.compile(r"[A-Za-z0-9_]+")
+# The operators, as token kinds; an identifier run is of kind "word".
+_OPERATORS = frozenset(["-|", "&&", "||", "->", "(", ")", "*", "+", "|", "!", ","])
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+# One pattern reads each token: an operator, two-character ones first, an
+# identifier run, or any other character that is not a space, an error.
+_TOKEN = re.compile("|".join(re.escape(op) for op in sorted(
+    _OPERATORS, key=lambda op: (-len(op), op))) + r"|[A-Za-z0-9_]+|\S")
 
-
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+# The binary connectives by glyph: (tag, own level, right operand level),
+# read off the printer's table. An operator on the stack is applied before
+# the next one when its right operand may not hold that one.
+_INFIX = {glyph.strip(): (tag, own, right)
+          for tag, (glyph, own, _left, right) in _F_BINARY.items()}
 
 
 def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(_Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            m = _IDENT.match(text, i)
-            if m:
-                tokens.append(_Token("word", m.group(), line, col))
-                col += len(m.group())
-                i = m.end()
-            else:
-                raise ParseError("unexpected character %r" % c, line, col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+    """The kinds, values and offsets of the tokens of text, "eof" last. The
+    kind of an operator is its glyph, and of an identifier run "word"."""
+    matches = list(_TOKEN.finditer(text))
+    values = [m.group() for m in matches]
+    kinds = [v if v in _OPERATORS else "word" if v[0] in _WORD_START else None
+             for v in values]
+    if None in kinds:
+        m = matches[kinds.index(None)]
+        raise _error(text, m.start(), "unexpected character %r" % m.group())
+    kinds.append("eof")
+    values.append("")
+    offsets = [m.start() for m in matches]
+    offsets.append(len(text))
+    return kinds, values, offsets
+
+
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at the line and column of offset in text."""
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
 
 
 class _Parser:
-    """Recursive-descent parser over one token stream."""
+    """Recursive-descent parser over one token stream, kept as three lists."""
 
     def __init__(self, env: Environment, text: str):
         self.env = env
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.values, self.offsets = _tokenize(text)
         self.pos = 0
+        self.leaves: dict = {}    # letter -> its term node, shared in one parse
 
     # token plumbing -------------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.kinds[self.pos]
 
-    def next(self) -> _Token:
-        t = self.tokens[self.pos]
+    def expect(self, kind: str) -> None:
+        if self.kinds[self.pos] != kind:
+            self.error("expected %r, found %r"
+                       % (kind, self.values[self.pos] or "end of input"))
         self.pos += 1
-        return t
 
-    def expect(self, kind: str) -> _Token:
-        t = self.next()
-        if t.kind != kind:
-            raise ParseError("expected %r, found %r" % (kind, t.value or "end of input"),
-                             t.line, t.col)
-        return t
-
-    def error(self, message: str, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def error(self, message: str, pos=None):
+        offset = self.offsets[self.pos if pos is None else pos]
+        raise _error(self.text, offset, message)
 
     def take_letter(self) -> str:
         """Pop a single letter off the current word token."""
-        t = self.peek()
-        c = t.value[0]
+        pos = self.pos
+        value = self.values[pos]
+        c = value[0]
         if not self.env.is_letter(c):
-            self.error("%r is not a symbol or variable" % c, t)
-        if len(t.value) == 1:
-            self.next()
+            self.error("%r is not a symbol or variable" % c)
+        if len(value) == 1:
+            self.pos += 1
         else:
-            t.value = t.value[1:]
-            t.col += 1
+            self.values[pos] = value[1:]
+            self.offsets[pos] += 1
         return c
 
     # expressions ----------------------------------------------------------
 
     def expr(self) -> Expr:
         e = self.cexpr()
-        if self.peek().kind == "|":
-            self.next()
+        if self.peek() == "|":
+            self.pos += 1
             phi = self.formula()
             e = Constraint(e, phi)
         return e
 
     def cexpr(self) -> Expr:
-        tok = self.peek()
+        pos = self.pos
         left = self.sum()
-        if self.peek().kind != "-|":
+        if self.peek() != "-|":
             return left
-        self.next()
+        self.pos += 1
         right = self.cexpr()
-        return self._make_match(left, right, tok)
+        return self._make_match(left, right, pos)
 
-    def _make_match(self, left: Expr, right: Expr, tok) -> Expr:
+    def _make_match(self, left: Expr, right: Expr, pos: int) -> Expr:
         # The match operator takes a mixed word on one side; customary
         # notation puts the word on either side of the glyph, so accept both,
         # hoisting a trailing constraint: A -| (w | phi)  ==>  (w -| A) | phi.
@@ -158,106 +149,104 @@ class _Parser:
             lw = as_mixed_word(left.child)
             if lw is not None:
                 return Constraint(Match(lw, right), left.formula)
-        self.error("one side of -| must be a mixed word", tok)
+        self.error("one side of -| must be a mixed word", pos)
 
     def sum(self) -> Expr:
         e = self.cat()
-        while self.peek().kind == "+":
-            self.next()
+        while self.peek() == "+":
+            self.pos += 1
             e = Sum(e, self.cat())
         return e
 
     def cat(self) -> Expr:
         units = [self.starred()]
-        while self._starts_atom():
+        while self.peek() in ("word", "("):
             units.append(self.starred())
-        e = units[-1]
-        for u in reversed(units[:-1]):
-            e = Cat(u, e)
+        e = units.pop()
+        while units:
+            e = Cat(units.pop(), e)
         return e
-
-    def _starts_atom(self) -> bool:
-        return self.peek().kind in ("word", "(")
 
     def starred(self) -> Expr:
         e = self.atom()
-        while self.peek().kind == "*":
-            self.next()
+        while self.peek() == "*":
+            self.pos += 1
             e = Star(e)
         return e
 
     def atom(self) -> Expr:
-        t = self.peek()
-        if t.kind == "(":
-            self.next()
+        kind, value = self.kinds[self.pos], self.values[self.pos]
+        if kind == "(":
+            self.pos += 1
             e = self.expr()
             self.expect(")")
             return e
-        if t.kind == "word":
-            if t.value == "eps":
-                self.next()
+        if kind == "word":
+            if value == "eps":
+                self.pos += 1
                 return Word("")
-            if t.value == "empty":
-                self.next()
+            if value == "empty":
+                self.pos += 1
                 return Empty()
             return Word(self.take_letter())
-        self.error("expected an expression atom, found %r" % (t.value or "end of input"), t)
+        self.error("expected an expression atom, found %r" % (value or "end of input"))
 
     # formulas ---------------------------------------------------------------
 
     def formula(self) -> Formula:
-        f = self.or_formula()
-        if self.peek().kind == "->":
-            self.next()
-            f = Conn(IMPLIES, (f, self.formula()))
-        return f
-
-    def or_formula(self) -> Formula:
-        f = self.and_formula()
-        while self.peek().kind == "||":
-            self.next()
-            f = Conn(OR, (f, self.and_formula()))
-        return f
-
-    def and_formula(self) -> Formula:
-        f = self.not_formula()
-        while self.peek().kind == "&&":
-            self.next()
-            f = Conn(AND, (f, self.not_formula()))
-        return f
+        """Operands joined by binary connectives, applied by precedence from
+        one stack: each operator waits until the next one binds looser than
+        its right operand allows."""
+        operands = [self.not_formula()]
+        pending: list = []      # (tag, own level, right operand level)
+        while True:
+            op = _INFIX.get(self.kinds[self.pos])
+            own = 0 if op is None else op[1]
+            while pending and pending[-1][2] > own:
+                right = operands.pop()
+                operands[-1] = Conn(pending.pop()[0], (operands[-1], right))
+            if op is None:
+                return operands[0]
+            self.pos += 1
+            pending.append(op)
+            operands.append(self.not_formula())
 
     def not_formula(self) -> Formula:
-        t = self.peek()
-        if t.kind == "!":
-            self.next()
-            return Conn(NOT, (self.not_formula(),))
-        if t.kind == "(":
-            self.next()
+        """A negated, atomic or parenthesized formula; the negations of a
+        run of "!" are counted, then applied."""
+        kinds, values = self.kinds, self.values
+        negations = 0
+        while kinds[self.pos] == "!":
+            self.pos += 1
+            negations += 1
+        kind, value = kinds[self.pos], values[self.pos]
+        if kind == "(":
+            self.pos += 1
             f = self.formula()
             self.expect(")")
-            return f
-        if t.kind == "word":
-            if t.value == "true":
-                self.next()
-                return Conn(TRUE)
-            if t.value == "false":
-                self.next()
-                return Conn(FALSE)
-            if self.tokens[self.pos + 1].kind == "(" and t.value in self.env.predicates:
-                name = self.next().value
-                args = self.args()
-                return Atom(name, args)
-            self.error("expected a formula, found %r" % t.value, t)
-        self.error("expected a formula, found %r" % (t.value or "end of input"), t)
+        elif kind == "word" and value == "true":
+            self.pos += 1
+            f = Conn(TRUE)
+        elif kind == "word" and value == "false":
+            self.pos += 1
+            f = Conn(FALSE)
+        elif kind == "word" and kinds[self.pos + 1] == "(" and value in self.env.predicates:
+            self.pos += 1
+            f = Atom(value, self.args())
+        else:
+            self.error("expected a formula, found %r" % (value or "end of input"))
+        for _ in range(negations):
+            f = Conn(NOT, (f,))
+        return f
 
     def args(self) -> tuple:
         self.expect("(")
-        if self.peek().kind == ")":
-            self.next()
+        if self.peek() == ")":
+            self.pos += 1
             return ()
         out = [self.term()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.peek() == ",":
+            self.pos += 1
             out.append(self.term())
         self.expect(")")
         return tuple(out)
@@ -265,41 +254,44 @@ class _Parser:
     # terms ------------------------------------------------------------------
 
     def term(self) -> Term:
-        factors = [self.term_atom()]
-        while self._starts_atom():
-            factors.append(self.term_atom())
-        t = factors[-1]
-        for f in reversed(factors[:-1]):
-            t = App(CAT, (f, t))
+        """Factors read in one loop, then right-associated."""
+        kinds, values, env = self.kinds, self.values, self.env
+        factors = []
+        while True:
+            kind, value = kinds[self.pos], values[self.pos]
+            if kind == "word":
+                if value == "eps":
+                    self.pos += 1
+                    factors.append(EPS_TERM)
+                elif kinds[self.pos + 1] == "(" and value in env.functions:
+                    self.pos += 1
+                    factors.append(App(value, self.args()))
+                else:
+                    c = self.take_letter()
+                    leaf = self.leaves.get(c)
+                    if leaf is None:
+                        leaf = self.leaves[c] = Var(c) if env.is_variable(c) else App(c)
+                    factors.append(leaf)
+            elif kind == "(":
+                self.pos += 1
+                factors.append(self.term())
+                self.expect(")")
+            elif factors:
+                break
+            else:
+                self.error("expected a term, found %r" % (value or "end of input"))
+        t = factors.pop()
+        while factors:
+            t = App(CAT, (factors.pop(), t))
         return t
-
-    def term_atom(self) -> Term:
-        t = self.peek()
-        if t.kind == "(":
-            self.next()
-            inner = self.term()
-            self.expect(")")
-            return inner
-        if t.kind == "word":
-            if t.value == "eps":
-                self.next()
-                return EPS_TERM
-            if self.tokens[self.pos + 1].kind == "(" and t.value in self.env.functions:
-                name = self.next().value
-                args = self.args()
-                return App(name, args)
-            c = self.take_letter()
-            return Var(c) if self.env.is_variable(c) else App(c)
-        self.error("expected a term, found %r" % (t.value or "end of input"), t)
 
 
 def _parse_whole(text: str, env: Environment, rule, what: str):
     """Run one grammar rule and require that it consumes the whole text."""
     p = _Parser(env, text)
     result = rule(p)
-    tok = p.peek()
-    if tok.kind != "eof":
-        p.error("unexpected %r after %s" % (tok.value, what), tok)
+    if p.peek() != "eof":
+        p.error("unexpected %r after %s" % (p.values[p.pos], what))
     return result
 
 
@@ -319,8 +311,8 @@ def parse_term(text: str, env: Environment) -> Term:
 # environment files
 
 _SECTIONS = ("alphabet", "variables", "predicates", "functions")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")  # ASCII only, as _IDENT reads
-_LETTER = re.compile(r"[A-Za-z0-9_]\Z")  # one character _IDENT reads
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")  # ASCII only, as _TOKEN reads
+_LETTER = re.compile(r"[A-Za-z0-9_]\Z")  # one character _TOKEN reads
 _ARITY = re.compile(r"[0-9]+\Z")  # ASCII digits only: int() rejects "²"
 
 

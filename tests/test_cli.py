@@ -4,7 +4,7 @@ import pytest
 
 from constrex.cli import run
 
-from conftest import ENV3_TEXT, ENVP_TEXT, NEXT_TO_AN_APPLICATION
+from conftest import ENV3_TEXT, ENVP_TEXT, NEXT_TO_AN_APPLICATION, recursion_headroom
 
 
 @pytest.fixture
@@ -198,6 +198,15 @@ def test_derive_on_a_3000_symbol_catenation(env_file, capsys):
                          "--word", "ab")
     assert status == 0
     assert out.splitlines() == ["eps %s\t{}" % letters[4:]]
+
+
+@pytest.mark.parametrize("op", ["&&", "||"])
+def test_sat_on_a_flat_chain_of_3000_atoms(env_file, capsys, op):
+    chain = (" %s " % op).join(["sim(a, b)"] * 3000)
+    with recursion_headroom():
+        status, out = invoke(capsys, "sat", "--env", env_file, "--formula", chain)
+    assert status == 0
+    assert out.splitlines()[0] == "SAT"
 
 
 LONG = " ".join("ab" * 1500)

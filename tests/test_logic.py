@@ -106,6 +106,96 @@ def test_prop_alphabet_order_and_first_model():
     assert tables == {"p": [("a",)], "pA": [], "p_x": []}
 
 
+def _normalize_term_recursively(t):
+    """Reference: the rebuild normalize_term replaced, one frame per level."""
+    if isinstance(t, Var):
+        return t
+    if t.fn != CAT:
+        return App(t.fn, tuple(_normalize_term_recursively(a) for a in t.args))
+    leaves, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, App) and u.fn == CAT:
+            stack += (u.args[1], u.args[0])
+        elif u != App(EPSILON):
+            leaves.append(_normalize_term_recursively(u))
+    if not leaves:
+        return App(EPSILON)
+    out = leaves.pop()
+    while leaves:
+        out = App(CAT, (leaves.pop(), out))
+    return out
+
+
+def _normalize_formula_recursively(phi):
+    if isinstance(phi, Atom):
+        return Atom(phi.pred, tuple(_normalize_term_recursively(t) for t in phi.args))
+    return Conn(phi.tag, tuple(_normalize_formula_recursively(c) for c in phi.children))
+
+
+def _prop_alphabet_over_walk(phi):
+    """Reference: every node of phi walked, terms included, then sorted by name."""
+    def name(atom):
+        return "%s_{%s}" % (atom.pred, ",".join(term_str(t) for t in atom.args))
+    return tuple(sorted({n for n in syntax.walk(phi) if isinstance(n, Atom)}, key=name))
+
+
+def test_normalization_matches_the_recursive_rebuild(envp, env5):
+    rng = random.Random(41)
+    normal_seen = changed_seen = 0
+    for env in (envp, env5):
+        for _ in range(400):
+            phi = rand_formula(rng, env, 4)
+            expected = _normalize_formula_recursively(phi)
+            normal = normalize_formula(phi)
+            assert normal == expected
+            # a normal formula comes back itself, and so does each normal part
+            assert normalize_formula(normal) is normal
+            if expected == phi:
+                normal_seen += 1
+                assert normal is phi
+            else:
+                changed_seen += 1
+            for t in terms_of_formula(phi):
+                assert normalize_term(t) == _normalize_term_recursively(t)
+                if _normalize_term_recursively(t) == t:
+                    assert normalize_term(t) is t
+    assert normal_seen > 50 and changed_seen > 50
+
+
+def test_prop_alphabet_matches_the_walk_definition(envp):
+    rng = random.Random(43)
+    for _ in range(400):
+        phi = rand_formula(rng, envp, 4)
+        for psi in (phi, normalize_formula(phi)):
+            assert prop_alphabet(psi) == _prop_alphabet_over_walk(psi)
+
+
+def test_sat_search_hashes_each_atom_occurrence_once(env5, monkeypatch):
+    phi = parse_formula("(lt(x, ab) || sim(abx, g(a, x))) && lt(b, x)", env5)
+    refuted = Conn("and", (phi, Conn("not", (phi,))))
+    hashes = []
+    monkeypatch.setattr(Atom, "__hash__", lambda atom: hashes.append(atom) or hash(
+        (atom.pred, atom.args)))
+    assert sat_truth_table(refuted) is None
+    assert len(hashes) == 6     # one per occurrence
+    hashes.clear()
+    model = sat_truth_table(phi)
+    # the model's dict hashes each distinct atom once more
+    assert len(hashes) == 3 + len(model) == 6
+
+
+def test_satisfiable_free_on_a_long_flat_chain(envp):
+    # the parser left-nests the chain, and normalization keeps its place on
+    # a stack, so each answers without recursing once per atom
+    for op in ("&&", "||"):
+        with recursion_headroom():
+            phi = parse_formula((" %s " % op).join(["p(a)"] * 3000), envp)
+            assert normalize_formula(phi) is phi
+            witness = satisfiable_free(envp, phi)
+        assert witness.interpretation.predicates["p"].tuples == {("a",)}
+
+
 def test_sat_truth_table_examples(env5):
     # P((xy)z) & !P(x(yz)) is propositionally satisfiable: 1 for the first
     # atom, 0 for the second
