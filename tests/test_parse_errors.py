@@ -3,7 +3,7 @@
 Each case is (rule, text, message, (line, column)). They cover input over
 several lines, each two-character operator and a stray `-`, a bad letter
 peeled off the middle of a word token, a non-ASCII character after a
-newline, and the end of input inside `(`.
+newline, the end of input inside `(`, and a match with no word side.
 """
 
 import pytest
@@ -19,6 +19,9 @@ CASES = [
     ("expr", "a -| -| b", "expected an expression atom, found '-|'", (1, 6)),
     ("expr", "-| a", "expected an expression atom, found '-|'", (1, 1)),
     ("expr", "x -|", "expected an expression atom, found 'end of input'", (1, 5)),
+    # the position of the first word token, after the letters peeled off it
+    ("expr", "ab* -| c*", "one side of -| must be a mixed word", (1, 2)),
+    ("expr", "abc* -|\n (a + b)*", "one side of -| must be a mixed word", (1, 3)),
     ("expr", "a && b", "unexpected '&&' after expression", (1, 3)),
     ("expr", "a || b", "unexpected '||' after expression", (1, 3)),
     ("expr", "a -> b", "unexpected '->' after expression", (1, 3)),
