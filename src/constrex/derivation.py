@@ -16,7 +16,8 @@ from typing import Callable, Iterable, List, Optional, Tuple
 from .errors import PreconditionError
 from .syntax import (
     Cat, Constraint, Empty, Environment, Expr, Match, Star, Sum, Word,
-    apply_subst_set, as_mixed_word, expr_str, subst_set_str, subst_word,
+    apply_subst_set, as_mixed_word, expr_str, fold, rebuild, subst_set_str,
+    subst_word,
 )
 
 DerivPair = Tuple[Expr, frozenset]
@@ -208,48 +209,41 @@ def associated_realization(r, X: frozenset):
 
 def simplify_expr(env: Environment, e: Expr) -> Expr:
     """Rewrite with sound rules (empty propagation, eps units, word matches)."""
-    if isinstance(e, (Word, Empty)):
-        return e
-    if isinstance(e, Sum):
-        left = simplify_expr(env, e.left)
-        right = simplify_expr(env, e.right)
-        if isinstance(left, Empty):
-            return right
-        if isinstance(right, Empty):
-            return left
-        return Sum(left, right)
-    if isinstance(e, Star):
-        return Star(simplify_expr(env, e.child))
-    if isinstance(e, Cat):
-        left = simplify_expr(env, e.left)
-        right = simplify_expr(env, e.right)
-        if isinstance(left, Empty) or isinstance(right, Empty):
-            return Empty()
-        if left == Word(""):
-            return right
-        if right == Word(""):
-            return left
-        return Cat(left, right)
-    if isinstance(e, Constraint):
-        child = simplify_expr(env, e.child)
-        if isinstance(child, Empty):
-            return Empty()
-        return Constraint(child, e.formula)
-    if isinstance(e, Match):
-        child = simplify_expr(env, e.child)
-        if isinstance(child, Empty):
-            return Empty()
-        if e.word == "":
-            if isinstance(child, Match) and child.word == "":
-                return child
-            if const_null(child):
-                return Word("")
-        word_child = as_mixed_word(child)
-        if word_child is not None and _symbols_only(env, e.word) \
-                and _symbols_only(env, word_child):
-            return Word(e.word) if e.word == word_child else Empty()
-        return Match(e.word, child)
-    raise TypeError(e)
+    def visit(node, values):
+        kind = type(node)
+        if kind is Sum:
+            left, right = values
+            if isinstance(left, Empty):
+                return right
+            if isinstance(right, Empty):
+                return left
+        elif kind is Cat:
+            left, right = values
+            if isinstance(left, Empty) or isinstance(right, Empty):
+                return Empty()
+            if left == Word(""):
+                return right
+            if right == Word(""):
+                return left
+        elif kind is Constraint:
+            if isinstance(values[0], Empty):
+                return Empty()
+        elif kind is Match:
+            child = values[0]
+            if isinstance(child, Empty):
+                return Empty()
+            if node.word == "":
+                if isinstance(child, Match) and child.word == "":
+                    return child
+                if const_null(child):
+                    return Word("")
+            word_child = as_mixed_word(child)
+            if word_child is not None and _symbols_only(env, node.word) \
+                    and _symbols_only(env, word_child):
+                return Word(node.word) if node.word == word_child else Empty()
+        return rebuild(node, values)   # a formula's nodes come back themselves
+
+    return fold(e, visit)
 
 
 def _symbols_only(env: Environment, w: str) -> bool:

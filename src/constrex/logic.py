@@ -35,9 +35,9 @@ from .nullability import indicator_pairs
 from .semantics import FiniteRelation, Interpretation, Realization, TableFunction
 from .syntax import (
     AND, CAT, EPSILON, EPS_TERM, NOT, OR, TRUE,
-    App, Atom, Cat, Conn, Constraint, Environment, Expr, Formula, Match,
+    App, Atom, Cat, Constraint, Environment, Expr, Formula, Match,
     Star, Sum, Term, Var, Word,
-    connective, term_str, tree_variables, walk,
+    connective, fold, rebuild, term_str, tree_variables, walk,
 )
 
 DEFAULT_MAX_PROPS = 20
@@ -141,30 +141,16 @@ def is_normalized(t: Term) -> bool:
     return True
 
 
+def _normalized(node, values):
+    if type(node) is Atom:
+        values = list(map(normalize_term, node.args))
+    return rebuild(node, values)
+
+
 def normalize_formula(phi: Formula) -> Formula:
     """phi with the terms of its atoms normalized; phi itself when they
-    already are. One stack keeps the place among the connectives, and a
-    node is rebuilt only if one of its children changed."""
-    done: list = []     # the results of the finished nodes, in order
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Atom:
-            args = tuple(map(normalize_term, node.args))
-            same = all(map(operator.is_, args, node.args))
-            done.append(node if same else Atom(node.pred, args))
-        elif kind is Conn:  # first visit: the children go first
-            stack.append((node,))
-            stack += reversed(node.children)
-        else:
-            node = node[0]
-            start = len(done) - len(node.children)
-            children = tuple(done[start:])
-            del done[start:]
-            same = all(map(operator.is_, children, node.children))
-            done.append(node if same else Conn(node.tag, children))
-    return done[0]
+    already are. A node is rebuilt only if one of its children changed."""
+    return fold(phi, _normalized)
 
 
 def terms_of_formula(phi: Formula) -> frozenset:
@@ -215,54 +201,42 @@ def _tseitin(psi: Formula, atoms: int, occurrences: list) -> Tuple[int, list]:
 
     Literal 2v says variable v is true and 2v + 1 that it is false. The
     atoms are variables 0..atoms-1, and occurrences gives the variable of
-    each atom occurrence in walk order, the order in which this stack visits
-    them (_alphabet). Each connective node becomes one gate variable,
-    keyed by its tag and its children's literals, so equal subformulas share
-    a gate. A built-in not is literal negation, a built-in and/or of any
-    arity gets its native clauses, and any other connective gets one clause
-    per row of its truth table. One stack keeps the place in psi.
+    each atom occurrence in walk order, the order in which fold visits them
+    (_alphabet). Each connective node becomes one gate variable, keyed by
+    its tag and its children's literals, so equal subformulas share a gate.
+    A built-in not is literal negation, a built-in and/or of any arity gets
+    its native clauses, and any other connective gets one clause per row of
+    its truth table.
     """
     gates: Dict[tuple, int] = {}
     clauses: list = []
-    done: list = []     # the literals of the finished nodes, in order
     occurrence = iter(occurrences)
-    stack = [psi]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Atom:
-            done.append(2 * next(occurrence))
-            continue
-        if kind is Conn:    # first visit: the children go first
-            stack.append((node,))
-            stack += reversed(node.children)
-            continue
-        node = node[0]
-        start = len(done) - len(node.children)
-        lits = tuple(done[start:])
-        del done[start:]
+
+    def literal(node, lits) -> int:
+        if type(node) is Atom:
+            return 2 * next(occurrence)
         tag, entry = node.tag, connective(node.tag)
         native = tag if _BUILTIN.get(tag) is entry else None
         if native == NOT:
-            done.append(lits[0] ^ 1)
-            continue
-        key = (tag, lits)
+            return lits[0] ^ 1
+        key = (tag, tuple(lits))
         g = gates.get(key)
         if g is None:
             g = gates[key] = 2 * (atoms + len(gates))
             if native == AND:   # g -> each child; all children -> g
-                clauses += [(g ^ 1, c) for c in lits]
+                clauses.extend((g ^ 1, c) for c in lits)
                 clauses.append((g, *[c ^ 1 for c in lits]))
             elif native == OR:  # each child -> g; g -> some child
-                clauses += [(g, c ^ 1) for c in lits]
+                clauses.extend((g, c ^ 1) for c in lits)
                 clauses.append((g ^ 1, *lits))
             else:   # a row's inputs force g to the row's value
                 truth = entry[1]
                 for row in itertools.product((False, True), repeat=len(lits)):
                     clauses.append((*map(operator.xor, lits, row),
                                     g if truth(*row) else g ^ 1))
-        done.append(g)
-    clauses.append((done[0],))
+        return g
+
+    clauses.append((fold(psi, literal),))
     return atoms + len(gates), clauses
 
 
@@ -566,27 +540,33 @@ def _extend_realization(r: Realization, X: frozenset) -> Realization:
     return Realization(r.env, assignment)
 
 
-def _one_sided(phi: Formula, polarity: Optional[dict], positive: bool = True) -> bool:
+def _one_sided(phi: Formula, polarity: Optional[dict]) -> bool:
     """True if phi is built from atoms by the built-in and, or, not and
     true, with no true negated and no atom both negated and not.
 
     Then the assignment that makes each atom occurrence true satisfies phi.
     polarity maps each atom seen to its polarity; with polarity None, a
     negated atom gives False as well and no atom is hashed, so phi must
-    join atoms by and/or/true only.
+    join atoms by and/or/true only. The search stops at the first subformula
+    that fails, and keeps its place on one stack of (subformula, polarity)
+    pairs.
     """
-    if type(phi) is Atom:
-        if polarity is None:
-            return positive
-        return polarity.setdefault(phi, positive) is positive
-    tag = phi.tag
-    if tag not in _BUILTIN or _BUILTIN[tag] is not connective(tag):
-        return False
-    if tag == TRUE:
-        return positive
-    if tag == NOT:
-        return _one_sided(phi.children[0], polarity, not positive)
-    return all(_one_sided(c, polarity, positive) for c in phi.children)
+    stack = [(phi, True)]
+    while stack:
+        node, positive = stack.pop()
+        if type(node) is Atom:
+            if not (positive if polarity is None
+                    else polarity.setdefault(node, positive) is positive):
+                return False
+            continue
+        tag = node.tag
+        if tag not in _BUILTIN or _BUILTIN[tag] is not connective(tag) \
+                or tag == TRUE and not positive:
+            return False
+        if tag == NOT:
+            positive = not positive
+        stack += [(c, positive) for c in reversed(node.children)]
+    return True
 
 
 def letter_need(env: Environment, max_props: int) -> Callable[[Expr], Optional[tuple]]:

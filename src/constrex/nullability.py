@@ -15,7 +15,7 @@ from .syntax import (
     AND, TOP,
     Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
     Match, Star, Sum, Word,
-    formula_str, subst_formula, tree_variables, variables_of,
+    fold, formula_str, subst_tree, tree_variables, variables_of,
 )
 from .semantics import Interpretation, Realization, eval_formula
 
@@ -44,7 +44,7 @@ def null_fixed(interp: Interpretation, r: Realization, e: Expr) -> bool:
 
 def erase_vars(env: Environment, phi: Formula, erased: Iterable[str]) -> Formula:
     """Substitute the empty word for every listed variable."""
-    return subst_formula(env, phi, dict.fromkeys(erased, ""))
+    return subst_tree(env, phi, dict.fromkeys(erased, ""))
 
 
 def _conj(left: Formula, right: Formula) -> Formula:
@@ -63,34 +63,29 @@ def _pairs(env: Environment, e: Expr) -> list:
     erasing at every step gave: erasure is idempotent, and it commutes with
     _conj because no erasure turns a formula into or out of TOP.
     """
-    # a catenation's right spine is a loop; its pairs combine from the right
-    lefts = []
-    while isinstance(e, Cat):
-        lefts.append(e.left)
-        e = e.right
-    if isinstance(e, Word):
-        out = []
-        if all(env.is_variable(c) for c in e.letters):
-            out = [(variables_of(env, e.letters), TOP)]
-    elif isinstance(e, Empty):
-        out = []
-    elif isinstance(e, Match):
-        out = []
-        if all(env.is_variable(c) for c in e.word):
-            xs = variables_of(env, e.word)
-            out = [(xs | x2, psi) for x2, psi in _pairs(env, e.child)]
-    elif isinstance(e, Sum):
-        out = _pairs(env, e.left) + _pairs(env, e.right)
-    elif isinstance(e, Star):
-        out = [(frozenset(), TOP)]
-    elif isinstance(e, Constraint):
-        out = [(xs, _conj(e.formula, psi)) for xs, psi in _pairs(env, e.child)]
-    else:
-        raise TypeError(e)
-    for left in reversed(lefts):
-        out = [(x1 | x2, _conj(phi1, phi2))
-               for x1, phi1 in _pairs(env, left) for x2, phi2 in out]
-    return out
+    def visit(node, values):
+        kind = type(node)
+        if kind is Word:
+            if all(env.is_variable(c) for c in node.letters):
+                return [(variables_of(env, node.letters), TOP)]
+            return []
+        if kind is Match:
+            if all(env.is_variable(c) for c in node.word):
+                xs = variables_of(env, node.word)
+                return [(xs | x2, psi) for x2, psi in values[0]]
+            return []
+        if kind is Sum:
+            return values[0] + values[1]
+        if kind is Cat:
+            return [(x1 | x2, _conj(phi1, phi2))
+                    for x1, phi1 in values[0] for x2, phi2 in values[1]]
+        if kind is Star:
+            return [(frozenset(), TOP)]
+        if kind is Constraint:
+            return [(xs, _conj(node.formula, psi)) for xs, psi in values[0]]
+        return []   # Empty, and the nodes of a constraint's formula
+
+    return fold(e, visit)
 
 
 def indicator_pairs(env: Environment, e: Expr):

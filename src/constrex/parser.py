@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 from .syntax import (
     CAT, NOT, TRUE, FALSE, _F_BINARY,
     App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Sum, Term, Var, Word, EPS_TERM, as_mixed_word, check_tree,
+    Match, Star, Sum, Term, Var, Word, EPS_TERM, as_mixed_word,
 )
 
 # The operators, as token kinds; an identifier run is of kind "word".
@@ -82,6 +82,7 @@ class _Parser:
         self.kinds, self.values, self.offsets = _tokenize(text)
         self.pos = 0
         self.leaves: dict = {}    # letter -> its term node, shared in one parse
+        self.arity_error = None   # the first wrong arity, raised after the parse
 
     # token plumbing -------------------------------------------------------
 
@@ -232,23 +233,27 @@ class _Parser:
             f = Conn(FALSE)
         elif kind == "word" and kinds[self.pos + 1] == "(" and value in self.env.predicates:
             self.pos += 1
-            f = Atom(value, self.args())
+            f = Atom(value, self.args("predicate", value, self.env.predicates[value]))
         else:
             self.error("expected a formula, found %r" % (value or "end of input"))
         for _ in range(negations):
             f = Conn(NOT, (f,))
         return f
 
-    def args(self) -> tuple:
+    def args(self, kind: str, name: str, arity: int) -> tuple:
+        """The parenthesized arguments of a predicate or function symbol of
+        the given arity; a wrong count is kept for _parse_whole to raise."""
         self.expect("(")
-        if self.peek() == ")":
-            self.pos += 1
-            return ()
-        out = [self.term()]
-        while self.peek() == ",":
-            self.pos += 1
+        out = []
+        if self.peek() != ")":
             out.append(self.term())
+            while self.peek() == ",":
+                self.pos += 1
+                out.append(self.term())
         self.expect(")")
+        if len(out) != arity and self.arity_error is None:
+            self.arity_error = ConfigError("%s %r expects %d arguments, got %d"
+                                           % (kind, name, arity, len(out)))
         return tuple(out)
 
     # terms ------------------------------------------------------------------
@@ -265,7 +270,8 @@ class _Parser:
                     factors.append(EPS_TERM)
                 elif kinds[self.pos + 1] == "(" and value in env.functions:
                     self.pos += 1
-                    factors.append(App(value, self.args()))
+                    args = self.args("function", value, env.functions[value])
+                    factors.append(App(value, args))
                 else:
                     c = self.take_letter()
                     leaf = self.leaves.get(c)
@@ -287,24 +293,27 @@ class _Parser:
 
 
 def _parse_whole(text: str, env: Environment, rule, what: str):
-    """Run one grammar rule and require that it consumes the whole text."""
+    """Run one grammar rule and require that it consumes the whole text.
+    A ParseError anywhere in it comes before a wrong arity (ConfigError)."""
     p = _Parser(env, text)
     result = rule(p)
     if p.peek() != "eof":
         p.error("unexpected %r after %s" % (p.values[p.pos], what))
+    if p.arity_error is not None:
+        raise p.arity_error
     return result
 
 
 def parse_expression(text: str, env: Environment) -> Expr:
-    return check_tree(env, _parse_whole(text, env, _Parser.expr, "expression"))
+    return _parse_whole(text, env, _Parser.expr, "expression")
 
 
 def parse_formula(text: str, env: Environment) -> Formula:
-    return check_tree(env, _parse_whole(text, env, _Parser.formula, "formula"))
+    return _parse_whole(text, env, _Parser.formula, "formula")
 
 
 def parse_term(text: str, env: Environment) -> Term:
-    return check_tree(env, _parse_whole(text, env, _Parser.term, "term"))
+    return _parse_whole(text, env, _Parser.term, "term")
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +323,7 @@ _SECTIONS = ("alphabet", "variables", "predicates", "functions")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")  # ASCII only, as _TOKEN reads
 _LETTER = re.compile(r"[A-Za-z0-9_]\Z")  # one character _TOKEN reads
 _ARITY = re.compile(r"[0-9]+\Z")  # ASCII digits only: int() rejects "²"
+_ENTRY = re.compile(r"\S+")
 
 
 def parse_environment(text: str) -> Environment:
@@ -328,37 +338,35 @@ def parse_environment(text: str) -> Environment:
     predicates: dict = {}
     functions: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        body = raw.split("#", 1)[0]
+        if not body.strip():
             continue
-        if ":" not in line:
+        if ":" not in body:
             raise ParseError("expected 'section: entries'", lineno, 1)
-        key, _, rest = line.partition(":")
-        key = key.strip()
+        colon = body.index(":")
+        key = body[:colon].strip()
         if key not in _SECTIONS:
             raise ParseError("unknown section %r" % key, lineno, 1)
-        entries = rest.split()
+        # each entry with its column, read off its own match after the colon
+        entries = [(m.group(), m.start() + 1) for m in _ENTRY.finditer(body, colon + 1)]
         if key in ("alphabet", "variables"):
             target = symbols if key == "alphabet" else variables
-            for entry in entries:
+            for entry, column in entries:
                 if not _LETTER.match(entry):
                     raise ParseError("letters must be single characters from "
-                                     "[A-Za-z0-9_]: %r" % entry,
-                                     lineno, raw.index(entry) + 1)
+                                     "[A-Za-z0-9_]: %r" % entry, lineno, column)
                 if entry in symbols or entry in variables:
-                    raise ParseError("duplicate letter %r" % entry,
-                                     lineno, raw.index(entry) + 1)
+                    raise ParseError("duplicate letter %r" % entry, lineno, column)
                 target.append(entry)
         else:
             target = predicates if key == "predicates" else functions
-            for entry in entries:
+            for entry, column in entries:
                 name, slash, arity = entry.partition("/")
                 if not slash or not _ARITY.match(arity) or not _NAME.match(name):
                     raise ParseError("expected name/arity, found %r" % entry,
-                                     lineno, raw.index(entry) + 1)
+                                     lineno, column)
                 if name in predicates or name in functions:
-                    raise ParseError("duplicate name %r" % name,
-                                     lineno, raw.index(entry) + 1)
+                    raise ParseError("duplicate name %r" % name, lineno, column)
                 target[name] = int(arity)
     if not symbols:
         raise ParseError("environment declares no alphabet", 1, 1)

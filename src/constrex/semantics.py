@@ -17,8 +17,8 @@ from .derivation import const_null
 from .errors import ConfigError
 from .syntax import (
     CAT, EPSILON,
-    Atom, Cat, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Sum, Term, Var, Word, connective, regex_str,
+    App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
+    Match, Star, Sum, Term, Var, Word, connective, fold, rebuild, regex_str,
 )
 
 
@@ -155,18 +155,38 @@ class Realization:
         return "".join(self(c) if self.env.is_variable(c) else c for c in alpha)
 
 
+def _evaluator(interp: Interpretation, r: Realization):
+    """The fold visit of evaluation under (I, r): a term gives its word, a
+    formula its truth value and an expression its regular form."""
+    def visit(node, values):
+        kind = type(node)
+        if kind is Var:
+            return r(node.name)
+        if kind is App:
+            return interp.eval_function(node.fn, tuple(values))
+        if kind is Atom:
+            return interp.eval_predicate(
+                node.pred, tuple(fold(t, visit) for t in node.args))
+        if kind is Conn:
+            return bool(connective(node.tag)[1](*values))
+        if kind is Word:
+            return Word(r.realize(node.letters))
+        if kind is Match:
+            return Match(r.realize(node.word), values[0])
+        if kind is Constraint:
+            child, holds = values
+            return child if holds else Empty()
+        return rebuild(node, values)
+
+    return visit
+
+
 def eval_term(interp: Interpretation, r: Realization, t: Term) -> str:
-    if isinstance(t, Var):
-        return r(t.name)
-    return interp.eval_function(t.fn, tuple(eval_term(interp, r, a) for a in t.args))
+    return fold(t, _evaluator(interp, r))
 
 
 def eval_formula(interp: Interpretation, r: Realization, phi: Formula) -> bool:
-    if isinstance(phi, Atom):
-        return interp.eval_predicate(
-            phi.pred, tuple(eval_term(interp, r, t) for t in phi.args))
-    _, truth = connective(phi.tag)
-    return bool(truth(*(eval_formula(interp, r, c) for c in phi.children)))
+    return fold(phi, _evaluator(interp, r))
 
 
 # ---------------------------------------------------------------------------
@@ -180,35 +200,7 @@ def eval_formula(interp: Interpretation, r: Realization, phi: Formula) -> bool:
 def regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
     """The variable-free, constraint-free expression with the same
     (I,r)-language."""
-    return _regularize(interp, r, e)
-
-
-def _regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
-    # a catenation's right spine is a loop, rebuilt with the same nesting
-    lefts = []
-    while isinstance(e, Cat):
-        lefts.append(_regularize(interp, r, e.left))
-        e = e.right
-    if isinstance(e, Word):
-        out = Word(r.realize(e.letters))
-    elif isinstance(e, Empty):
-        out = e
-    elif isinstance(e, Sum):
-        out = Sum(_regularize(interp, r, e.left), _regularize(interp, r, e.right))
-    elif isinstance(e, Star):
-        out = Star(_regularize(interp, r, e.child))
-    elif isinstance(e, Constraint):
-        if eval_formula(interp, r, e.formula):
-            out = _regularize(interp, r, e.child)
-        else:
-            out = Empty()
-    elif isinstance(e, Match):
-        out = Match(r.realize(e.word), _regularize(interp, r, e.child))
-    else:
-        raise TypeError(e)
-    for left in reversed(lefts):
-        out = Cat(left, out)
-    return out
+    return fold(e, _evaluator(interp, r))
 
 
 def regex_derivative(rx: Expr, a: str) -> frozenset:

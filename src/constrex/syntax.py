@@ -4,14 +4,18 @@ Mixed words are plain strings over the symbol and variable alphabets (both
 restricted to single characters), with "" playing the role of the empty word.
 Terms, formulas and expressions are immutable dataclass trees; every operation
 here is a pure function, so values can be shared freely across threads.
-`walk` yields the nodes of any such tree from an explicit stack; the validator
-`check_tree` and the collectors (`as_mixed_word`, `subterms`,
-`tree_variables`, `expr_variables`) read it, so they accept trees of any
-depth.
+`walk` yields the nodes of any such tree from an explicit stack, parents
+first; the collectors (`as_mixed_word`, `subterms`, `tree_variables`,
+`expr_variables`) read it. `fold` is its post-order twin: it hands each node
+the values of its children and returns the root's value. Substitution
+(`subst_tree`) and `formula_str` are visits on it, as are evaluation,
+normalization, the indicator pairs and `simplify_expr` elsewhere. Both
+accept trees of any depth.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Union
 
@@ -238,21 +242,23 @@ def variables_of(env: Environment, alpha: str) -> frozenset:
 # ---------------------------------------------------------------------------
 # the node walk
 
-# The children of each node type, last first, so that the walk's stack pops
-# them left to right.
-_CHILDREN_REVERSED = {
+# The children of each node type, left to right; a constraint's formula
+# comes after its child.
+_CHILDREN = {
     Var: lambda n: (),
-    App: lambda n: n.args[::-1],
-    Atom: lambda n: n.args[::-1],
-    Conn: lambda n: n.children[::-1],
+    App: operator.attrgetter("args"),
+    Atom: operator.attrgetter("args"),
+    Conn: operator.attrgetter("children"),
     Word: lambda n: (),
     Empty: lambda n: (),
-    Sum: lambda n: (n.right, n.left),
-    Cat: lambda n: (n.right, n.left),
+    Sum: operator.attrgetter("left", "right"),
+    Cat: operator.attrgetter("left", "right"),
     Star: lambda n: (n.child,),
-    Constraint: lambda n: (n.formula, n.child),
+    Constraint: operator.attrgetter("child", "formula"),
     Match: lambda n: (n.child,),
 }
+# fold takes an atom as a leaf: a visit that needs its terms folds them
+_FOLD_CHILDREN = {**_CHILDREN, Atom: _CHILDREN[Var]}
 
 
 def walk(root):
@@ -265,11 +271,63 @@ def walk(root):
     stack = [root]
     while stack:
         node = stack.pop()
-        children = _CHILDREN_REVERSED.get(type(node))
+        children = _CHILDREN.get(type(node))
         if children is None:
             raise TypeError(node)
         yield node
-        stack += children(node)
+        stack += reversed(children(node))
+
+
+def fold(root, visit):
+    """What visit gives root: visit(node, values) gets the values of node's
+    children, left to right, a constraint's formula after its child; an atom
+    is a leaf. One explicit stack visits children before their parent, so a
+    deep tree needs no recursion. Raises TypeError on a node of no tree type.
+    """
+    try:
+        children = _FOLD_CHILDREN[type(root)](root)
+    except KeyError:
+        raise TypeError(root) from None
+    if not children:    # the terms of an atom are mostly leaves
+        return visit(root, ())
+    done: list = []     # the values of the finished nodes, in order
+    stack = [(root, len(children)), *children[::-1]]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is tuple:       # second visit: the children are done
+            node, count = node
+            values = done[-count:]
+            del done[-count:]
+            done.append(visit(node, values))
+            continue
+        try:
+            children = _FOLD_CHILDREN[kind](node)
+        except KeyError:
+            raise TypeError(node) from None
+        if children:
+            stack.append((node, len(children)))
+            stack += children[::-1]
+        else:
+            done.append(visit(node, ()))
+    return done[0]
+
+
+def rebuild(node, values):
+    """node with values as its children, left to right; node itself when
+    each value is the child it replaces."""
+    kind = type(node)
+    if not values or all(map(operator.is_, values, _CHILDREN[kind](node))):
+        return node
+    if kind is App:
+        return App(node.fn, tuple(values))
+    if kind is Atom:
+        return Atom(node.pred, tuple(values))
+    if kind is Conn:
+        return Conn(node.tag, tuple(values))
+    if kind is Match:
+        return Match(node.word, *values)
+    return kind(*values)
 
 
 def as_mixed_word(e: Expr):
@@ -281,38 +339,6 @@ def as_mixed_word(e: Expr):
         elif not isinstance(node, Cat):
             return None
     return "".join(letters)
-
-
-def check_tree(env: Environment, root):
-    """Return root if it is well formed over env, else raise ConfigError.
-
-    Letters must be declared and every function, predicate and operator must
-    get its arity; the first offending node in walk order is reported.
-    """
-    for node in walk(root):
-        kind = type(node)
-        if kind is Word:
-            env.check_word(node.letters)
-        elif kind is Var:
-            if not env.is_variable(node.name):
-                raise ConfigError("unknown variable %r" % node.name)
-        elif kind is App:
-            arity = env.function_arity(node.fn)
-            if len(node.args) != arity:
-                raise ConfigError("function %r expects %d arguments, got %d"
-                                  % (node.fn, arity, len(node.args)))
-        elif kind is Atom:
-            arity = env.predicate_arity(node.pred)
-            if len(node.args) != arity:
-                raise ConfigError("predicate %r expects %d arguments, got %d"
-                                  % (node.pred, arity, len(node.args)))
-        elif kind is Conn:
-            arity, _ = connective(node.tag)
-            if len(node.children) != arity:
-                raise ConfigError("operator %r expects %d operands" % (node.tag, arity))
-        elif kind is Match:
-            env.check_word(node.word)
-    return root
 
 
 def subterms(t: Term) -> frozenset:
@@ -348,46 +374,36 @@ def subst_word(alpha: str, m: Substitution) -> str:
     return "".join(m.get(c, c) for c in alpha)
 
 
-def subst_term(env: Environment, t: Term, m: Substitution) -> Term:
-    if isinstance(t, Var):
-        return term_of_word(env, m[t.name]) if t.name in m else t
-    args = tuple(subst_term(env, a, m) for a in t.args)
-    if t.fn == CAT:
-        # A child that became epsilon through this substitution is collapsed,
-        # so substituted word arguments stay word-shaped (the evaluation is
-        # unchanged: catenation with the empty word is the identity). Children
-        # that already were epsilon are left alone, keeping the substitution
-        # an identity on terms without the variables.
-        left, right = args
-        if left == EPS_TERM and t.args[0] != EPS_TERM:
-            return right
-        if right == EPS_TERM and t.args[1] != EPS_TERM:
-            return left
-    return App(t.fn, args)
+def subst_tree(env: Environment, root, m: Substitution):
+    """A term, formula or expression with each variable x in m replaced by
+    the word m[x], in one fold; an untouched subtree is returned itself.
 
+    A catenation child that became epsilon here is collapsed, so word terms
+    stay word-shaped (catenation with the empty word is the identity); one
+    that already was epsilon stays, so trees without the variables stay.
+    """
+    def visit(node, values):
+        kind = type(node)
+        if kind is Var:
+            return term_of_word(env, m[node.name]) if node.name in m else node
+        if kind is Word:
+            letters = subst_word(node.letters, m)
+            return node if letters == node.letters else Word(letters)
+        if kind is Match:
+            word = subst_word(node.word, m)
+            if word != node.word:
+                return Match(word, values[0])
+        elif kind is Atom:
+            values = [fold(t, visit) for t in node.args]
+        elif kind is App and node.fn == CAT:
+            left, right = values
+            if left == EPS_TERM and node.args[0] != EPS_TERM:
+                return right
+            if right == EPS_TERM and node.args[1] != EPS_TERM:
+                return left
+        return rebuild(node, values)
 
-def subst_formula(env: Environment, phi: Formula, m: Substitution) -> Formula:
-    if isinstance(phi, Atom):
-        return Atom(phi.pred, tuple(subst_term(env, t, m) for t in phi.args))
-    return Conn(phi.tag, tuple(subst_formula(env, c, m) for c in phi.children))
-
-
-def subst_expr(env: Environment, e: Expr, m: Substitution) -> Expr:
-    if isinstance(e, Word):
-        return Word(subst_word(e.letters, m))
-    if isinstance(e, Empty):
-        return e
-    if isinstance(e, Sum):
-        return Sum(subst_expr(env, e.left, m), subst_expr(env, e.right, m))
-    if isinstance(e, Cat):
-        return Cat(subst_expr(env, e.left, m), subst_expr(env, e.right, m))
-    if isinstance(e, Star):
-        return Star(subst_expr(env, e.child, m))
-    if isinstance(e, Constraint):
-        return Constraint(subst_expr(env, e.child, m), subst_formula(env, e.formula, m))
-    if isinstance(e, Match):
-        return Match(subst_word(e.word, m), subst_expr(env, e.child, m))
-    raise TypeError(e)
+    return fold(root, visit)
 
 
 def check_subst_set(X: Iterable[Assumption]) -> frozenset:
@@ -422,11 +438,7 @@ def apply_subst_set(env: Environment, entity, X: Iterable[Assumption]):
         return entity
     if isinstance(entity, str):
         return subst_word(entity, m)
-    if isinstance(entity, (Var, App)):
-        return subst_term(env, entity, m)
-    if isinstance(entity, (Atom, Conn)):
-        return subst_formula(env, entity, m)
-    return subst_expr(env, entity, m)
+    return subst_tree(env, entity, m)
 
 
 # ---------------------------------------------------------------------------
@@ -481,25 +493,34 @@ _F_BINARY = {
     AND: (" && ", 3, 3, 4),
 }
 _F_NOT = 4
+_F_ATOMIC = 5
 
 
-def formula_str(phi: Formula, _level: int = 0) -> str:
-    if isinstance(phi, Atom):
+def _formula_piece(phi: Formula, values) -> tuple:
+    """The text of phi and its level, from the pieces of its children."""
+    if type(phi) is Atom:
         if not phi.args:
-            return phi.pred
-        return "%s(%s)" % (phi.pred, ", ".join(term_str(t) for t in phi.args))
+            return phi.pred, _F_ATOMIC
+        return "%s(%s)" % (phi.pred, ", ".join(map(term_str, phi.args))), _F_ATOMIC
     tag = phi.tag
     if tag in _F_BINARY:
         glyph, own, left, right = _F_BINARY[tag]
-        s = formula_str(phi.children[0], left) + glyph + \
-            formula_str(phi.children[1], right)
-    elif tag == NOT:
-        own, s = _F_NOT, "!" + formula_str(phi.children[0], _F_NOT)
-    elif tag in (TRUE, FALSE):
-        return tag
-    else:
-        return "%s(%s)" % (tag, ", ".join(formula_str(c) for c in phi.children))
-    return "(" + s + ")" if own < _level else s
+        (text, level), (right_text, right_level) = values
+        if level < left:
+            text = "(" + text + ")"
+        if right_level < right:
+            right_text = "(" + right_text + ")"
+        return text + glyph + right_text, own
+    if tag == NOT:
+        text, level = values[0]
+        return ("!" + text if level >= _F_NOT else "!(" + text + ")"), _F_NOT
+    if tag in (TRUE, FALSE):
+        return tag, _F_ATOMIC
+    return "%s(%s)" % (tag, ", ".join(text for text, _ in values)), _F_ATOMIC
+
+
+def formula_str(phi: Formula) -> str:
+    return fold(phi, _formula_piece)[0]
 
 
 def _cat_factors(e: Expr) -> list:

@@ -16,7 +16,7 @@ from constrex import (
 )
 from constrex.syntax import (
     AND, CAT, EPSILON, IMPLIES, NOT, OR, App, Atom, Conn, Var,
-    subst_term, tree_variables,
+    subst_tree, tree_variables,
 )
 
 ENV3_TEXT = """\
@@ -304,7 +304,7 @@ def rewriting_witness(env, phi, assignment):
         w = separator_word(env, terms)
         bindings[x] = w
         separators.append(w)
-        terms = {normalize_term(subst_term(env, t, {x: w})) for t in terms}
+        terms = {normalize_term(subst_tree(env, t, {x: w})) for t in terms}
     while True:
         apps = set()
         for t in terms:

@@ -145,6 +145,17 @@ def test_parse_error_exit_code(env_file, capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("sat", "--formula", "sim(f(x, y), a)"), "function 'f' expects 1 arguments, got 2"),
+    (("indicator", "--expr", "x | lt(x)"), "predicate 'lt' expects 2 arguments, got 1"),
+], ids=["sat-function", "indicator-predicate"])
+def test_wrong_arity_exits_2(env_file, capsys, argv, message):
+    assert run([argv[0], "--env", env_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_missing_env_file(capsys):
     status, _ = invoke(capsys, "indicator", "--env", "/does/not/exist",
                        "--expr", "a")
@@ -207,6 +218,37 @@ def test_sat_on_a_flat_chain_of_3000_atoms(env_file, capsys, op):
         status, out = invoke(capsys, "sat", "--env", env_file, "--formula", chain)
     assert status == 0
     assert out.splitlines()[0] == "SAT"
+
+
+@pytest.mark.parametrize("op", ["&&", "||"])
+@pytest.mark.parametrize("argv, lines", [
+    (("check-fixed", "--word", "a", "--interp", "sim=leneq", "--real", "x=a"), ["ACCEPT"]),
+    (("derive", "--word", "a"), ["x | {ax}\t{{(x,ax)}}"]),
+    (("indicator",), ["{{x}} :: {eps}"]),
+], ids=["check-fixed", "derive", "indicator"])
+def test_modes_on_a_constraint_of_3000_atoms(env_file, capsys, op, argv, lines):
+    def chain(x):
+        return (" %s " % op).join(["sim(%s, b)" % x] * 3000)
+
+    with recursion_headroom():
+        status = run([argv[0], "--env", env_file, "--expr", "x | " + chain("x"), *argv[1:]])
+    captured = capsys.readouterr()
+    assert (status, captured.err) == (0, "")
+    assert captured.out.splitlines() == [
+        line.format(ax=chain("ax"), eps=chain("eps")) for line in lines]
+
+
+@pytest.mark.parametrize("op", ["&&", "||"])
+def test_check_free_on_a_one_sided_constraint_of_3000_atoms(env_file, capsys, op):
+    # the search reads the chain's 20 distinct atoms, within the symbol limit
+    chain = (" %s " % op).join("sim(x, %s)" % w for w in ["a", "b", "ab", "ba"] * 5) \
+        + " %s " % op + (" %s " % op).join(["sim(x, a)"] * 2980)
+    with recursion_headroom():
+        status = run(["check-free", "--env", env_file, "--expr", "x | " + chain,
+                      "--word", "ab"])
+    captured = capsys.readouterr()
+    assert (status, captured.err) == (0, "")
+    assert captured.out.splitlines()[:2] == ["ACCEPT", "x = ab"]
 
 
 LONG = " ".join("ab" * 1500)

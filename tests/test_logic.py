@@ -586,13 +586,13 @@ def test_contradiction_transfer_random(envp):
 
 def test_separator_sequence_follows_the_worked_example(envf):
     # the recursion's separators grow: a b^2 a, then a b^3 a, then a b^4 a
-    from constrex.syntax import subst_term, term_of_word
+    from constrex.syntax import subst_tree, term_of_word
     t1 = normalize_term(parse_term("(a)(g(a, baxc))", envf))
     v1 = normalize_term(parse_term("f(a, (a)(baxc))", envf))
     w1 = separator_word(envf, [t1, v1])
     assert w1 == "abba"
-    t2 = normalize_term(subst_term(envf, t1, {"x": w1}))
-    v2 = normalize_term(subst_term(envf, v1, {"x": w1}))
+    t2 = normalize_term(subst_tree(envf, t1, {"x": w1}))
+    v2 = normalize_term(subst_tree(envf, v1, {"x": w1}))
     w2 = separator_word(envf, [t2, v2])
     assert w2 == "abbba"
     # replacing the f application by w2 leaves {t2, Term(w2)}

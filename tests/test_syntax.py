@@ -14,8 +14,8 @@ from constrex import (
 )
 from constrex.errors import ConfigError
 from constrex.syntax import (
-    EPS_TERM, check_tree, expr_variables, formula_str,
-    subst_expr, subst_formula, subst_word, tree_variables, walk,
+    EPS_TERM, expr_variables, formula_str, subst_tree, subst_word,
+    tree_variables, walk,
 )
 
 from conftest import (
@@ -64,6 +64,20 @@ def test_parse_environment_rejects_letters_the_tokenizer_cannot_read():
     assert (env.symbols, env.variables) == (("a", "0"), ("_", "X"))
 
 
+@pytest.mark.parametrize("text, position", [
+    ("alphabet: a a", (1, 13)),
+    ("alphabet: a b\nvariables: x a", (2, 14)),
+    ("alphabet: a\npredicates: sp/1 p/1 p/1", (2, 22)),
+    ("alphabet: a\nfunctions: f/1\npredicates: ff/1 f/1", (3, 18)),
+    ("alphabet: a\npredicates: e", (2, 13)),
+], ids=["symbol-in-key", "variable-in-key", "name-in-entry", "function-in-entry",
+        "entry-in-key"])
+def test_parse_environment_points_at_the_offending_entry(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_environment(text)
+    assert (err.value.line, err.value.column) == position
+
+
 def test_parse_expression_e1_structure(env3):
     e = parse_expression("x b* y | sim(f(x), f(y))", env3)
     assert e == Constraint(
@@ -95,6 +109,21 @@ def test_parse_formula_arity_mismatch(env3):
         parse_formula("sim(f(x))", env3)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_term, "a f(x, y)", "function 'f' expects 1 arguments, got 2"),
+    (parse_term, "f()", "function 'f' expects 1 arguments, got 0"),
+    (parse_formula, "sim(f(), x)", "function 'f' expects 1 arguments, got 0"),
+    (parse_expression, "x | lt(f(x, a), y)", "function 'f' expects 1 arguments, got 2"),
+    (parse_formula, "sim(x, y) && !lt(x)", "predicate 'lt' expects 2 arguments, got 1"),
+    (parse_expression, "x* | sim(a, b, c)", "predicate 'sim' expects 2 arguments, got 3"),
+], ids=["term-f2", "term-f0", "formula-f0", "expr-f2", "formula-lt1", "expr-sim3"])
+def test_parse_reports_the_wrong_arity(env3, parse, text, message):
+    with pytest.raises(ConfigError) as err:
+        parse(text, env3)
+    assert type(err.value) is ConfigError
+    assert str(err.value) == message
+
+
 def test_match_requires_a_word_side(env3):
     with pytest.raises(ParseError):
         parse_expression("a* -| b*", env3)
@@ -106,12 +135,12 @@ def test_substitute_word_doubles(env3):
 
 def test_substitute_formula_gives_f1(env3):
     phi = parse_formula("sim(f(x), f(y))", env3)
-    assert subst_formula(env3, phi, {"x": "ax"}) == parse_formula("sim(f(ax), f(y))", env3)
+    assert subst_tree(env3, phi, {"x": "ax"}) == parse_formula("sim(f(ax), f(y))", env3)
 
 
 def test_substitute_without_occurrence(env3):
     e = parse_expression("a b*", env3)
-    assert subst_expr(env3, e, {"x": "ax"}) == e
+    assert subst_tree(env3, e, {"x": "ax"}) == e
 
 
 def test_substitute_no_occurrence_random(env3):
@@ -120,12 +149,12 @@ def test_substitute_no_occurrence_random(env3):
         e = rand_expr(rng, env3, 3)
         for x in env3.variables:
             if x not in expr_str(e):
-                assert subst_expr(env3, e, {x: "ax"}) == e
+                assert subst_tree(env3, e, {x: "ax"}) == e
 
 
 def test_subst_eps_collapses_catenation(env3):
     phi = parse_formula("sim(f(abx), f(y))", env3)
-    assert subst_formula(env3, phi, {"x": ""}) == parse_formula("sim(f(ab), f(y))", env3)
+    assert subst_tree(env3, phi, {"x": ""}) == parse_formula("sim(f(ab), f(y))", env3)
 
 
 def test_apply_subst_set_examples(env3):
@@ -259,8 +288,6 @@ def test_deep_trees_are_walked_without_recursion(env3):
         assert tree_variables(Atom("sim", (t, t))) == {"x"}
         assert expr_variables(env3, Constraint(e, Atom("lt", (t, App("b"))))) == {"x"}
         assert expr_str(e) == " ".join(letters)
-        with pytest.raises(ConfigError, match="'w' is not a letter"):
-            check_tree(env3, Cat(e, Word("w")))
         # a long mixed word on either side of -|
         word = "ab" * (DEEP // 2)
         left = parse_expression(" ".join(word) + " -| (a + b)*", env3)
@@ -276,3 +303,47 @@ def test_term_of_word_builds_long_words_without_recursion(env3):
         t = term_of_word(env3, letters)
         assert term_str(t) == letters
         assert tree_variables(t) == {"x"}
+
+
+@pytest.mark.parametrize("op", ["&&", "||"])
+def test_deep_trees_are_folded_without_recursion(env3, op):
+    # a flat chain of DEEP atoms under a catenation of DEEP symbols
+    from constrex import (
+        Interpretation, Realization, eval_formula, normalize_formula, regex_str,
+        regularize, simplify_expr,
+    )
+    glue = " %s " % op
+    letters = " ".join("xa" * (DEEP // 2))
+    interp = Interpretation(env3, {"sim": "leneq", "lt": "lenleq"}, {"f": "projA"})
+    with recursion_headroom():
+        chain = parse_formula(glue.join(["sim(x, a)"] * DEEP), env3)
+        assert formula_str(chain) == glue.join(["sim(x, a)"] * DEEP)
+        assert eval_formula(interp, Realization(env3, {"x": "b"}), chain) is True
+        assert eval_formula(interp, Realization(env3), chain) is False
+        erased = apply_subst_set(env3, chain, {("x", "")})
+        assert formula_str(erased) == glue.join(["sim(eps, a)"] * DEEP)
+        assert normalize_formula(chain) is chain
+        unnormal = parse_formula(glue.join(["sim((ab)x, eps a)"] * DEEP), env3)
+        assert formula_str(normalize_formula(unnormal)) == glue.join(["sim(abx, a)"] * DEEP)
+        e = parse_expression(letters + " | " + glue.join(["sim(x, a)"] * DEEP), env3)
+        rx = regularize(interp, Realization(env3, {"x": "b"}), e)
+        assert regex_str(rx) == letters.replace("x", "b")
+        assert regex_str(regularize(interp, Realization(env3), e)) == "empty"
+        derived = apply_subst_set(env3, e, {("x", "bx")})
+        assert expr_str(derived) == "%s | %s" % (
+            letters.replace("x", "bx"), glue.join(["sim(bx, a)"] * DEEP))
+        padded = parse_expression(" ".join(["a eps"] * (DEEP // 2)), env3)
+        assert expr_str(simplify_expr(env3, padded)) == " ".join("a" * (DEEP // 2))
+
+
+def test_apply_subst_set_returns_untouched_subtrees_themselves(env3):
+    e = parse_expression("(x a + b*) c -| (y | sim(f(x), a) && lt(y, b))", env3)
+    assert apply_subst_set(env3, e, {("z", "")}) is e
+    phi = e.formula
+    out = apply_subst_set(env3, e, {("x", "ax")})
+    assert expr_str(out) == "y -| (ax a + b*) c | sim(f(ax), a) && lt(y, b)"
+    assert out.child.word == e.child.word
+    assert out.child.child.right is e.child.child.right      # c
+    assert out.child.child.left.right is e.child.child.left.right   # b*
+    assert out.formula.children[1] is phi.children[1]      # lt(y, b)
+    assert out.formula.children[0].args[1] is phi.children[0].args[1]     # a
