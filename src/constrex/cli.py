@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .errors import ConstrexError
 from .derivation import derive_expr_word, simplify
@@ -104,7 +103,8 @@ def _realization(env: Environment, text: str) -> Realization:
 
 def _read_file(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise ConstrexError("cannot decode %s: %s" % (path, exc)) from None
 

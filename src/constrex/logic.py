@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .errors import ConfigError, TruthTableLimitError, UnsupportedAlphabetError
@@ -37,7 +36,7 @@ from .syntax import (
     AND, CAT, EPSILON, EPS_TERM, NOT, OR, TRUE,
     App, Atom, Cat, Constraint, Environment, Expr, Formula, Match,
     Star, Sum, Term, Var, Word,
-    connective, fold, rebuild, term_str, tree_variables, walk,
+    connective, fields_repr, fold, rebuild, term_str, tree_variables, walk,
 )
 
 DEFAULT_MAX_PROPS = 20
@@ -424,12 +423,24 @@ def separator_word(env: Environment, terms: Iterable[Term]) -> str:
 # witnesses
 
 
-@dataclass(frozen=True)
 class Witness:
     """A concrete (interpretation, realization) pair demonstrating satisfiability."""
 
-    interpretation: Interpretation
-    realization: Realization
+    __slots__ = ("interpretation", "realization")
+    __repr__ = fields_repr
+
+    def __init__(self, interpretation: Interpretation, realization: Realization):
+        self.interpretation = interpretation
+        self.realization = realization
+
+    def __eq__(self, other):
+        if other.__class__ is Witness:
+            return (self.interpretation, self.realization) == \
+                (other.interpretation, other.realization)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.interpretation, self.realization))
 
 
 def build_witness(env: Environment, phi: Formula,

@@ -17,29 +17,35 @@ from .syntax import (
     Match, Star, Sum, Word,
     fold, formula_str, subst_tree, tree_variables, variables_of,
 )
-from .semantics import Interpretation, Realization, eval_formula
+from .semantics import Interpretation, Realization, _evaluator, eval_formula
 
 IndicatorPair = Tuple[frozenset, Formula]
 IndicatorSet = Tuple[IndicatorPair, ...]
 
 
 def null_fixed(interp: Interpretation, r: Realization, e: Expr) -> bool:
-    """The inductive empty-word test under a fixed interpretation and realization."""
-    if isinstance(e, Word):
-        return r.realize(e.letters) == ""
-    if isinstance(e, Empty):
-        return False
-    if isinstance(e, Match):
-        return r.realize(e.word) == "" and null_fixed(interp, r, e.child)
-    if isinstance(e, Sum):
-        return null_fixed(interp, r, e.left) or null_fixed(interp, r, e.right)
-    if isinstance(e, Cat):
-        return null_fixed(interp, r, e.left) and null_fixed(interp, r, e.right)
-    if isinstance(e, Star):
-        return True
-    if isinstance(e, Constraint):
-        return null_fixed(interp, r, e.child) and eval_formula(interp, r, e.formula)
-    raise TypeError(e)
+    """The inductive empty-word test under a fixed interpretation and
+    realization, in one fold; a constraint's formula is evaluated by the
+    evaluation visit of `semantics`."""
+    evaluate = _evaluator(interp, r)
+
+    def visit(node, values):
+        kind = type(node)
+        if kind is Word:
+            return r.realize(node.letters) == ""
+        if kind is Empty:
+            return False
+        if kind is Match:
+            return r.realize(node.word) == "" and values[0]
+        if kind is Sum:
+            return values[0] or values[1]
+        if kind is Cat or kind is Constraint:
+            return values[0] and values[1]
+        if kind is Star:
+            return True
+        return evaluate(node, values)   # the nodes of a constraint's formula
+
+    return fold(e, visit)
 
 
 def erase_vars(env: Environment, phi: Formula, erased: Iterable[str]) -> Formula:

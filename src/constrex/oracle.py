@@ -10,21 +10,28 @@ produced it; a negative answer only means "not found within the bound".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 from .semantics import FiniteRelation, Interpretation, Realization, eval_formula
 from .syntax import (
     Cat, Constraint, Empty, Environment, Expr, Formula, Match, Star, Sum,
-    Word, expr_variables, tree_variables,
+    Word, expr_variables, fields_repr, tree_variables,
 )
 
 
-@dataclass
 class Bound:
     """Search limits for the bounded oracles."""
 
-    max_realization_len: int = 2
+    __slots__ = ("max_realization_len",)
+    __repr__ = fields_repr
+
+    def __init__(self, max_realization_len: int = 2):
+        self.max_realization_len = max_realization_len
+
+    def __eq__(self, other):
+        if other.__class__ is Bound:
+            return (self.max_realization_len,) == (other.max_realization_len,)
+        return NotImplemented
 
 
 def enumerate_language(rx: Expr, max_len: int) -> frozenset:

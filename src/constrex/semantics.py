@@ -10,15 +10,15 @@ whose misses a function catenates its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .derivation import const_null
 from .errors import ConfigError
 from .syntax import (
     CAT, EPSILON,
     App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Sum, Term, Var, Word, connective, fold, rebuild, regex_str,
+    Match, Star, Sum, Term, Var, Word, connective, fields_repr, fold, rebuild,
+    regex_str,
 )
 
 
@@ -47,24 +47,46 @@ BUILTIN_FUNCTIONS = {
 ARGCAT = "argcat"  # k-ary default: left-to-right catenation of the arguments
 
 
-@dataclass(frozen=True)
 class FiniteRelation:
     """Tuples carrying the non-default truth value; co-finite via default=True."""
 
-    tuples: frozenset
-    default: bool = False
+    __slots__ = ("tuples", "default")
+    __repr__ = fields_repr
+
+    def __init__(self, tuples: frozenset, default: bool = False):
+        self.tuples = tuples
+        self.default = default
+
+    def __eq__(self, other):
+        if other.__class__ is FiniteRelation:
+            return (self.tuples, self.default) == (other.tuples, other.default)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.tuples, self.default))
 
     def holds(self, args: tuple) -> bool:
         return (args in self.tuples) != self.default
 
 
-@dataclass(frozen=True)
 class TableFunction:
     """A finite override table; arguments it does not list are catenated."""
 
-    table: tuple  # sorted ((args, value), ...) pairs
+    __slots__ = ("table",)  # sorted ((args, value), ...) pairs
+    __repr__ = fields_repr
     # a constant, not an option: bench/run.py's witness key reads it
-    default: ClassVar[str] = ARGCAT
+    default = ARGCAT
+
+    def __init__(self, table: tuple):
+        self.table = table
+
+    def __eq__(self, other):
+        if other.__class__ is TableFunction:
+            return (self.table,) == (other.table,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.table,))
 
     @staticmethod
     def from_dict(table: Mapping) -> "TableFunction":

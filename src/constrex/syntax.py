@@ -2,8 +2,11 @@
 
 Mixed words are plain strings over the symbol and variable alphabets (both
 restricted to single characters), with "" playing the role of the empty word.
-Terms, formulas and expressions are immutable dataclass trees; every operation
-here is a pure function, so values can be shared freely across threads.
+Terms, formulas and expressions are trees of plain `__slots__` classes with
+value equality and a structural hash. They are immutable by convention: no
+field is assigned after construction, because subtrees are shared. Every
+operation here is a pure function, so values can be shared freely across
+threads.
 `walk` yields the nodes of any such tree from an explicit stack, parents
 first; the collectors (`as_mixed_word`, `subterms`, `tree_variables`,
 `expr_variables`) read it. `fold` is its post-order twin: it hands each node
@@ -16,8 +19,7 @@ accept trees of any depth.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import ConfigError, PreconditionError
 
@@ -59,7 +61,6 @@ def connective(tag: str):
 # environments
 
 
-@dataclass(frozen=True, eq=False)
 class Environment:
     """A 4-tuple (symbols, variables, predicates, functions).
 
@@ -67,15 +68,19 @@ class Environment:
     symbol are implicitly registered as 0-ary/2-ary functions and must not be
     redeclared. Predicate and function names share one namespace with the
     letters and the keywords. `letter_rank` maps each letter to its position
-    in the declared order, symbols first.
+    in the declared order, symbols first. Two environments are equal only
+    when they are the same object.
     """
 
-    symbols: tuple
-    variables: tuple = ()
-    predicates: Mapping[str, int] = field(default_factory=dict)
-    functions: Mapping[str, int] = field(default_factory=dict)
+    __slots__ = ("symbols", "variables", "predicates", "functions", "letter_rank")
 
-    def __post_init__(self):
+    def __init__(self, symbols: tuple, variables: tuple = (),
+                 predicates: Optional[Mapping[str, int]] = None,
+                 functions: Optional[Mapping[str, int]] = None):
+        self.symbols = symbols
+        self.variables = variables
+        self.predicates = {} if predicates is None else predicates
+        self.functions = {} if functions is None else functions
         if not self.symbols:
             raise ConfigError("symbol alphabet must be nonempty")
         for c in self.symbols + self.variables:
@@ -97,8 +102,12 @@ class Environment:
                 raise ConfigError("name %r collides with a letter or keyword" % name)
             if arity < 0:
                 raise ConfigError("negative arity for %r" % name)
-        object.__setattr__(self, "letter_rank", {
-            c: i for i, c in enumerate(self.symbols + self.variables)})
+        self.letter_rank = {
+            c: i for i, c in enumerate(self.symbols + self.variables)}
+
+    def __repr__(self):
+        return "Environment(symbols=%r, variables=%r, predicates=%r, functions=%r)" % (
+            self.symbols, self.variables, self.predicates, self.functions)
 
     # letter classification ------------------------------------------------
 
@@ -137,18 +146,57 @@ class Environment:
 
 
 # ---------------------------------------------------------------------------
+# tree nodes
+#
+# Each node class writes out what `dataclass(frozen=True)` would generate: a
+# constructor, equality on the field tuple between nodes of one class, and
+# the hash of the field tuple. Written per class, the tuples are built
+# inline, which a shared base class reading the fields generically is not;
+# comparing tuples keeps the identity shortcut on shared subtrees.
+
+
+def fields_repr(self) -> str:
+    """The dataclass form of a repr, `Cat(left=..., right=...)`, over the
+    fields named in `__slots__`."""
+    return "%s(%s)" % (type(self).__name__, ", ".join(
+        "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+# ---------------------------------------------------------------------------
 # terms
 
 
-@dataclass(frozen=True)
 class Var:
-    name: str
+    __slots__ = ("name",)
+    __repr__ = fields_repr
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is Var:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
 class App:
-    fn: str
-    args: tuple = ()
+    __slots__ = ("fn", "args")
+    __repr__ = fields_repr
+
+    def __init__(self, fn: str, args: tuple = ()):
+        self.fn = fn
+        self.args = args
+
+    def __eq__(self, other):
+        if other.__class__ is App:
+            return (self.fn, self.args) == (other.fn, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.fn, self.args))
 
 
 Term = Union[Var, App]
@@ -170,16 +218,38 @@ def term_of_word(env: Environment, w: str) -> Term:
 # formulas
 
 
-@dataclass(frozen=True)
 class Atom:
-    pred: str
-    args: tuple = ()
+    __slots__ = ("pred", "args")
+    __repr__ = fields_repr
+
+    def __init__(self, pred: str, args: tuple = ()):
+        self.pred = pred
+        self.args = args
+
+    def __eq__(self, other):
+        if other.__class__ is Atom:
+            return (self.pred, self.args) == (other.pred, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pred, self.args))
 
 
-@dataclass(frozen=True)
 class Conn:
-    tag: str
-    children: tuple = ()
+    __slots__ = ("tag", "children")
+    __repr__ = fields_repr
+
+    def __init__(self, tag: str, children: tuple = ()):
+        self.tag = tag
+        self.children = children
+
+    def __eq__(self, other):
+        if other.__class__ is Conn:
+            return (self.tag, self.children) == (other.tag, other.children)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.tag, self.children))
 
 
 Formula = Union[Atom, Conn]
@@ -192,43 +262,117 @@ BOT = Conn(FALSE)
 # constrained expressions
 
 
-@dataclass(frozen=True)
 class Word:
-    letters: str
+    __slots__ = ("letters",)
+    __repr__ = fields_repr
+
+    def __init__(self, letters: str):
+        self.letters = letters
+
+    def __eq__(self, other):
+        if other.__class__ is Word:
+            return (self.letters,) == (other.letters,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
 
 
-@dataclass(frozen=True)
 class Empty:
-    pass
+    __slots__ = ()
+    __repr__ = fields_repr
+
+    def __eq__(self, other):
+        if other.__class__ is Empty:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
 
-@dataclass(frozen=True)
 class Sum:
-    left: "Expr"
-    right: "Expr"
+    __slots__ = ("left", "right")
+    __repr__ = fields_repr
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
+
+    def __eq__(self, other):
+        if other.__class__ is Sum:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
 class Cat:
-    left: "Expr"
-    right: "Expr"
+    __slots__ = ("left", "right")
+    __repr__ = fields_repr
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
+
+    def __eq__(self, other):
+        if other.__class__ is Cat:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
 class Star:
-    child: "Expr"
+    __slots__ = ("child",)
+    __repr__ = fields_repr
+
+    def __init__(self, child: Expr):
+        self.child = child
+
+    def __eq__(self, other):
+        if other.__class__ is Star:
+            return (self.child,) == (other.child,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.child,))
 
 
-@dataclass(frozen=True)
 class Constraint:
-    child: "Expr"
-    formula: Formula
+    __slots__ = ("child", "formula")
+    __repr__ = fields_repr
+
+    def __init__(self, child: Expr, formula: Formula):
+        self.child = child
+        self.formula = formula
+
+    def __eq__(self, other):
+        if other.__class__ is Constraint:
+            return (self.child, self.formula) == (other.child, other.formula)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.child, self.formula))
 
 
-@dataclass(frozen=True)
 class Match:
-    word: str
-    child: "Expr"
+    __slots__ = ("word", "child")
+    __repr__ = fields_repr
+
+    def __init__(self, word: str, child: Expr):
+        self.word = word
+        self.child = child
+
+    def __eq__(self, other):
+        if other.__class__ is Match:
+            return (self.word, self.child) == (other.word, other.child)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.word, self.child))
 
 
 Expr = Union[Word, Empty, Sum, Cat, Star, Constraint, Match]

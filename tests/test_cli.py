@@ -1,7 +1,12 @@
 """Command-line front end: exit codes, formats, determinism."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import constrex
 from constrex.cli import run
 
 from conftest import ENV3_TEXT, ENVP_TEXT, NEXT_TO_AN_APPLICATION, recursion_headroom
@@ -22,6 +27,15 @@ def invoke(capsys, *argv):
     status = run(list(argv))
     captured = capsys.readouterr()
     return status, captured.out
+
+
+def test_importing_the_command_loads_no_dataclasses():
+    # -S keeps site, and the .pth files it runs, from importing modules first
+    src = os.path.dirname(os.path.dirname(constrex.__file__))
+    code = "import constrex.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_check_fixed_accepts(env_file, capsys):

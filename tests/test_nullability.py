@@ -67,6 +67,18 @@ def test_indicator_pairs_walk_long_catenations(env3):
         assert indicator_set(env3, blocked) == ()
 
 
+def test_null_fixed_folds_long_catenations(env3, interp_len):
+    # both routes of the empty-word test answer without recursing once per node
+    chain = parse_expression(" ".join(["x"] * 3000), env3)
+    constrained = parse_expression(" ".join(["x"] * 3000) + " (y | lt(y, a))", env3)
+    r_empty, r_x = Realization(env3), Realization(env3, {"x": "a"})
+    with recursion_headroom():
+        assert null_fixed(interp_len, r_empty, chain) is True
+        assert null_fixed_via_indicator(interp_len, r_empty, chain) is True
+        assert null_fixed(interp_len, r_empty, constrained) is True
+        assert null_fixed(interp_len, r_x, constrained) is False
+
+
 def test_null_via_indicator_examples(env3, interp_len, interp_leneq, e1):
     r = Realization(env3)
     assert null_fixed_via_indicator(interp_len, r, parse_expression("(a b c)*", env3))

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from constrex import (
-    App, Atom, Cat, Constraint, Match, ParseError, PreconditionError, Star,
-    Var, Word,
+    App, Atom, Cat, Conn, Constraint, Empty, FiniteRelation, Match, ParseError,
+    PreconditionError, Star, Sum, TableFunction, Var, Word,
     apply_subst_set, check_subst_set, derive_expr_word, expr_str, parse_environment,
     parse_expression, parse_formula, parse_term, subterms, term_of_word,
     term_str, variables_of,
@@ -76,6 +76,39 @@ def test_parse_environment_points_at_the_offending_entry(text, position):
     with pytest.raises(ParseError) as err:
         parse_environment(text)
     assert (err.value.line, err.value.column) == position
+
+
+@pytest.mark.parametrize("left, right, equal, text", [
+    (Cat(Word("a"), Star(Word("b"))), Cat(Word("a"), Star(Word("b"))), True,
+     "Cat(left=Word(letters='a'), right=Star(child=Word(letters='b')))"),
+    (Constraint(Match("a", Word("x")), Conn("not", (Atom("p", (Var("x"),)),))),
+     Constraint(Match("a", Word("x")), Conn("not", (Atom("p", (Var("x"),)),))), True,
+     "Constraint(child=Match(word='a', child=Word(letters='x')), formula=Conn("
+     "tag='not', children=(Atom(pred='p', args=(Var(name='x'),)),)))"),
+    (App("f", (App("a"),)), App("f", (App("a", ()),)), True,
+     "App(fn='f', args=(App(fn='a', args=()),))"),
+    (Empty(), Empty(), True, "Empty()"),
+    # nodes of different types with equal fields
+    (Sum(Word("a"), Word("b")), Cat(Word("a"), Word("b")), False,
+     "Sum(left=Word(letters='a'), right=Word(letters='b'))"),
+    (Word(""), Empty(), False, "Word(letters='')"),
+    (Atom("p"), Conn("p"), False, "Atom(pred='p', args=())"),
+    (FiniteRelation(frozenset({("a",)})), FiniteRelation(frozenset({("a",)}), False), True,
+     "FiniteRelation(tuples=frozenset({('a',)}), default=False)"),
+    (FiniteRelation(frozenset()), FiniteRelation(frozenset(), True), False,
+     "FiniteRelation(tuples=frozenset(), default=False)"),
+    (TableFunction.from_dict({("a",): "b"}), TableFunction(((("a",), "b"),)), True,
+     "TableFunction(table=((('a',), 'b'),))"),
+])
+def test_nodes_are_values(left, right, equal, text):
+    assert left is not right
+    assert (left == right) is equal and (left != right) is not equal
+    if equal:
+        assert hash(left) == hash(right)
+        assert len({left: 1, right: 2}) == len(frozenset({left, right})) == 1
+    assert repr(left) == text
+    # a class constant, not a field: the benchmark's witness key reads it
+    assert TableFunction.default == TableFunction(()).default == "argcat"
 
 
 def test_parse_expression_e1_structure(env3):
