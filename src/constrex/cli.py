@@ -216,6 +216,13 @@ def _regularize(args, env, out):
     return 0
 
 
+def _length(text: str) -> int:
+    """An argparse type: a word length, so a whole number of at least 0."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError("expected a whole number of at least 0, got %r" % text)
+
+
 _MODES = {
     "check-fixed": _check_fixed,
     "check-free": _check_free,
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--simplify", action="store_true",
                            help="apply the language-preserving rewrite rules")
         if mode == "regularize":
-            p.add_argument("--max-len", type=int, default=4,
+            p.add_argument("--max-len", type=_length, default=4,
                            help="enumeration bound for --oracle")
         p.add_argument("--oracle", action="store_true",
                        help="cross-check the result against the brute-force oracle")

@@ -11,7 +11,7 @@ reproduce the worked derivative sets of the source constructions exactly.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from collections.abc import Callable, Iterable
 
 from .errors import PreconditionError
 from .syntax import (
@@ -20,11 +20,11 @@ from .syntax import (
     subst_word,
 )
 
-DerivPair = Tuple[Expr, frozenset]
-DerivativeSet = Tuple[DerivPair, ...]
+DerivPair = tuple[Expr, frozenset]
+DerivativeSet = tuple[DerivPair, ...]
 
 
-def derive_word(env: Environment, alpha: str, a: str) -> List[Tuple[str, frozenset]]:
+def derive_word(env: Environment, alpha: str, a: str) -> list[tuple[str, frozenset]]:
     """Constrained derivative of a mixed word w.r.t. one symbol."""
     if alpha == "":
         return []
@@ -67,7 +67,7 @@ def _guard(env, left: Expr, pairs):
     return [(Cat(Match("", apply_subst_set(env, left, X)), e), X) for e, X in pairs]
 
 
-def _derive(env: Environment, e: Expr, a: str) -> List[DerivPair]:
+def _derive(env: Environment, e: Expr, a: str) -> list[DerivPair]:
     if isinstance(e, Word):
         return [(Word(alpha), X) for alpha, X in derive_word(env, e.letters, a)]
     if isinstance(e, Empty):
@@ -94,7 +94,7 @@ def _derive(env: Environment, e: Expr, a: str) -> List[DerivPair]:
     raise TypeError(e)
 
 
-def _derive_word_headed(env, alpha: str, tail: Expr, a: str) -> List[DerivPair]:
+def _derive_word_headed(env, alpha: str, tail: Expr, a: str) -> list[DerivPair]:
     """Derive `alpha . tail` by the word rule, applying each pair's set to the tail.
 
     A head of variables only may also be erased for the tail to consume a.
@@ -140,7 +140,7 @@ def derive_expr_word(env: Environment, e: Expr, w: str) -> DerivativeSet:
 
 
 def derive_paths(env: Environment, e: Expr, w: str,
-                 keep: Optional[Callable[[Expr, int], bool]] = None):
+                 keep: Callable[[Expr, int], bool] | None = None):
     """The (derived expression, substitution-set chain) paths along w, lazily.
 
     The input and every letter of w are checked at call time; the paths then

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from collections.abc import Callable, Iterable
 
 from .errors import ConfigError, TruthTableLimitError, UnsupportedAlphabetError
 from .derivation import derive_paths
@@ -165,7 +165,7 @@ def _prop_name(atom: Atom) -> str:
     return "%s_{%s}" % (atom.pred, ",".join(term_str(t) for t in atom.args))
 
 
-def _alphabet(phi: Formula) -> Tuple[Tuple[Atom, ...], list]:
+def _alphabet(phi: Formula) -> tuple[tuple[Atom, ...], list]:
     """prop_alphabet(phi), and the index in it of each atom occurrence.
 
     The occurrences are read in walk order from a stack over the connectives
@@ -173,7 +173,7 @@ def _alphabet(phi: Formula) -> Tuple[Tuple[Atom, ...], list]:
     are numbered as first seen, and each distinct atom is printed once to
     sort them.
     """
-    first: Dict[Atom, int] = {}     # each distinct atom -> its first-seen number
+    first: dict[Atom, int] = {}     # each distinct atom -> its first-seen number
     seen = []
     stack = [phi]
     while stack:
@@ -190,12 +190,12 @@ def _alphabet(phi: Formula) -> Tuple[Tuple[Atom, ...], list]:
     return tuple(distinct[i] for i in order), [rank[i] for i in seen]
 
 
-def prop_alphabet(phi: Formula) -> Tuple[Atom, ...]:
+def prop_alphabet(phi: Formula) -> tuple[Atom, ...]:
     """The distinct atoms of phi, ordered by their propositional names."""
     return _alphabet(phi)[0]
 
 
-def _tseitin(psi: Formula, atoms: int, occurrences: list) -> Tuple[int, list]:
+def _tseitin(psi: Formula, atoms: int, occurrences: list) -> tuple[int, list]:
     """The clauses of psi: its variable count, then its clauses, root last.
 
     Literal 2v says variable v is true and 2v + 1 that it is false. The
@@ -207,7 +207,7 @@ def _tseitin(psi: Formula, atoms: int, occurrences: list) -> Tuple[int, list]:
     its native clauses, and any other connective gets one clause per row of
     its truth table.
     """
-    gates: Dict[tuple, int] = {}
+    gates: dict[tuple, int] = {}
     clauses: list = []
     occurrence = iter(occurrences)
 
@@ -239,7 +239,7 @@ def _tseitin(psi: Formula, atoms: int, occurrences: list) -> Tuple[int, list]:
     return atoms + len(gates), clauses
 
 
-def _first_model(variables: int, atoms: int, clauses: list) -> Optional[list]:
+def _first_model(variables: int, atoms: int, clauses: list) -> list | None:
     """The lexicographically first values of variables 0..atoms-1 in a model
     of the clauses, or None: the search of sat_truth_table.
 
@@ -339,7 +339,7 @@ def _first_model(variables: int, atoms: int, clauses: list) -> Optional[list]:
             ok = assign(2 * atom)
 
 
-def _resolve_max_props(max_props: Optional[int] = None) -> int:
+def _resolve_max_props(max_props: int | None = None) -> int:
     """The symbol limit of the SAT search: max_props, else CONSTREX_MAX_PROPS."""
     if max_props is not None:
         return max_props
@@ -351,7 +351,7 @@ def _resolve_max_props(max_props: Optional[int] = None) -> int:
 
 
 def sat_truth_table(psi: Formula,
-                    max_props: Optional[int] = None) -> Optional[Dict[Atom, bool]]:
+                    max_props: int | None = None) -> dict[Atom, bool] | None:
     """First satisfying assignment in lexicographic order, or None.
 
     The order reads False before True, with the first atom of prop_alphabet
@@ -444,7 +444,7 @@ class Witness:
 
 
 def build_witness(env: Environment, phi: Formula,
-                  assignment: Dict[Atom, bool]) -> Witness:
+                  assignment: dict[Atom, bool]) -> Witness:
     """Turn a satisfying propositional assignment into a concrete witness.
 
     Variables in name order, then innermost applications, are bound to the
@@ -463,9 +463,9 @@ def build_witness(env: Environment, phi: Formula,
     a, b = first[0], first[1]
     separators = (a + b * p + a for p in itertools.count(len(first) - 2))
     bindings = {x: next(separators) for x in sorted(tree_variables(phi))}
-    overrides: Dict[str, dict] = {name: {} for name in env.functions}
+    overrides: dict[str, dict] = {name: {} for name in env.functions}
 
-    def value(t: Term, ready: dict) -> Optional[str]:
+    def value(t: Term, ready: dict) -> str | None:
         """The word t evaluates to, or None while an application in it is
         unbound; the ready unbound applications go into ready by key."""
         if isinstance(t, Var):
@@ -495,7 +495,7 @@ def build_witness(env: Environment, phi: Formula,
         overrides[fn][args] = next(separators)
     functions = {name: TableFunction.from_dict(table)
                  for name, table in overrides.items()}
-    tables: Dict[str, set] = {name: set() for name in env.predicates}
+    tables: dict[str, set] = {name: set() for name in env.predicates}
     for atom, holds in assignment.items():
         if holds:
             tables[atom.pred].add(tuple(values[t] for t in atom.args))
@@ -506,7 +506,7 @@ def build_witness(env: Environment, phi: Formula,
 
 
 def satisfiable_free(env: Environment, phi: Formula,
-                     max_props: Optional[int] = None) -> Optional[Witness]:
+                     max_props: int | None = None) -> Witness | None:
     """Decide satisfiability over all interpretations and realizations."""
     if len(env.symbols) < 2:
         raise UnsupportedAlphabetError(
@@ -524,12 +524,12 @@ def satisfiable_free(env: Environment, phi: Formula,
 
 
 def null_general(env: Environment, e: Expr,
-                 max_props: Optional[int] = None) -> Optional[Witness]:
+                 max_props: int | None = None) -> Witness | None:
     """A witness that the empty word belongs to the language of e, if any."""
     return _null_general(env, e, _resolve_max_props(max_props))
 
 
-def _null_general(env: Environment, e: Expr, max_props: int) -> Optional[Witness]:
+def _null_general(env: Environment, e: Expr, max_props: int) -> Witness | None:
     """null_general with a resolved limit: the first satisfiable indicator pair wins."""
     for erased, phi in indicator_pairs(env, e):
         witness = satisfiable_free(env, phi, max_props)
@@ -551,7 +551,7 @@ def _extend_realization(r: Realization, X: frozenset) -> Realization:
     return Realization(r.env, assignment)
 
 
-def _one_sided(phi: Formula, polarity: Optional[dict]) -> bool:
+def _one_sided(phi: Formula, polarity: dict | None) -> bool:
     """True if phi is built from atoms by the built-in and, or, not and
     true, with no true negated and no atom both negated and not.
 
@@ -580,7 +580,7 @@ def _one_sided(phi: Formula, polarity: Optional[dict]) -> bool:
     return True
 
 
-def letter_need(env: Environment, max_props: int) -> Callable[[Expr], Optional[tuple]]:
+def letter_need(env: Environment, max_props: int) -> Callable[[Expr], tuple | None]:
     """What a state needs of the rest of the word, or None for a void state.
 
     need(e) is a tuple that bounds from below, under every (I, r), the
@@ -602,8 +602,8 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], Optional[t
     """
     symbols = env.symbols
     nothing = (0,) * (len(symbols) + 1)
-    words: Dict[str, tuple] = {}    # the need of each mixed word seen
-    unsat: Dict[Formula, bool] = {}
+    words: dict[str, tuple] = {}    # the need of each mixed word seen
+    unsat: dict[Formula, bool] = {}
 
     def count(letters: str) -> tuple:
         counts = [letters.count(a) for a in symbols]
@@ -632,7 +632,7 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], Optional[t
             unsat[phi] = known
         return known
 
-    def need(e: Expr) -> Optional[tuple]:
+    def need(e: Expr) -> tuple | None:
         # a catenation's right spine is a loop, its left factors walked first
         total = nothing
         while type(e) is Cat:
@@ -669,7 +669,7 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], Optional[t
 
 
 def membership_general(env: Environment, e: Expr, w: str,
-                       max_props: Optional[int] = None) -> Optional[Witness]:
+                       max_props: int | None = None) -> Witness | None:
     """A witness that w belongs to the language of e, over all (I, r).
 
     The derived states are searched lazily, depth first in derivative-set

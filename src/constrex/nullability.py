@@ -3,13 +3,17 @@
 The indicator set of an expression reduces "does the empty word belong" to a
 satisfiability question: each pair lists the variables that must be erased
 and a residual formula (with those variables already erased) that must hold.
-The pairs are produced lazily in canonical order, so a search that stops at
-the first satisfiable pair erases and prints only the groups it reaches.
+The pairs come lazily in canonical order, grouped by their erased variables.
+The least group key is found first, by a search over key prefixes, and only
+that group's pairs are built, erased and printed, so a search that stops at
+the first satisfiable pair pays for one group, not for all 2^k erased sets.
+The other groups are built in one pass only when the iteration goes past
+the first.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from collections.abc import Iterable
 
 from .syntax import (
     AND, TOP,
@@ -19,8 +23,8 @@ from .syntax import (
 )
 from .semantics import Interpretation, Realization, _evaluator, eval_formula
 
-IndicatorPair = Tuple[frozenset, Formula]
-IndicatorSet = Tuple[IndicatorPair, ...]
+IndicatorPair = tuple[frozenset, Formula]
+IndicatorSet = tuple[IndicatorPair, ...]
 
 
 def null_fixed(interp: Interpretation, r: Realization, e: Expr) -> bool:
@@ -62,23 +66,30 @@ def _conj(left: Formula, right: Formula) -> Formula:
     return Conn(AND, (left, right))
 
 
-def _pairs(env: Environment, e: Expr) -> list:
-    """The indicator pairs of e before erasure, in construction order.
+def _pairs(env: Environment, e: Expr, within: frozenset | None = None) -> list:
+    """The indicator pairs of e before erasure, in construction order; with
+    `within`, only those whose erased variables all lie in it.
 
-    Erasing a formula once at the top with the pair's variables gives what
-    erasing at every step gave: erasure is idempotent, and it commutes with
-    _conj because no erasure turns a formula into or out of TOP.
+    Every pair's erased set is the union of its factors' sets, so dropping a
+    factor's pair outside `within` drops only pairs outside it: the bounded
+    list is the unbounded one with those pairs left out. Erasing a formula
+    once at the top with the pair's variables gives what erasing at every
+    step gave: erasure is idempotent, and it commutes with _conj because no
+    erasure turns a formula into or out of TOP.
     """
     def visit(node, values):
         kind = type(node)
         if kind is Word:
             if all(env.is_variable(c) for c in node.letters):
-                return [(variables_of(env, node.letters), TOP)]
+                xs = variables_of(env, node.letters)
+                if within is None or xs <= within:
+                    return [(xs, TOP)]
             return []
         if kind is Match:
             if all(env.is_variable(c) for c in node.word):
                 xs = variables_of(env, node.word)
-                return [(xs | x2, psi) for x2, psi in values[0]]
+                if within is None or xs <= within:
+                    return [(xs | x2, psi) for x2, psi in values[0]]
             return []
         if kind is Sum:
             return values[0] + values[1]
@@ -94,26 +105,106 @@ def _pairs(env: Environment, e: Expr) -> list:
     return fold(e, visit)
 
 
+def _least_key(env: Environment, e: Expr):
+    """The least group key of e, or None when e has no indicator pair.
+
+    Keys compare as tuples of variable names, so the least one is found one
+    variable at a time. Let P be the key found so far and r the rank of its
+    last variable. One fold gives, for each erased set S of e that agrees
+    with P on the variables of rank up to r, the variable of least rank above
+    r in S, or none when S equals P. If some S equals P, P is the key, as a
+    key is less than its extensions; otherwise the key goes on with the
+    least of those variables by name. A variable is the bit of its rank, and
+    a node's value is the set of (S on the ranks up to r, the lowest bit of S
+    above them): never more values than the node has distinct erased sets.
+    """
+    bit = {x: 1 << env.letter_rank[x] for x in env.variables}
+    name = {b: x for x, b in bit.items()}
+    prefix, below = 0, 0    # the prefix, and every rank up to its last one
+
+    def visit(node, values):
+        kind = type(node)
+        if kind is Word or kind is Match:
+            letters = node.letters if kind is Word else node.word
+            if not all(c in bit for c in letters):
+                return set()
+            xs = 0
+            for c in letters:
+                xs |= bit[c]
+            if xs & below & ~prefix:
+                return set()
+            above = xs & ~below
+            seen = xs & below, above & -above
+            if kind is Word:
+                return {seen}
+            return _union_product({seen}, values[0])
+        if kind is Sum:
+            return values[0] | values[1]
+        if kind is Cat:
+            return _union_product(values[0], values[1])
+        if kind is Star:
+            return {(0, 0)}
+        if kind is Constraint:
+            return values[0]
+        return set()    # Empty, and the nodes of a constraint's formula
+
+    while True:
+        nexts = {low for seen, low in fold(e, visit) if seen == prefix}
+        if not nexts:
+            return None     # only before the first step: e has no pair
+        if 0 in nexts:      # some S equals the prefix
+            return tuple(name[b] for b in sorted(name) if b & prefix)
+        step = bit[min(name[b] for b in nexts)]
+        prefix |= step
+        below = (step << 1) - 1
+
+
+def _union_product(left: set, right: set) -> set:
+    """Every union of a restriction on the left with one on the right."""
+    out = set()
+    for seen1, low1 in left:
+        for seen2, low2 in right:
+            low = low1 | low2
+            out.add((seen1 | seen2, low & -low))
+    return out
+
+
+def _erased(env: Environment, group: list):
+    """One group's pairs, erased, without the earlier of two that print
+    alike, in the order of their printed formulas."""
+    keyed = {}
+    for xs, phi in group:
+        phi = erase_vars(env, phi, xs)
+        keyed[formula_str(phi)] = (xs, phi)
+    for text in sorted(keyed):
+        yield keyed[text]
+
+
 def indicator_pairs(env: Environment, e: Expr):
     """The indicator set of e, lazily, in canonical order.
 
-    The order sorts by the erased variables (in the environment's letter
-    order), then by the printed residual formula; of two pairs that print
-    alike, the later one is kept. The pairs are grouped by their erased
-    variables before any erasure, and a group is erased, printed and sorted
-    only when the iteration reaches it.
+    The pairs are grouped by their erased variables. A group's key lists
+    them in declaration order, and the groups come in the order of their
+    keys compared as tuples of variable names: with variables declared
+    `z x y`, {x} has the key (x,) and comes before {z}, and {z, x} has the
+    key (z, x) and comes after both. Within a group, the pairs come in the
+    order of their printed residual formulas; of two that print alike, the
+    later one is kept. The least key is found first, by a search over key
+    prefixes, and its group alone is built, erased and printed. Only when
+    the iteration goes past it are all the pairs built, and each later
+    group is erased, printed and sorted when the iteration reaches it.
     """
+    first = _least_key(env, e)
+    if first is None:
+        return
+    within = frozenset(first)
+    yield from _erased(env, [p for p in _pairs(env, e, within) if p[0] == within])
     groups: dict = {}
     for xs, phi in _pairs(env, e):
         key = tuple(sorted(xs, key=env.letter_rank.__getitem__))
         groups.setdefault(key, []).append((xs, phi))
-    for key in sorted(groups):
-        keyed = {}
-        for xs, phi in groups[key]:
-            phi = erase_vars(env, phi, xs)
-            keyed[formula_str(phi)] = (xs, phi)
-        for text in sorted(keyed):
-            yield keyed[text]
+    for key in sorted(groups)[1:]:
+        yield from _erased(env, groups[key])
 
 
 def indicator_set(env: Environment, e: Expr) -> IndicatorSet:

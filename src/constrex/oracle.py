@@ -10,7 +10,7 @@ produced it; a negative answer only means "not found within the bound".
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Tuple
+from collections.abc import Iterable
 
 from .semantics import FiniteRelation, Interpretation, Realization, eval_formula
 from .syntax import (
@@ -107,7 +107,7 @@ def brute_membership_fixed_r(interp: Interpretation, r: Realization,
     return member(e, w)
 
 
-def words_upto(symbols: Tuple[str, ...], max_len: int):
+def words_upto(symbols: tuple[str, ...], max_len: int):
     for n in range(max_len + 1):
         for tup in itertools.product(symbols, repeat=n):
             yield "".join(tup)
@@ -122,7 +122,7 @@ def realizations(env: Environment, variables: Iterable[str], max_len: int):
 
 
 def brute_membership_fixed_I(interp: Interpretation, e: Expr, w: str,
-                             bound: Optional[Bound] = None) -> Optional[Realization]:
+                             bound: Bound | None = None) -> Realization | None:
     """A realization accepting w, or None (= not found within the bound)."""
     bound = bound or Bound()
     env = interp.env
@@ -165,7 +165,7 @@ def sample_interpretations(env: Environment, limit: int = 64) -> list:
 
 
 def brute_satisfiable_free(env: Environment, phi: Formula,
-                           bound: Optional[Bound] = None):
+                           bound: Bound | None = None):
     """An (interpretation, realization) satisfying phi, or None within bounds."""
     bound = bound or Bound()
     for interp in sample_interpretations(env):

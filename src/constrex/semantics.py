@@ -10,7 +10,7 @@ whose misses a function catenates its arguments.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
+from collections.abc import Mapping
 
 from .derivation import const_null
 from .errors import ConfigError
@@ -92,23 +92,23 @@ class TableFunction:
     def from_dict(table: Mapping) -> "TableFunction":
         return TableFunction(tuple(sorted(table.items())))
 
-    def lookup(self, args: tuple) -> Optional[str]:
+    def lookup(self, args: tuple) -> str | None:
         for key, value in self.table:
             if key == args:
                 return value
         return None
 
 
-PredicateSpec = Union[str, FiniteRelation]
-FunctionSpec = Union[str, TableFunction]
+PredicateSpec = str | FiniteRelation
+FunctionSpec = str | TableFunction
 
 
 class Interpretation:
     """Bindings for the user predicate and function symbols of an environment."""
 
     def __init__(self, env: Environment,
-                 predicates: Optional[Mapping[str, PredicateSpec]] = None,
-                 functions: Optional[Mapping[str, FunctionSpec]] = None):
+                 predicates: Mapping[str, PredicateSpec] | None = None,
+                 functions: Mapping[str, FunctionSpec] | None = None):
         self.env = env
         self.predicates = dict(predicates or {})
         self.functions = dict(functions or {})
@@ -159,7 +159,7 @@ class Interpretation:
 class Realization:
     """A total map from variables to plain words, defaulting to the empty word."""
 
-    def __init__(self, env: Environment, assignment: Optional[Mapping[str, str]] = None):
+    def __init__(self, env: Environment, assignment: Mapping[str, str] | None = None):
         self.env = env
         self.assignment = dict(assignment or {})
         for x, w in self.assignment.items():

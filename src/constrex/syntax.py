@@ -19,7 +19,7 @@ accept trees of any depth.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Mapping, Optional, Union
+from collections.abc import Callable, Iterable, Mapping
 
 from .errors import ConfigError, PreconditionError
 
@@ -75,8 +75,8 @@ class Environment:
     __slots__ = ("symbols", "variables", "predicates", "functions", "letter_rank")
 
     def __init__(self, symbols: tuple, variables: tuple = (),
-                 predicates: Optional[Mapping[str, int]] = None,
-                 functions: Optional[Mapping[str, int]] = None):
+                 predicates: Mapping[str, int] | None = None,
+                 functions: Mapping[str, int] | None = None):
         self.symbols = symbols
         self.variables = variables
         self.predicates = {} if predicates is None else predicates
@@ -199,7 +199,7 @@ class App:
         return hash((self.fn, self.args))
 
 
-Term = Union[Var, App]
+Term = Var | App
 
 EPS_TERM = App(EPSILON)
 
@@ -252,7 +252,7 @@ class Conn:
         return hash((self.tag, self.children))
 
 
-Formula = Union[Atom, Conn]
+Formula = Atom | Conn
 
 TOP = Conn(TRUE)
 BOT = Conn(FALSE)
@@ -375,7 +375,7 @@ class Match:
         return hash((self.word, self.child))
 
 
-Expr = Union[Word, Empty, Sum, Cat, Star, Constraint, Match]
+Expr = Word | Empty | Sum | Cat | Star | Constraint | Match
 
 
 def variables_of(env: Environment, alpha: str) -> frozenset:

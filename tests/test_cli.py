@@ -32,7 +32,8 @@ def invoke(capsys, *argv):
 def test_importing_the_command_loads_no_dataclasses():
     # -S keeps site, and the .pth files it runs, from importing modules first
     src = os.path.dirname(os.path.dirname(constrex.__file__))
-    code = "import constrex.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = ("import constrex.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
@@ -151,6 +152,18 @@ def test_regularize(env_file, capsys):
                          "--interp", INTERP, "--real", "x=bbaa,y=abab", "--oracle")
     assert status == 0
     assert out.splitlines() == ["ababbbaa & (a b)* bbaa", "oracle: agree"]
+
+
+@pytest.mark.parametrize("max_len", ["-1", "two", "1.5"])
+def test_regularize_rejects_a_max_len_below_zero(env_file, capsys, max_len):
+    # a negative bound enumerated no word and still printed "oracle: agree"
+    with pytest.raises(SystemExit) as exit_info:
+        run(["regularize", "--env", env_file, "--expr", "(a b)*", "--oracle",
+             "--max-len", max_len])
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert out == ""
+    assert "--max-len: expected a whole number of at least 0, got '%s'" % max_len in err
 
 
 def test_parse_error_exit_code(env_file, capsys):

@@ -171,12 +171,37 @@ def eager_indicator_set(env, e):
     return [keyed[k] for k in sorted(keyed)]
 
 
+# many groups, on variables declared in an order that differs from name order
+ZXY_GROUPS = [
+    "(z + eps)(x + eps)(y + eps) | q(zxy, yxz)",
+    "(z + eps)(x + eps)(y + eps) | q(zxy, yxz) && !q(y, a)",
+    "(z + x)(x + y) | q(zx, y)",
+    "(x + eps) y + z (y + eps) | q(xz, a)",
+    "(z + x + y)(z + x + y)",
+    "(zy -| (x + eps)) + (x -| (y + a)) + yz",
+    "(z -| (x + eps) | q(x, z)) (y + eps | q(y, a)) + (z + y | q(zy, yz))",
+    "(zx -| (y + eps)*) (y + z) | q(x, y) || q(y, x)",
+    "(a + z)(b + x) + (eps + y)(x + eps) | q(xy, yx)",
+    "z y x + z x + y + x z | q(z, a)",
+]
+
+
 def test_indicator_pairs_match_eager_construction(env3, envp):
     rng = random.Random(61)
     for env in (env3, envp):
         for _ in range(300 * FUZZ_SCALE):
             e = rand_expr(rng, env, 4)
             assert list(indicator_pairs(env, e)) == eager_indicator_set(env, e)
+    # random draws seldom give more than two groups
+    env = parse_environment("alphabet: a b\nvariables: z x y\npredicates: q/2")
+    for text in ZXY_GROUPS:
+        e = parse_expression(text, env)
+        assert list(indicator_pairs(env, e)) == eager_indicator_set(env, e), text
+    # a key lists its variables in declaration order, and keys compare by
+    # variable name: (x) before (z), and (z, x) before (z, y)
+    assert [tuple(sorted(xs, key="zxy".index)) for xs, _ in indicator_set(
+        env, parse_expression("(z + eps)(x + eps)(y + eps)", env))] == [
+        (), ("x",), ("x", "y"), ("y",), ("z",), ("z", "x"), ("z", "x", "y"), ("z", "y")]
 
 
 def test_null_general_erases_only_the_reached_group(monkeypatch):
@@ -192,10 +217,22 @@ def test_null_general_erases_only_the_reached_group(monkeypatch):
         calls.append(frozenset(erased))
         return erase_vars(env, phi, erased)
 
+    conj, conjunctions = nullability._conj, []
+
+    def counting_conj(left, right):
+        conjunctions.append(None)
+        return conj(left, right)
+
     monkeypatch.setattr(nullability, "erase_vars", counting)
+    monkeypatch.setattr(nullability, "_conj", counting_conj)
     assert null_general(env, e) is not None
     # the first group erases nothing, holds one pair, and is satisfiable
     assert calls == [frozenset()]
-    # the full set still erases every one of the 2^10 pairs
-    assert len(indicator_set(env, e)) == 1024
+    # and only its pair is built: one conjunction for each of the nine
+    # catenations and one for the constraint, where all 2^10 pairs took 3,068
+    assert len(conjunctions) == 10
+    # the full set still erases every one of the 2^10 pairs, in the same order
+    pairs = indicator_set(env, e)
+    assert len(pairs) == 1024
     assert len(calls) == 1 + 1024
+    assert list(pairs) == eager_indicator_set(env, e)
