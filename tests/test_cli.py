@@ -155,7 +155,7 @@ def test_regularize(env_file, capsys):
 
 
 @pytest.mark.parametrize("max_len", ["-1", "two", "1.5"])
-def test_regularize_rejects_a_max_len_below_zero(env_file, capsys, max_len):
+def test_regularize_max_len_must_be_a_whole_number(env_file, capsys, max_len):
     # a negative bound enumerated no word and still printed "oracle: agree"
     with pytest.raises(SystemExit) as exit_info:
         run(["regularize", "--env", env_file, "--expr", "(a b)*", "--oracle",
