@@ -7,6 +7,11 @@ mixed word threads the word rule's empty-word branch through the tail, and
 crossing a left factor that is nullable under every interpretation elides the
 `eps -|` guard; both readings are language-preserving for every (I,r) and
 reproduce the worked derivative sets of the source constructions exactly.
+
+The derivative of `E | phi` is `E' | phi[X]` for each pair (E', X) of E's.
+The sets come back whole and in canonical order from derive_expr; the path
+search of derive_paths pulls them in the same order but substitutes phi[X]
+only into the states it pulls.
 """
 
 from __future__ import annotations
@@ -150,7 +155,9 @@ def derive_paths(env: Environment, e: Expr, w: str,
     each state entered, the input included, where i is the number of
     letters of w read to reach it (0 for the input, len(w) for the end of a
     path), so w[i:] is what the state has yet to read. A state for which
-    keep is false is neither yielded nor derived further.
+    keep is false is neither yielded nor derived further. Under a
+    constraint, a state's formula is substituted when the walk pulls the
+    state, so a sibling that is never pulled costs only its printed child.
     """
     _check_symbols(env, w)
     return _walk_paths(env, e, w, keep)
@@ -162,11 +169,11 @@ def _walk_paths(env: Environment, e: Expr, w: str, keep):
     if w == "":
         yield e, []
         return
-    # stack[i] iterates the derivative set by w[i] of the path's state after
+    # stack[i] pulls the derivative set by w[i] of the path's state after
     # i letters, so its states have read i + 1; chain holds the substitution
     # sets of the states entered so far, one fewer than the stack holds
     chain: list = []
-    stack = [iter(canonical(env, _derive(env, e, w[0])))]
+    stack = [_ordered(env, e, w[0])]
     while stack:
         read = len(stack)
         for e2, X in stack[-1]:
@@ -181,7 +188,43 @@ def _walk_paths(env: Environment, e: Expr, w: str, keep):
             yield e2, chain + [X]
         else:
             chain.append(X)
-            stack.append(iter(canonical(env, _derive(env, e2, w[read]))))
+            stack.append(_ordered(env, e2, w[read]))
+
+
+def _ordered(env: Environment, e: Expr, a: str):
+    """canonical(env, _derive(env, e, a)), one state at a time.
+
+    Deriving `E | phi` derives E alone; each state prints as its child's
+    head, the child's text plus " | ", then phi[X]. A head holds no
+    top-level " | " (a constraint child prints in parentheses), so two
+    different heads order their states on their own, and phi[X] is
+    substituted only when its state is pulled. Children that print alike
+    are ordered by their full printed states, as in canonical. Any other
+    state orders its states by their own text. Then the set's text decides,
+    and the later of two duplicates wins.
+    """
+    phi = e.formula if type(e) is Constraint else None
+    groups: dict = {}
+    for e2, X in _derive(env, e if phi is None else e.child, a):
+        head = expr_str(e2)
+        if phi is not None:
+            head = ("(" + head + ")" if type(e2) is Constraint else head) + " | "
+        groups.setdefault(head, {})[subst_set_str(env, X)] = e2, X
+    for head in sorted(groups):
+        group = groups[head]
+        if phi is None:
+            for s in sorted(group):
+                yield group[s]
+        elif len(group) == 1:
+            (e2, X), = group.values()
+            yield Constraint(e2, apply_subst_set(env, phi, X)), X
+        else:
+            tied = {}
+            for s, (e2, X) in group.items():
+                state = Constraint(e2, apply_subst_set(env, phi, X))
+                tied[expr_str(state), s] = state, X
+            for key in sorted(tied):
+                yield tied[key]
 
 
 def associated_realization(r, X: frozenset):

@@ -603,7 +603,9 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], tuple | No
     symbols = env.symbols
     nothing = (0,) * (len(symbols) + 1)
     words: dict[str, tuple] = {}    # the need of each mixed word seen
-    unsat: dict[Formula, bool] = {}
+    # keyed by the formula's id, which its entry keeps alive: a formula's
+    # hash recurses once per nesting level, so a deep chain cannot be a key
+    unsat: dict[int, tuple[Formula, bool]] = {}
 
     def count(letters: str) -> tuple:
         counts = [letters.count(a) for a in symbols]
@@ -621,15 +623,16 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], tuple | No
     def unsatisfiable(phi: Formula) -> bool:
         if _one_sided(phi, None):
             return False
-        known = unsat.get(phi)
-        if known is None:
-            normal = normalize_formula(phi)
-            try:
-                known = (not _one_sided(normal, {})
-                         and sat_truth_table(normal, max_props) is None)
-            except TruthTableLimitError:
-                known = False
-            unsat[phi] = known
+        entry = unsat.get(id(phi))
+        if entry is not None and entry[0] is phi:
+            return entry[1]
+        normal = normalize_formula(phi)
+        try:
+            known = (not _one_sided(normal, {})
+                     and sat_truth_table(normal, max_props) is None)
+        except TruthTableLimitError:
+            known = False
+        unsat[id(phi)] = phi, known
         return known
 
     def need(e: Expr) -> tuple | None:

@@ -278,6 +278,18 @@ def test_check_free_on_a_one_sided_constraint_of_3000_atoms(env_file, capsys, op
     assert captured.out.splitlines()[:2] == ["ACCEPT", "x = ab"]
 
 
+def test_check_free_on_a_constraint_chain_with_a_negated_atom(env_file, capsys):
+    # the void test keeps its SAT answers by formula identity, so it never
+    # hashes the 3000-atom chain, whose hash recurses once per level
+    chain = " && ".join(["sim(a, b)", "!lt(x, a)", "lt(a, x)", "!sim(x, b)"] * 750)
+    with recursion_headroom():
+        status = run(["check-free", "--env", env_file, "--expr", "x | " + chain,
+                      "--word", "ab"])
+    captured = capsys.readouterr()
+    assert (status, captured.err) == (0, "")
+    assert captured.out.splitlines() == ["ACCEPT", "x = ab", "lt(a,ab)", "sim(a,b)"]
+
+
 LONG = " ".join("ab" * 1500)
 
 

@@ -9,13 +9,15 @@ import pytest
 from constrex import (
     PreconditionError,
     associated_realization, brute_membership_fixed_r, check_subst_set,
-    derive_expr, derive_expr_word, derive_paths, derive_word, parse_expression,
-    simplify, subst_set_str,
+    derive_expr, derive_expr_word, derive_paths, derive_word,
+    membership_general, parse_environment, parse_expression, simplify,
+    subst_set_str,
 )
-from constrex.derivation import const_null, simplify_expr
-from constrex.syntax import Cat, Empty, Match, Word, expr_str
+from constrex import derivation, logic
+from constrex.derivation import _derive, canonical, const_null, simplify_expr
+from constrex.syntax import Atom, Cat, Conn, Constraint, Empty, Match, Word, expr_str
 
-from conftest import rand_expr, rand_realization
+from conftest import FUZZ_SCALE, rand_expr, rand_formula, rand_realization
 
 
 def pairs_view(env, pairs):
@@ -159,6 +161,72 @@ def test_derive_paths_cuts_where_keep_fails(env3):
     asked.clear()
     assert list(derive_paths(env3, e, "", keep)) == [(e, [])]
     assert asked == [(e, 0)]
+
+
+def _search_order(env, e, a):
+    """The states the search pulls after one letter, in order, with their sets."""
+    return [(state, chain[0]) for state, chain in derive_paths(env, e, a)]
+
+
+def test_search_order_is_canonical_under_a_constraint(env3):
+    # the search substitutes a constraint's formula lazily, yet pulls the
+    # states of canonical, in its order
+    rng = random.Random(97)
+    for _ in range(300 * FUZZ_SCALE):
+        e = Constraint(rand_expr(rng, env3, 3), rand_formula(rng, env3, 1))
+        for a in env3.symbols:
+            assert _search_order(env3, e, a) == \
+                list(canonical(env3, _derive(env3, e, a))), (expr_str(e), a)
+
+
+@pytest.mark.parametrize("text, states", [
+    # the text after the child decides: a key on the child alone puts x first
+    ("x + x y | sim(x, y)",
+     [("x y | sim(ax, y)", "{(x,ax)}"), ("x | sim(ax, y)", "{(x,ax)}"),
+      ("y | sim(eps, ay)", "{(x,eps),(y,ay)}")]),
+    # two children print alike: the substituted formula breaks the tie
+    ("x a + a | sim(x, b)",
+     [("eps | sim(eps, b)", "{(x,eps)}"), ("eps | sim(x, b)", "{}"),
+      ("x a | sim(ax, b)", "{(x,ax)}")]),
+    # a duplicate collapses to one state
+    ("x + x | sim(x, a)", [("x | sim(ax, a)", "{(x,ax)}")]),
+    # the formula breaks the tie against the order of the sets: d < eps
+    ("d a + a | sim(d, b)",
+     [("d a | sim(ad, b)", "{(d,ad)}"), ("eps | sim(d, b)", "{}"),
+      ("eps | sim(eps, b)", "{(d,eps)}")]),
+], ids=["child-then-bar", "formula-tie", "duplicate", "formula-before-set"])
+def test_search_order_pinned_cases(text, states):
+    env = parse_environment("alphabet: a b c\nvariables: d x y\npredicates: sim/2")
+    e = parse_expression(text, env)
+    got = _search_order(env, e, "a")
+    assert [(expr_str(s), subst_set_str(env, X)) for s, X in got] == states
+    assert got == list(derive_expr(env, e, "a"))
+
+
+def test_search_substitutes_a_formula_once_per_pulled_state(env3, monkeypatch):
+    # the search pulls one state per letter on this word; a formula is
+    # substituted only into the states it pulls, not into their siblings
+    e = parse_expression("x y z | sim(x, y) && !sim(y, z)", env3)
+    substituted, pulled = [], []
+    apply_subst_set, derive_paths_ = derivation.apply_subst_set, logic.derive_paths
+
+    def counting_subst(env, entity, X):
+        if isinstance(entity, (Atom, Conn)):
+            substituted.append(entity)
+        return apply_subst_set(env, entity, X)
+
+    def counting_paths(env, e, w, keep):
+        def counting_keep(state, i):
+            if i:
+                pulled.append(state)
+            return keep(state, i)
+        return derive_paths_(env, e, w, counting_keep)
+
+    monkeypatch.setattr(derivation, "apply_subst_set", counting_subst)
+    monkeypatch.setattr(logic, "derive_paths", counting_paths)
+    assert membership_general(env3, e, "abcabcabcabc") is not None
+    assert len(pulled) == 12
+    assert len(substituted) <= len(pulled)
 
 
 def test_simplify_examples(env3):
