@@ -3,10 +3,16 @@
 A derivative is a finite set of (expression, substitution set) pairs; each
 substitution set records the assumptions (x starts with a / x is empty) made
 while consuming one symbol. Deriving a catenation whose left factor is a
-mixed word threads the word rule's empty-word branch through the tail, and
-crossing a left factor that is nullable under every interpretation elides the
-`eps -|` guard; both readings are language-preserving for every (I,r) and
-reproduce the worked derivative sets of the source constructions exactly.
+mixed word threads the word rule's empty-word branch through the tail.
+Crossing any other left factor F derives the right factor under the guard
+`eps -| F`; the guard is elided when F is nullable under every
+interpretation, and the right factor is not derived when F is nullable under
+none, since the guard then denotes nothing. These readings are
+language-preserving for every (I,r) and reproduce the worked derivative sets
+of the source constructions. On a regular form, which has no variables and
+no constraints, every left factor is one or the other, so the rules are
+Antimirov's partial derivatives; the fixed-(I,r) engine of `semantics`
+derives with them.
 
 The derivative of `E | phi` is `E' | phi[X]` for each pair (E', X) of E's.
 The sets come back whole and in canonical order from derive_expr; the path
@@ -36,7 +42,7 @@ def derive_word(env: Environment, alpha: str, a: str) -> list[tuple[str, frozens
     head, rest = alpha[0], alpha[1:]
     if head == a:
         return [(rest, frozenset())]
-    if env.is_symbol(head):
+    if not env.is_variable(head):
         return []
     x = head
     out = [(x + subst_word(rest, {x: a + x}), frozenset({(x, a + x)}))]
@@ -57,6 +63,23 @@ def const_null(e: Expr) -> bool:
         return const_null(e.left) or const_null(e.right)
     if isinstance(e, Match):
         return e.word == "" and const_null(e.child)
+    return False
+
+
+def never_null(env: Environment, e: Expr) -> bool:
+    """True iff the empty word is denoted under no interpretation and realization."""
+    if isinstance(e, Word):
+        return not all(env.is_variable(c) for c in e.letters)
+    if isinstance(e, Empty):
+        return True
+    if isinstance(e, Cat):
+        return never_null(env, e.left) or never_null(env, e.right)
+    if isinstance(e, Sum):
+        return never_null(env, e.left) and never_null(env, e.right)
+    if isinstance(e, Match):
+        return not all(env.is_variable(c) for c in e.word) or never_null(env, e.child)
+    if isinstance(e, Constraint):
+        return never_null(env, e.child)
     return False
 
 
@@ -94,7 +117,8 @@ def _derive(env: Environment, e: Expr, a: str) -> list[DerivPair]:
         if isinstance(e.left, Word):
             return _derive_word_headed(env, e.left.letters, e.right, a)
         out = _odot_left(env, _derive(env, e.left, a), e.right)
-        out += _guard(env, e.left, _derive(env, e.right, a))
+        if not never_null(env, e.left):
+            out += _guard(env, e.left, _derive(env, e.right, a))
         return out
     raise TypeError(e)
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .derivation import const_null
+from .derivation import _derive, const_null
 from .errors import ConfigError
 from .syntax import (
     CAT, EPSILON,
-    App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Sum, Term, Var, Word, connective, fields_repr, fold, rebuild,
-    regex_str,
+    App, Atom, Conn, Constraint, Empty, Environment, Expr, Formula, Match,
+    Term, Var, Word, connective, fields_repr, fold, rebuild, regex_str,
 )
 
 
@@ -212,12 +211,19 @@ def eval_formula(interp: Interpretation, r: Realization, phi: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# regular forms: regularization and Antimirov derivatives
+# regular forms: regularization and their derivatives
 #
 # Under a fixed (I, r) an expression is regular: realizing every word and
 # deciding every constraint leaves an expression of Word, Empty, sum, Cat,
 # Star and Match nodes over symbols only, where `w -| E` reads {w} & L(E);
-# `regex_str` prints it in that reading.
+# `regex_str` prints it in that reading. Such a form has no variables, so
+# the constrained derivative of `derivation` derives it under an environment
+# that declares none, and there its rules are Antimirov's partial
+# derivatives; the substitution sets all come back empty.
+
+# declares no variable, so every letter reads as a symbol
+_REGULAR = Environment((EPSILON,))
+
 
 def regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
     """The variable-free, constraint-free expression with the same
@@ -226,33 +232,15 @@ def regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
 
 
 def regex_derivative(rx: Expr, a: str) -> frozenset:
-    """Antimirov partial derivative of a regular form w.r.t. one symbol."""
-    if isinstance(rx, Word):
-        if rx.letters and rx.letters[0] == a:
-            return frozenset({Word(rx.letters[1:])})
-        return frozenset()
-    if isinstance(rx, Empty):
-        return frozenset()
-    if isinstance(rx, Sum):
-        return regex_derivative(rx.left, a) | regex_derivative(rx.right, a)
-    if isinstance(rx, Match):
-        if rx.word and rx.word[0] == a:
-            return frozenset(Match(rx.word[1:], d) for d in regex_derivative(rx.child, a))
-        return frozenset()
-    if isinstance(rx, Cat):
-        out = frozenset(Cat(d, rx.right) for d in regex_derivative(rx.left, a))
-        if const_null(rx.left):
-            out |= regex_derivative(rx.right, a)
-        return out
-    if isinstance(rx, Star):
-        return frozenset(Cat(d, rx) for d in regex_derivative(rx.child, a))
-    raise TypeError(rx)
+    """Antimirov partial derivative of a regular form w.r.t. one symbol: the
+    states of its constrained derivative, as a set."""
+    return frozenset(d for d, _X in _derive(_REGULAR, rx, a))
 
 
 def regex_word_derivative(rx: Expr, w: str) -> frozenset:
     out = frozenset({rx})
     for a in w:
-        out = frozenset(d for r0 in out for d in regex_derivative(r0, a))
+        out = frozenset(d for r0 in out for d, _X in _derive(_REGULAR, r0, a))
     return out
 
 

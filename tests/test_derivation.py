@@ -14,7 +14,9 @@ from constrex import (
     subst_set_str,
 )
 from constrex import derivation, logic
-from constrex.derivation import _derive, canonical, const_null, simplify_expr
+from constrex.derivation import (
+    _derive, canonical, const_null, never_null, simplify_expr,
+)
 from constrex.syntax import Atom, Cat, Conn, Constraint, Empty, Match, Word, expr_str
 
 from conftest import FUZZ_SCALE, rand_expr, rand_formula, rand_realization
@@ -304,6 +306,37 @@ def test_const_null_shapes(env3):
     assert not const_null(parse_expression("a", env3))
     assert not const_null(parse_expression("x", env3))
     assert not const_null(parse_expression("x -| a*", env3))
+
+
+def test_never_null_shapes(env3):
+    for text in ("a", "x a y", "empty", "a + b x", "a -| b*", "x -| a b",
+                 "(a + b)* c", "b | sim(x, y)", "eps -| a b"):
+        assert never_null(env3, parse_expression(text, env3)), text
+    for text in ("eps", "x", "x y", "a*", "a + x", "x -| a*", "eps -| x",
+                 "x | sim(x, x)"):
+        assert not never_null(env3, parse_expression(text, env3)), text
+
+
+def test_never_null_is_sound(env3, interp_len):
+    # never nullable: no realization puts the empty word in the language
+    rng = random.Random(89)
+    checked = 0
+    for _ in range(300 * FUZZ_SCALE):
+        e = rand_expr(rng, env3, 3)
+        if never_null(env3, e):
+            checked += 1
+            r = rand_realization(rng, env3)
+            assert not brute_membership_fixed_r(interp_len, r, e, ""), expr_str(e)
+    assert checked >= 50 * FUZZ_SCALE
+
+
+def test_a_never_nullable_left_factor_drops_the_right_derivative(env3):
+    # `eps -| a + b` denotes nothing, so the right factor is not derived
+    assert derive_expr(env3, parse_expression("(a + b) c", env3), "c") == ()
+    # a + x is empty when x is, so the guard stays
+    got = derive_expr(env3, parse_expression("(a + x) c", env3), "c")
+    assert pairs_view(env3, got) == golden(
+        env3, ("(eps -| a + x) eps", set()), ("x c", {("x", "cx")}))
 
 
 def test_match_case_sets_are_disjoint(env3):

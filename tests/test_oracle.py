@@ -10,7 +10,7 @@ from constrex import (
 )
 from constrex.syntax import Cat, Empty, Star, Sum, Word
 
-from conftest import rand_expr, rand_realization
+from conftest import FUZZ_SCALE, rand_expr, rand_realization
 
 
 def test_enumerate_language_examples():
@@ -37,7 +37,7 @@ def test_brute_membership_differential(env3, interp_len):
     words = [""]
     for n in range(1, 4):
         words += ["".join(t) for t in __import__("itertools").product("abc", repeat=n)]
-    for _ in range(150):
+    for _ in range(150 * FUZZ_SCALE):
         e = rand_expr(rng, env3, 3)
         r = rand_realization(rng, env3)
         for w in words:

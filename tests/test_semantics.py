@@ -18,7 +18,8 @@ from constrex.syntax import (
 )
 
 from conftest import (
-    DEEP, rand_expr, rand_realization, rand_term, rand_word, recursion_headroom,
+    DEEP, FUZZ_SCALE, rand_expr, rand_realization, rand_term, rand_word,
+    recursion_headroom,
 )
 
 
@@ -196,9 +197,18 @@ def test_regular_forms_have_no_constraints(env3):
     # a constraint has a child, like a star, but is no regular form
     e = parse_expression("a | sim(x, x)", env3)
     with pytest.raises(TypeError):
-        regex_derivative(e, "a")
-    with pytest.raises(TypeError):
         enumerate_language(e, 2)
+
+
+def test_fixed_state_sets_stay_small(env3):
+    # a non-nullable left factor drops the right factor's derivative, so no
+    # guard chain grows by one state per letter
+    rx = parse_expression("(a + b)* a (a + b)(a + b)(a + b)", env3)
+    rng = random.Random(97)
+    states = frozenset({rx})
+    for a in "".join(rng.choice("ab") for _ in range(400)):
+        states = frozenset(d for r0 in states for d in regex_derivative(r0, a))
+        assert len(states) <= 5
 
 
 def test_regex_null_examples():
@@ -225,7 +235,7 @@ def test_membership_agrees_with_enumeration(env3, interp_len):
     words = [""]
     for n in range(1, 4):
         words += ["".join(t) for t in __import__("itertools").product("abc", repeat=n)]
-    for _ in range(150):
+    for _ in range(150 * FUZZ_SCALE):
         e = rand_expr(rng, env3, 3)
         r = rand_realization(rng, env3)
         rx = regularize(interp_len, r, e)
