@@ -30,9 +30,12 @@ from .syntax import (
 
 
 def _display_word(env: Environment, w: str) -> str:
-    """Run-length shorthand for long separator fillers, display only."""
+    """Run-length shorthand for long separator fillers, display only; the
+    word in full when a symbol is a digit, which a run length would mimic."""
     if w == "":
         return "eps"
+    if any(c.isdigit() for c in env.symbols):
+        return w
     filler = env.symbols[1] if len(env.symbols) > 1 else None
     out = []
     i = 0

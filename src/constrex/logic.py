@@ -71,62 +71,44 @@ def _right_nested(leaves: list) -> Term:
 
 def normalize_term(t: Term) -> Term:
     """Right-associate catenations and drop their eps children; t itself
-    when it is already normal.
+    when it is already normal (its flag `normal`).
 
-    One stack keeps the place, so a deep term needs no recursion. A node's
-    parts are done before it: the arguments of an application, or the
-    leaves of a catenation, eps dropped. A catenation is rebuilt right-nested
-    from its leaves unless it was a right spine of them already and none
-    changed; any other node is rebuilt only if an argument changed. A
-    catenation of variables and constants is finished as it is read.
+    One stack keeps the place, so a deep term needs no recursion. A node
+    that is not normal has its parts done before it: the arguments of an
+    application, or the leaves of a catenation, eps dropped. Then a
+    catenation is rebuilt right-nested from its leaves, and any other node
+    from its arguments; a normal part is done as it is.
     """
-    if type(t) is Var or not t.args:
+    if t.normal:
         return t
     done: list = []     # the results of the finished nodes, in order
     stack = [t]
     while stack:
         node = stack.pop()
-        kind = type(node)
-        if kind is tuple:   # second visit: the parts are done
-            node, parts, normal = node
+        if type(node) is tuple:   # second visit: the parts are done
+            node, parts = node
             start = len(done) - len(parts)
             new = done[start:]
             del done[start:]
-            if normal and all(map(operator.is_, new, parts)):
-                done.append(node)
-            elif node.fn == CAT:
-                done.append(_right_nested(new))
-            else:
-                done.append(App(node.fn, tuple(new)))
+            done.append(_right_nested(new) if node.fn == CAT
+                        else App(node.fn, tuple(new)))
             continue
-        if kind is Var or not node.args:
+        if node.normal:
             done.append(node)
             continue
-        if node.fn != CAT:
-            stack.append((node, node.args, True))
-            stack += reversed(node.args)
-            continue
-        # normal: a right spine with no eps and no catenation on its left
-        parts, normal, leaves_only, spine = [], True, True, [node]
-        while spine:
-            u = spine.pop()
-            if type(u) is Var:
-                parts.append(u)
-            elif u.fn == CAT:
-                left = u.args[0]
-                if type(left) is App and left.fn == CAT:
-                    normal = False
-                spine += (u.args[1], left)
-            elif u.fn == EPSILON:
-                normal = False
-            else:
-                parts.append(u)
-                leaves_only = leaves_only and not u.args
-        if leaves_only:
-            done.append(node if normal else _right_nested(parts))
-        else:
-            stack.append((node, parts, normal))
-            stack += reversed(parts)
+        parts = node.args
+        if node.fn == CAT:
+            parts, spine = [], [node]
+            while spine:
+                u = spine.pop()
+                if type(u) is Var:
+                    parts.append(u)
+                elif u.fn == CAT:
+                    spine += (u.args[1], u.args[0])
+                elif u.fn != EPSILON:
+                    parts.append(u)
+        stack.append((node, parts))
+        stack += reversed(parts)
     return done[0]
 
 
@@ -148,7 +130,10 @@ def _normalized(node, values):
 
 def normalize_formula(phi: Formula) -> Formula:
     """phi with the terms of its atoms normalized; phi itself when they
-    already are. A node is rebuilt only if one of its children changed."""
+    already are (its flag `normal`). A node is rebuilt only if one of its
+    children changed."""
+    if phi.normal:
+        return phi
     return fold(phi, _normalized)
 
 
@@ -603,8 +588,9 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], tuple | No
     symbols = env.symbols
     nothing = (0,) * (len(symbols) + 1)
     words: dict[str, tuple] = {}    # the need of each mixed word seen
-    # keyed by the formula's id, which its entry keeps alive: a formula's
-    # hash recurses once per nesting level, so a deep chain cannot be a key
+    # keyed by the formula's id, which its entry keeps alive: comparing two
+    # equal formulas recurses once per nesting level, so a deep chain cannot
+    # be a key
     unsat: dict[int, tuple[Formula, bool]] = {}
 
     def count(letters: str) -> tuple:

@@ -26,6 +26,7 @@ followed by "(" name a declared predicate or function.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .errors import ConfigError, ParseError
@@ -51,20 +52,26 @@ _INFIX = {glyph.strip(): (tag, own, right)
 
 
 def _tokenize(text: str):
-    """The kinds, values and offsets of the tokens of text, "eof" last. The
-    kind of an operator is its glyph, and of an identifier run "word"."""
-    matches = list(_TOKEN.finditer(text))
-    values = [m.group() for m in matches]
+    """The kinds and values of the tokens of text, "eof" last. The kind of
+    an operator is its glyph, and of an identifier run "word"."""
+    values = _TOKEN.findall(text)
     kinds = [v if v in _OPERATORS else "word" if v[0] in _WORD_START else None
              for v in values]
     if None in kinds:
-        m = matches[kinds.index(None)]
-        raise _error(text, m.start(), "unexpected character %r" % m.group())
+        pos = kinds.index(None)
+        raise _error(text, _offset(text, values, pos),
+                     "unexpected character %r" % values[pos])
     kinds.append("eof")
     values.append("")
-    offsets = [m.start() for m in matches]
-    offsets.append(len(text))
-    return kinds, values, offsets
+    return kinds, values
+
+
+def _offset(text: str, values: list, pos: int) -> int:
+    """The offset in text of token pos, found again only for an error. A
+    word token loses letters off its front as they are read, so values[pos]
+    is what is left of it."""
+    m = next(itertools.islice(_TOKEN.finditer(text), pos, None), None)
+    return len(text) if m is None else m.end() - len(values[pos])
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:
@@ -74,12 +81,12 @@ def _error(text: str, offset: int, message: str) -> ParseError:
 
 
 class _Parser:
-    """Recursive-descent parser over one token stream, kept as three lists."""
+    """Recursive-descent parser over one token stream, kept as two lists."""
 
     def __init__(self, env: Environment, text: str):
         self.env = env
         self.text = text
-        self.kinds, self.values, self.offsets = _tokenize(text)
+        self.kinds, self.values = _tokenize(text)
         self.pos = 0
         self.leaves: dict = {}    # letter -> its term node, shared in one parse
         self.arity_error = None   # the first wrong arity, raised after the parse
@@ -96,8 +103,8 @@ class _Parser:
         self.pos += 1
 
     def error(self, message: str, pos=None):
-        offset = self.offsets[self.pos if pos is None else pos]
-        raise _error(self.text, offset, message)
+        pos = self.pos if pos is None else pos
+        raise _error(self.text, _offset(self.text, self.values, pos), message)
 
     def take_letter(self) -> str:
         """Pop a single letter off the current word token."""
@@ -110,8 +117,32 @@ class _Parser:
             self.pos += 1
         else:
             self.values[pos] = value[1:]
-            self.offsets[pos] += 1
         return c
+
+    def take_leaves(self, value: str, call: bool) -> list:
+        """The term leaves of the letters at the front of the current word
+        token, value, read in one step: up to a rest that is eps or, when
+        call says "(" follows, a function name; else the whole token."""
+        env, leaves = self.env, self.leaves
+        end = len(value)
+        if call:
+            end = next((i for i in range(1, end) if value[i:] in env.functions), end)
+        if value.endswith("eps"):
+            end = min(end, len(value) - 3)
+        out = []
+        for i, c in enumerate(value[:end]):
+            leaf = leaves.get(c)
+            if leaf is None:
+                if not env.is_letter(c):
+                    self.values[self.pos] = value[i:]
+                    self.error("%r is not a symbol or variable" % c)
+                leaf = leaves[c] = Var(c) if env.is_variable(c) else App(c)
+            out.append(leaf)
+        if end == len(value):
+            self.pos += 1
+        else:
+            self.values[self.pos] = value[end:]
+        return out
 
     # expressions ----------------------------------------------------------
 
@@ -265,19 +296,16 @@ class _Parser:
         while True:
             kind, value = kinds[self.pos], values[self.pos]
             if kind == "word":
+                call = kinds[self.pos + 1] == "("
                 if value == "eps":
                     self.pos += 1
                     factors.append(EPS_TERM)
-                elif kinds[self.pos + 1] == "(" and value in env.functions:
+                elif call and value in env.functions:
                     self.pos += 1
                     args = self.args("function", value, env.functions[value])
                     factors.append(App(value, args))
                 else:
-                    c = self.take_letter()
-                    leaf = self.leaves.get(c)
-                    if leaf is None:
-                        leaf = self.leaves[c] = Var(c) if env.is_variable(c) else App(c)
-                    factors.append(leaf)
+                    factors += self.take_leaves(value, call)
             elif kind == "(":
                 self.pos += 1
                 factors.append(self.term())

@@ -7,6 +7,12 @@ value equality and a structural hash. They are immutable by convention: no
 field is assigned after construction, because subtrees are shared. Every
 operation here is a pure function, so values can be shared freely across
 threads.
+The term and formula nodes `App`, `Atom` and `Conn` store two summaries,
+computed once in the constructor from their children's: the hash, and a
+flag `normal` that says whether the node's terms are in normal form (see
+`App`). A `Var` is always normal. The expression nodes (`Word`, `Sum`,
+`Cat`, `Star`, `Match`, `Constraint`) do not store their hash yet: it is
+recomputed, recursively, at every call.
 `walk` yields the nodes of any such tree from an explicit stack, parents
 first; the collectors (`as_mixed_word`, `subterms`, `tree_variables`,
 `expr_variables`) read it. `fold` is its post-order twin: it hands each node
@@ -152,7 +158,9 @@ class Environment:
 # constructor, equality on the field tuple between nodes of one class, and
 # the hash of the field tuple. Written per class, the tuples are built
 # inline, which a shared base class reading the fields generically is not;
-# comparing tuples keeps the identity shortcut on shared subtrees.
+# comparing tuples keeps the identity shortcut on shared subtrees. App, Atom
+# and Conn hash their field tuple once, in the constructor, where each child
+# hands over its own stored hash, so hashing a deep term does not recurse.
 
 
 def fields_repr(self) -> str:
@@ -162,6 +170,17 @@ def fields_repr(self) -> str:
         "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
+class _Summary:
+    """The slots of the summaries that App, Atom and Conn store: the hash,
+    the same value as the hash of the field tuple, and the normal flag. A
+    base class holds them, so that each node class's `__slots__` still
+    names its fields alone, as `fields_repr` reads them."""
+    __slots__ = ("_hash", "normal")
+
+
+_normal = operator.attrgetter("normal")
+
+
 # ---------------------------------------------------------------------------
 # terms
 
@@ -169,6 +188,7 @@ def fields_repr(self) -> str:
 class Var:
     __slots__ = ("name",)
     __repr__ = fields_repr
+    normal = True   # a class constant: a variable is a normal term
 
     def __init__(self, name: str):
         self.name = name
@@ -182,13 +202,24 @@ class Var:
         return hash((self.name,))
 
 
-class App:
+class App(_Summary):
+    """An application; a catenation is normal when both children are, no
+    child is eps and the left child is no catenation, and any other
+    application when all its arguments are."""
     __slots__ = ("fn", "args")
     __repr__ = fields_repr
 
     def __init__(self, fn: str, args: tuple = ()):
         self.fn = fn
         self.args = args
+        self._hash = hash((fn, args))
+        if fn == CAT:
+            left, right = args
+            self.normal = left.normal and right.normal \
+                and (left.__class__ is Var or left.fn != CAT and left.fn != EPSILON) \
+                and (right.__class__ is Var or right.fn != EPSILON)
+        else:
+            self.normal = not args or all(map(_normal, args))
 
     def __eq__(self, other):
         if other.__class__ is App:
@@ -196,7 +227,7 @@ class App:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.fn, self.args))
+        return self._hash
 
 
 Term = Var | App
@@ -218,13 +249,16 @@ def term_of_word(env: Environment, w: str) -> Term:
 # formulas
 
 
-class Atom:
+class Atom(_Summary):
+    """An atom; normal when all its terms are."""
     __slots__ = ("pred", "args")
     __repr__ = fields_repr
 
     def __init__(self, pred: str, args: tuple = ()):
         self.pred = pred
         self.args = args
+        self._hash = hash((pred, args))
+        self.normal = all(map(_normal, args))
 
     def __eq__(self, other):
         if other.__class__ is Atom:
@@ -232,16 +266,19 @@ class Atom:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.pred, self.args))
+        return self._hash
 
 
-class Conn:
+class Conn(_Summary):
+    """A connective node; normal when all its children are."""
     __slots__ = ("tag", "children")
     __repr__ = fields_repr
 
     def __init__(self, tag: str, children: tuple = ()):
         self.tag = tag
         self.children = children
+        self._hash = hash((tag, children))
+        self.normal = all(map(_normal, children))
 
     def __eq__(self, other):
         if other.__class__ is Conn:
@@ -249,7 +286,7 @@ class Conn:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.tag, self.children))
+        return self._hash
 
 
 Formula = Atom | Conn
@@ -575,11 +612,11 @@ def apply_subst_set(env: Environment, entity, X: Iterable[Assumption]):
     ascending order, or in any order: the set is functional, so each variable
     has one replacement, and non-crossing, so no replacement holds another
     assumption's variable for a later step to rewrite. An empty set returns
-    the entity itself.
+    the entity itself, unvalidated.
     """
-    m = dict(check_subst_set(X))
-    if not m:
+    if not X:
         return entity
+    m = dict(check_subst_set(X))
     if isinstance(entity, str):
         return subst_word(entity, m)
     return subst_tree(env, entity, m)

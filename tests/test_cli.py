@@ -146,6 +146,17 @@ def test_sat_witness_next_to_an_application(tmp_path, capsys, formula):
     assert lines[-1] == "oracle: agree"
 
 
+def test_sat_witness_over_a_digit_symbol_prints_words_in_full(tmp_path, capsys):
+    # as a run length, abbba would print as ab3a, and abba as ab2a: the
+    # literal word of the atom the witness satisfies
+    path = tmp_path / "env.txt"
+    path.write_text("alphabet: a b 2\nvariables: x y\npredicates: sim/2\n")
+    status, out = invoke(capsys, "sat", "--env", str(path),
+                         "--formula", "sim(x, ab2a) && !sim(x, abba)", "--oracle")
+    assert status == 0
+    assert out.splitlines() == ["SAT", "x = abbba", "sim(abbba,ab2a)", "oracle: agree"]
+
+
 def test_regularize(env_file, capsys):
     status, out = invoke(capsys, "regularize", "--env", env_file,
                          "--expr", "(a b)* x -| (y x | lt(y, x))",

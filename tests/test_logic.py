@@ -57,6 +57,22 @@ def test_normalize_is_idempotent_and_normal(env3):
         assert normalize_term(n) == n
 
 
+def test_the_normal_flag_is_the_normal_form_test(env3):
+    rng = random.Random(2006)
+    seen = {True: 0, False: 0}
+    for _ in range(500 * FUZZ_SCALE):
+        t = rand_term(rng, env3, 4)
+        assert t.normal == is_normalized(t) == (normalize_term(t) is t)
+        assert normalize_term(t).normal
+        phi = rand_formula(rng, env3, 3)
+        normal = all(map(is_normalized, terms_of_formula(phi)))
+        assert phi.normal == normal == (normalize_formula(phi) is phi)
+        assert normalize_formula(phi).normal
+        seen[t.normal] += 1
+        seen[phi.normal] += 1
+    assert min(seen.values()) > 100 * FUZZ_SCALE
+
+
 def test_left_dot_level_examples(env3):
     assert left_dot_level(parse_term("x", env3)) == 0
     assert left_dot_level(parse_term("(ab)c", env3)) == 2

@@ -14,12 +14,13 @@ from constrex import (
 )
 from constrex.errors import ConfigError
 from constrex.syntax import (
-    EPS_TERM, expr_variables, formula_str, subst_tree, subst_word,
+    CAT, EPS_TERM, expr_variables, formula_str, subst_tree, subst_word,
     tree_variables, walk,
 )
 
 from conftest import (
-    DEEP, ENV3_TEXT, rand_expr, rand_term, rand_word, recursion_headroom,
+    DEEP, ENV3_TEXT, FUZZ_SCALE, rand_expr, rand_formula, rand_term, rand_word,
+    recursion_headroom,
 )
 
 
@@ -248,6 +249,84 @@ def test_subterms_examples(env3):
     env = parse_environment("alphabet: a\nvariables: y z\nfunctions: f/1 g/2")
     t = parse_term("g(f(y), z)", env)
     assert subterms(t) == frozenset({t, parse_term("f(y)", env), Var("y"), Var("z")})
+
+
+def test_subterms_of_a_deep_term_need_no_recursion(env3):
+    # each catenation hands its stored hash to its parent, so putting the
+    # 5,000 distinct suffixes and the one leaf in a set hashes no deeper
+    t = term_of_word(env3, "a" * (DEEP + 1))
+    with recursion_headroom():
+        assert len(subterms(t)) == DEEP + 1
+
+
+class _Hashed:
+    """Hashes to a given value, standing in for a child in _structural_hash."""
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _structural_hash(node):
+    """The hash of a node's field tuple, its children's hashes computed
+    again, recursively, from their fields."""
+    if type(node) is Var:
+        return hash((node.name,))
+    if type(node) is Conn:
+        head, children = node.tag, node.children
+    else:
+        head, children = (node.pred if type(node) is Atom else node.fn), node.args
+    return hash((head, tuple(_Hashed(_structural_hash(c)) for c in children)))
+
+
+def test_stored_hashes_equal_the_structural_hash(env3):
+    rng = random.Random(2006)
+    for _ in range(300 * FUZZ_SCALE):
+        t, phi = rand_term(rng, env3, 4), rand_formula(rng, env3, 3)
+        for node in (*walk(t), *walk(phi)):
+            assert hash(node) == _structural_hash(node)
+
+
+ENV_FG = "alphabet: a b c\nvariables: x\npredicates: sim/2\nfunctions: f/1 fg/1 g/1"
+_A, _B, _X = App("a"), App("b"), Var("x")
+
+
+def _cat(*factors):
+    t = factors[-1]
+    for u in reversed(factors[:-1]):
+        t = App(CAT, (u, t))
+    return t
+
+
+@pytest.mark.parametrize("text, tree", [
+    # the letters of a run stop where the rest of it is a function name
+    # followed by "(", or eps
+    ("abf(x)", _cat(_A, _B, App("f", (_X,)))),
+    ("afg(x)", _cat(_A, App("fg", (_X,)))),
+    ("ab fg(x)", _cat(_A, _B, App("fg", (_X,)))),
+    ("abg (x)", _cat(_A, _B, App("g", (_X,)))),
+    ("xabeps", _cat(_X, _A, _B, EPS_TERM)),
+    ("f(ab)x", _cat(App("f", (_cat(_A, _B),)), _X)),
+])
+def test_parse_term_splits_a_letter_run(text, tree):
+    assert parse_term(text, parse_environment(ENV_FG)) == tree
+
+
+@pytest.mark.parametrize("text, letter, position", [
+    ("x abdc", "d", (1, 5)),
+    ("f(ab, cadb)", "d", (1, 9)),
+    ("ab ca\n  bcde", "d", (2, 5)),
+    ("abgd(x)", "g", (1, 3)),
+    ("abdeps", "d", (1, 3)),
+])
+def test_parse_term_points_at_a_non_letter_in_a_run(text, letter, position):
+    with pytest.raises(ParseError) as caught:
+        parse_term(text, parse_environment(ENV_FG))
+    assert str(caught.value).endswith("%r is not a symbol or variable" % letter)
+    assert (caught.value.line, caught.value.column) == position
 
 
 def test_variables_of_examples(env3):
