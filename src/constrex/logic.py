@@ -54,9 +54,11 @@ _BUILTIN = {tag: connective(tag) for tag in (TRUE, AND, OR, NOT)}
 
 def left_dot_level(t: Term) -> int:
     """Depth of the leftmost catenation spine; the reassociation measure."""
-    if isinstance(t, App) and t.fn == CAT:
-        return 1 + left_dot_level(t.args[0])
-    return 0
+    level = 0
+    while isinstance(t, App) and t.fn == CAT:
+        level += 1
+        t = t.args[0]
+    return level
 
 
 def _right_nested(leaves: list) -> Term:
@@ -450,12 +452,12 @@ def build_witness(env: Environment, phi: Formula,
     bindings = {x: next(separators) for x in sorted(tree_variables(phi))}
     overrides: dict[str, dict] = {name: {} for name in env.functions}
 
-    def value(t: Term, ready: dict) -> str | None:
-        """The word t evaluates to, or None while an application in it is
-        unbound; the ready unbound applications go into ready by key."""
-        if isinstance(t, Var):
+    def value(t: Term, words) -> str | None:
+        """The word t evaluates to, given the words of its arguments, or
+        None while an application in it is unbound; the ready unbound
+        applications go into ready by key."""
+        if type(t) is Var:
             return bindings[t.name]
-        words = [value(u, ready) for u in t.args]
         if None in words:
             return None
         if t.fn == CAT:
@@ -473,7 +475,7 @@ def build_witness(env: Environment, phi: Formula,
 
     while True:
         ready: dict = {}
-        values = {t: value(t, ready) for t in terms}
+        values = {t: fold(t, value) for t in terms}
         if not ready:
             break
         fn, args = ready[min(ready)]

@@ -15,10 +15,31 @@ The concrete grammar (precedence from loosest to tightest):
     term    := tatom+                     # juxtaposition, right-associated
     tatom   := letter | "eps" | func "(" args ")" | "(" term ")"
 
-The three binary connectives of a formula are read by operator precedence
-(after Dijkstra's shunting-yard, 1961) from `syntax._F_BINARY`, the table the
-printer reads: `->` binds loosest and associates right, `||` and `&&` bind
-tighter and associate left. One call reads each operand.
+One operator-precedence engine reads all three grammars in one loop over
+the tokens (Dijkstra's shunting-yard, 1961; Pratt, *Top down operator
+precedence*, 1973). It alternates between two places:
+
+- before an operand, it reads a letter, a keyword, a prefix "!", or a token
+  that opens a frame: "(" opens a group, and `name(` the arguments of an
+  atom or an application;
+- after an operand, it reads a postfix "*", an infix operator, a
+  juxtaposition (a word or "(" where an operator may stand), or the end of
+  the frame.
+
+The frames sit on one explicit stack, so no input nests the engine's own
+calls. A frame holds its grammar, its operands and pending operators, the
+first token of its current left operand of "-|", and what its value becomes
+when it closes: the value of a group, which ")" closes, or one argument of
+an `Atom` or `App`, which "," or ")" closes.
+
+A pending operator waits until the next one binds looser than its right
+operand allows. The levels come from the printers' tables:
+`syntax._E_LEVELS` for expressions and `syntax._F_BINARY` and `_F_NOT` for
+formulas. "+", "||" and "&&" associate left; "-|", "->" and juxtaposition
+associate right, and "*" applies at once. "|" switches its frame to the
+formula grammar, and its pending entry builds the constraint when the frame
+ends, so "|" closes its expression. Terms have juxtaposition only: the
+factors of a term frame are nested to the right when it ends.
 
 A run of letters like `abx` denotes one letter per character; identifier runs
 followed by "(" name a declared predicate or function.
@@ -26,12 +47,13 @@ followed by "(" name a declared predicate or function.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
 from .errors import ConfigError, ParseError
 from .syntax import (
-    CAT, NOT, TRUE, FALSE, _F_BINARY,
+    CAT, NOT, _E_LEVELS, _F_BINARY, _F_NOT,
     App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
     Match, Star, Sum, Term, Var, Word, EPS_TERM, as_mixed_word,
 )
@@ -44,11 +66,23 @@ _WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012
 _TOKEN = re.compile("|".join(re.escape(op) for op in sorted(
     _OPERATORS, key=lambda op: (-len(op), op))) + r"|[A-Za-z0-9_]+|\S")
 
-# The binary connectives by glyph: (tag, own level, right operand level),
-# read off the printer's table. An operator on the stack is applied before
-# the next one when its right operand may not hold that one.
-_INFIX = {glyph.strip(): (tag, own, right)
-          for tag, (glyph, own, _left, right) in _F_BINARY.items()}
+# The grammars, named as the error on a trailing token names them.
+_EXPR, _FORMULA, _TERM = "expression", "formula", "term"
+
+# The infix operators of a grammar by token kind: (own level, right operand
+# level, builder of the node from the two operands). A pending operator is
+# applied before the next one when its right operand level exceeds that
+# one's own level. An expression juxtaposes at a word or "("; the builder
+# of "-|" is made at each use, since a failed match reports its position.
+_E_INFIX = {"|": (_E_LEVELS[Constraint], _E_LEVELS[Constraint], Constraint),
+            "-|": (_E_LEVELS[Match], _E_LEVELS[Match], None),
+            "+": (_E_LEVELS[Sum], _E_LEVELS[Sum] + 1, Sum),
+            "word": (_E_LEVELS[Cat], _E_LEVELS[Cat], Cat)}
+_E_INFIX["("] = _E_INFIX["word"]
+_F_INFIX = {glyph.strip(): (own, right, tag)
+            for tag, (glyph, own, _left, right) in _F_BINARY.items()}
+# A pending "!" negates the operand after it; its builder is None.
+_NEGATION = (_F_NOT, _F_NOT, None)
 
 
 def _tokenize(text: str):
@@ -81,7 +115,7 @@ def _error(text: str, offset: int, message: str) -> ParseError:
 
 
 class _Parser:
-    """Recursive-descent parser over one token stream, kept as two lists."""
+    """The precedence engine over one token stream, kept as two lists."""
 
     def __init__(self, env: Environment, text: str):
         self.env = env
@@ -90,17 +124,9 @@ class _Parser:
         self.pos = 0
         self.leaves: dict = {}    # letter -> its term node, shared in one parse
         self.arity_error = None   # the first wrong arity, raised after the parse
+        self.arities = {**env.predicates, **env.functions}    # one namespace
 
     # token plumbing -------------------------------------------------------
-
-    def peek(self) -> str:
-        return self.kinds[self.pos]
-
-    def expect(self, kind: str) -> None:
-        if self.kinds[self.pos] != kind:
-            self.error("expected %r, found %r"
-                       % (kind, self.values[self.pos] or "end of input"))
-        self.pos += 1
 
     def error(self, message: str, pos=None):
         pos = self.pos if pos is None else pos
@@ -144,25 +170,6 @@ class _Parser:
             self.values[self.pos] = value[end:]
         return out
 
-    # expressions ----------------------------------------------------------
-
-    def expr(self) -> Expr:
-        e = self.cexpr()
-        if self.peek() == "|":
-            self.pos += 1
-            phi = self.formula()
-            e = Constraint(e, phi)
-        return e
-
-    def cexpr(self) -> Expr:
-        pos = self.pos
-        left = self.sum()
-        if self.peek() != "-|":
-            return left
-        self.pos += 1
-        right = self.cexpr()
-        return self._make_match(left, right, pos)
-
     def _make_match(self, left: Expr, right: Expr, pos: int) -> Expr:
         # The match operator takes a mixed word on one side; customary
         # notation puts the word on either side of the glyph, so accept both,
@@ -183,165 +190,166 @@ class _Parser:
                 return Constraint(Match(lw, right), left.formula)
         self.error("one side of -| must be a mixed word", pos)
 
-    def sum(self) -> Expr:
-        e = self.cat()
-        while self.peek() == "+":
-            self.pos += 1
-            e = Sum(e, self.cat())
-        return e
-
-    def cat(self) -> Expr:
-        units = [self.starred()]
-        while self.peek() in ("word", "("):
-            units.append(self.starred())
-        e = units.pop()
-        while units:
-            e = Cat(units.pop(), e)
-        return e
-
-    def starred(self) -> Expr:
-        e = self.atom()
-        while self.peek() == "*":
-            self.pos += 1
-            e = Star(e)
-        return e
-
-    def atom(self) -> Expr:
-        kind, value = self.kinds[self.pos], self.values[self.pos]
-        if kind == "(":
-            self.pos += 1
-            e = self.expr()
-            self.expect(")")
-            return e
-        if kind == "word":
-            if value == "eps":
-                self.pos += 1
-                return Word("")
-            if value == "empty":
-                self.pos += 1
-                return Empty()
-            return Word(self.take_letter())
-        self.error("expected an expression atom, found %r" % (value or "end of input"))
-
-    # formulas ---------------------------------------------------------------
-
-    def formula(self) -> Formula:
-        """Operands joined by binary connectives, applied by precedence from
-        one stack: each operator waits until the next one binds looser than
-        its right operand allows."""
-        operands = [self.not_formula()]
-        pending: list = []      # (tag, own level, right operand level)
-        while True:
-            op = _INFIX.get(self.kinds[self.pos])
-            own = 0 if op is None else op[1]
-            while pending and pending[-1][2] > own:
-                right = operands.pop()
-                operands[-1] = Conn(pending.pop()[0], (operands[-1], right))
-            if op is None:
-                return operands[0]
-            self.pos += 1
-            pending.append(op)
-            operands.append(self.not_formula())
-
-    def not_formula(self) -> Formula:
-        """A negated, atomic or parenthesized formula; the negations of a
-        run of "!" are counted, then applied."""
-        kinds, values = self.kinds, self.values
-        negations = 0
-        while kinds[self.pos] == "!":
-            self.pos += 1
-            negations += 1
-        kind, value = kinds[self.pos], values[self.pos]
-        if kind == "(":
-            self.pos += 1
-            f = self.formula()
-            self.expect(")")
-        elif kind == "word" and value == "true":
-            self.pos += 1
-            f = Conn(TRUE)
-        elif kind == "word" and value == "false":
-            self.pos += 1
-            f = Conn(FALSE)
-        elif kind == "word" and kinds[self.pos + 1] == "(" and value in self.env.predicates:
-            self.pos += 1
-            f = Atom(value, self.args("predicate", value, self.env.predicates[value]))
-        else:
-            self.error("expected a formula, found %r" % (value or "end of input"))
-        for _ in range(negations):
-            f = Conn(NOT, (f,))
-        return f
-
-    def args(self, kind: str, name: str, arity: int) -> tuple:
-        """The parenthesized arguments of a predicate or function symbol of
-        the given arity; a wrong count is kept for _parse_whole to raise."""
-        self.expect("(")
-        out = []
-        if self.peek() != ")":
-            out.append(self.term())
-            while self.peek() == ",":
-                self.pos += 1
-                out.append(self.term())
-        self.expect(")")
-        if len(out) != arity and self.arity_error is None:
+    def wrong_arity(self, node) -> None:
+        """Keep the first Atom or App whose argument count is wrong, for
+        _parse_whole to raise."""
+        if self.arity_error is None:
+            kind, name = ("predicate", node.pred) if type(node) is Atom else ("function", node.fn)
             self.arity_error = ConfigError("%s %r expects %d arguments, got %d"
-                                           % (kind, name, arity, len(out)))
-        return tuple(out)
+                                           % (kind, name, self.arities[name], len(node.args)))
 
-    # terms ------------------------------------------------------------------
+    # the engine -------------------------------------------------------------
 
-    def term(self) -> Term:
-        """Factors read in one loop, then right-associated."""
-        kinds, values, env = self.kinds, self.values, self.env
-        factors = []
+    def parse(self, grammar: str):
+        """What grammar reads from the current token on, in one loop over
+        the tokens that keeps its place on one explicit stack of frames. The
+        position is a local, handed to self.pos around the lexical methods."""
+        kinds, values, env, arities = self.kinds, self.values, self.env, self.arities
+        pos = self.pos
+        stack = []                  # the enclosing frames, innermost last
+        operands, pending = [], []  # pending: operators as the _INFIX tables hold them
+        closing = None      # in an arguments frame: [make, name, arguments so far]
+        start = pos         # the first token of the current left operand of -|
         while True:
-            kind, value = kinds[self.pos], values[self.pos]
-            if kind == "word":
-                call = kinds[self.pos + 1] == "("
+            # Before an operand: open frames and take prefixes until one is read.
+            kind, value = kinds[pos], values[pos]
+            make = None
+            if kind == "(":
+                pos += 1
+                stack.append((grammar, operands, pending, closing, start))
+                operands, pending, closing, start = [], [], None, pos
+                continue
+            if grammar is _TERM:
+                if kind != "word":
+                    self.error("expected a term, found %r" % (value or "end of input"), pos)
+                call = kinds[pos + 1] == "("
                 if value == "eps":
-                    self.pos += 1
-                    factors.append(EPS_TERM)
+                    pos += 1
+                    operands.append(EPS_TERM)
                 elif call and value in env.functions:
-                    self.pos += 1
-                    args = self.args("function", value, env.functions[value])
-                    factors.append(App(value, args))
+                    make = App
                 else:
-                    factors += self.take_leaves(value, call)
-            elif kind == "(":
-                self.pos += 1
-                factors.append(self.term())
-                self.expect(")")
-            elif factors:
-                break
+                    self.pos = pos
+                    operands += self.take_leaves(value, call)
+                    pos = self.pos
+            elif grammar is _FORMULA:
+                if kind == "!":
+                    pos += 1
+                    pending.append(_NEGATION)
+                    continue
+                if kind != "word":
+                    self.error("expected a formula, found %r" % (value or "end of input"), pos)
+                if value == "true" or value == "false":
+                    pos += 1
+                    operands.append(Conn(value))
+                elif kinds[pos + 1] == "(" and value in env.predicates:
+                    make = Atom
+                else:
+                    self.error("expected a formula, found %r" % value, pos)
+            elif kind != "word":
+                self.error("expected an expression atom, found %r"
+                           % (value or "end of input"), pos)
+            elif value == "eps" or value == "empty":
+                pos += 1
+                operands.append(Word("") if value == "eps" else Empty())
             else:
-                self.error("expected a term, found %r" % (value or "end of input"))
-        t = factors.pop()
-        while factors:
-            t = App(CAT, (factors.pop(), t))
-        return t
+                self.pos = pos
+                operands.append(Word(self.take_letter()))
+                pos = self.pos
+            if make is not None:    # name "(": an arguments frame reads the terms
+                pos += 2
+                if kinds[pos] != ")":
+                    stack.append((grammar, operands, pending, closing, start))
+                    grammar, operands, pending, closing = _TERM, [], [], [make, value, []]
+                    continue
+                pos += 1
+                operands.append(make(value))
+                if arities[value]:
+                    self.wrong_arity(operands[-1])
+
+            # After an operand: postfix and infix operators, juxtaposition,
+            # and the ends of frames, until an operator wants an operand.
+            while True:
+                kind = kinds[pos]
+                if grammar is _TERM:    # juxtaposition only, so nothing is pending
+                    if kind == "word" or kind == "(":
+                        break       # the next factor of the term
+                else:
+                    if grammar is _FORMULA:
+                        op = _F_INFIX.get(kind)
+                    elif kind == "*":
+                        pos += 1
+                        operands[-1] = Star(operands[-1])
+                        continue
+                    else:
+                        op = _E_INFIX.get(kind)
+                    own = 0 if op is None else op[0]
+                    while pending and pending[-1][1] > own:
+                        build = pending.pop()[2]
+                        if build is None:       # a prefix "!"
+                            operands[-1] = Conn(NOT, (operands[-1],))
+                            continue
+                        right = operands.pop()
+                        if build.__class__ is str:      # a binary connective's tag
+                            operands[-1] = Conn(build, (operands[-1], right))
+                        else:
+                            operands[-1] = build(operands[-1], right)
+                    if op is not None:
+                        if kind == "-|":
+                            op = own, op[1], functools.partial(self._make_match, pos=start)
+                            start = pos + 1
+                        elif kind == "|":
+                            grammar = _FORMULA
+                        if kind != "word" and kind != "(":
+                            pos += 1
+                        pending.append(op)
+                        break
+                # The frame ends; the factors of a term nest to the right.
+                value = operands.pop()
+                while operands:
+                    value = App(CAT, (operands.pop(), value))
+                if not stack:
+                    self.pos = pos
+                    return value
+                if closing is not None:
+                    closing[2].append(value)
+                    if kind == ",":
+                        pos += 1
+                        break       # the next argument
+                if kind != ")":
+                    self.error("expected ')', found %r" % (values[pos] or "end of input"), pos)
+                pos += 1
+                if closing is not None:
+                    make, name, args = closing
+                    value = make(name, tuple(args))
+                    if len(args) != arities[name]:
+                        self.wrong_arity(value)
+                grammar, operands, pending, closing, start = stack.pop()
+                operands.append(value)
 
 
-def _parse_whole(text: str, env: Environment, rule, what: str):
-    """Run one grammar rule and require that it consumes the whole text.
+def _parse_whole(text: str, env: Environment, grammar: str):
+    """Read one grammar and require that it consumes the whole text.
     A ParseError anywhere in it comes before a wrong arity (ConfigError)."""
     p = _Parser(env, text)
-    result = rule(p)
-    if p.peek() != "eof":
-        p.error("unexpected %r after %s" % (p.values[p.pos], what))
+    result = p.parse(grammar)
+    if p.kinds[p.pos] != "eof":
+        p.error("unexpected %r after %s" % (p.values[p.pos], grammar))
     if p.arity_error is not None:
         raise p.arity_error
     return result
 
 
 def parse_expression(text: str, env: Environment) -> Expr:
-    return _parse_whole(text, env, _Parser.expr, "expression")
+    return _parse_whole(text, env, _EXPR)
 
 
 def parse_formula(text: str, env: Environment) -> Formula:
-    return _parse_whole(text, env, _Parser.formula, "formula")
+    return _parse_whole(text, env, _FORMULA)
 
 
 def parse_term(text: str, env: Environment) -> Term:
-    return _parse_whole(text, env, _Parser.term, "term")
+    return _parse_whole(text, env, _TERM)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ recomputed, recursively, at every call.
 first; the collectors (`as_mixed_word`, `subterms`, `tree_variables`,
 `expr_variables`) read it. `fold` is its post-order twin: it hands each node
 the values of its children and returns the root's value. Substitution
-(`subst_tree`) and `formula_str` are visits on it, as are evaluation,
-normalization, the indicator pairs and `simplify_expr` elsewhere. Both
-accept trees of any depth.
+(`subst_tree`), `term_str` and `formula_str` are visits on it, as are
+evaluation, normalization, the indicator pairs, witness construction and
+`simplify_expr` elsewhere. Both accept trees of any depth.
 """
 
 from __future__ import annotations
@@ -630,39 +630,29 @@ def word_str(alpha: str) -> str:
     return alpha if alpha else "eps"
 
 
-def _term_pieces(t: Term) -> list:
-    """Right catenation spine of t."""
-    out = []
-    while isinstance(t, App) and t.fn == CAT:
-        out.append(t.args[0])
-        t = t.args[1]
-    out.append(t)
-    return out
+def _term_piece(t: Term, values) -> tuple:
+    """The text of t, and the first piece of its right catenation spine,
+    from the values of its children. A catenation puts a space between two
+    pieces that meet at letters or digits, unless both are one character;
+    a piece that is itself a catenation is parenthesized."""
+    if type(t) is Var:
+        return t.name, t.name
+    fn = t.fn
+    if fn == CAT:
+        (left, _), (right, first) = values
+        if type(t.args[0]) is App and t.args[0].fn == CAT:
+            left = "(" + left + ")"
+        if left[-1].isalnum() and first[0].isalnum() \
+                and not (len(left) == 1 and len(first) == 1):
+            return left + " " + right, left
+        return left + right, left
+    text = "eps" if fn == EPSILON else fn if not values \
+        else "%s(%s)" % (fn, ", ".join(text for text, _ in values))
+    return text, text
 
 
 def term_str(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if t.fn == CAT:
-        pieces = []
-        for u in _term_pieces(t):
-            s = term_str(u)
-            if isinstance(u, App) and u.fn == CAT:
-                s = "(" + s + ")"
-            pieces.append(s)
-        out = pieces[0]
-        for prev, cur in zip(pieces, pieces[1:]):
-            tight = len(prev) == 1 and len(cur) == 1
-            if prev[-1].isalnum() and cur[0].isalnum() and not tight:
-                out += " " + cur
-            else:
-                out += cur
-        return out
-    if t.fn == EPSILON:
-        return "eps"
-    if not t.args:
-        return t.fn
-    return "%s(%s)" % (t.fn, ", ".join(term_str(a) for a in t.args))
+    return fold(t, _term_piece)[0]
 
 
 # The binary connectives: glyph, own level, left and right operand levels.
@@ -753,7 +743,10 @@ def _printer(levels: dict, match_operand: int, match_glyph: str):
     return show
 
 
-_expr_printer = _printer({Constraint: 1, Match: 2, Sum: 3, Cat: 4, Star: 5}, 2, " -| ")
+# The binding level of each expression node type in constrex notation,
+# higher binds tighter; the expression printer and the parser read it.
+_E_LEVELS = {Constraint: 1, Match: 2, Sum: 3, Cat: 4, Star: 5}
+_expr_printer = _printer(_E_LEVELS, _E_LEVELS[Match], " -| ")
 # A regular form reads `w -| E` as the intersection {w} & L(E), which binds
 # tighter than a sum; a regular form has no constraints.
 _regex_printer = _printer({Sum: 1, Match: 2, Cat: 3, Star: 4}, 3, " & ")

@@ -241,6 +241,22 @@ def test_robustness_inputs_end_cleanly(env_file, capsys, monkeypatch,
         assert (status, captured.out.splitlines()[0]) == (0, answer)
 
 
+def test_sat_on_a_term_nested_400_calls_deep(env_file, capsys):
+    # parsing, printing the atom's name and building the witness all keep
+    # their place on stacks
+    formula = "sim(%sx%s, x)" % ("f(" * 400, ")" * 400)
+    with recursion_headroom():
+        status, out = invoke(capsys, "sat", "--env", env_file, "--formula", formula)
+    assert (status, out.splitlines()[:3]) == (0, ["SAT", "x = aba", "f(aba) = ab2a"])
+
+
+def test_check_free_on_500_nested_parentheses(env_file, capsys):
+    with recursion_headroom():
+        status, out = invoke(capsys, "check-free", "--env", env_file,
+                             "--expr", "(" * 500 + "a" + ")" * 500, "--word", "a")
+    assert (status, out.splitlines()) == (0, ["ACCEPT"])
+
+
 def test_derive_on_a_3000_symbol_catenation(env_file, capsys):
     letters = " ".join("ab" * 1500)
     status, out = invoke(capsys, "derive", "--env", env_file, "--expr", letters,

@@ -1,4 +1,5 @@
-"""Print one SHA-256 over the answers of a fixed set of benchmark queries.
+"""Print two SHA-256 digests over a fixed set of benchmark queries: one over
+their parsed trees, one over their answers.
 
     python tools/digests.py [ROOT]
 
@@ -7,9 +8,17 @@ The queries are those of ``bench/workloads.py``: ``free-positive`` and
 round 0 (465 queries). Each is answered in process through the library, as
 ``bench/run.py`` does, and the digest covers each query's workload, seed,
 round, family, size, verdict text and verdict key (the witness key of a free
-query). Two source trees that print the same digest give the same verdicts
-and witnesses on all of them. The last line is the digest; the one before
-it counts the queries.
+query). Two source trees that print the same verdict digest give the same
+verdicts and witnesses on all of them.
+
+The parse digest covers the tree of each query text, node by node in
+``syntax.walk`` order, each node as its class name and its fields that hold
+no child. So it reads a tree of any depth, and it tells apart catenations
+that associate differently, which print alike. Two source trees that print
+the same parse digest build the same trees from all of these texts.
+
+The output is the parse digest, then the count of queries, then the verdict
+digest, last.
 
 ROOT is a checkout of the repository, by default the one holding this file;
 its ``src`` and ``bench`` are imported, and nothing is written. Stdlib only.
@@ -32,14 +41,18 @@ def main(argv) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import run          # bench/run.py: verdict_key and verdict_text
     import workloads
-    from constrex import logic, parser, semantics
+    from constrex import logic, parser, semantics, syntax
 
     envs = {k: parser.parse_environment(v) for k, v in workloads.ENVIRONMENTS.items()}
 
     def bindings(text):
         return dict(part.partition("=")[::2] for part in text.split(",") if part)
 
-    def answer(q):
+    def parse(q):
+        rule = parser.parse_formula if q.kind == "sat" else parser.parse_expression
+        return rule(q.text, envs[q.env])
+
+    def answer(q, tree):
         env = envs[q.env]
         if q.kind == "fixed":
             bound = bindings(q.interp)
@@ -47,23 +60,34 @@ def main(argv) -> int:
                 env, {k: v for k, v in bound.items() if k in env.predicates},
                 {k: v for k, v in bound.items() if k not in env.predicates})
             real = semantics.Realization(env, bindings(q.real))
-            e = parser.parse_expression(q.text, env)
-            return semantics.membership_fixed(interp, real, e, q.word)
+            return semantics.membership_fixed(interp, real, tree, q.word)
         if q.kind == "general":
-            return logic.membership_general(env, parser.parse_expression(q.text, env), q.word)
-        return logic.satisfiable_free(env, parser.parse_formula(q.text, env))
+            return logic.membership_general(env, tree, q.word)
+        return logic.satisfiable_free(env, tree)
 
+    def nodes(tree):
+        """Each node in walk order: its class name and its own string fields."""
+        for node in syntax.walk(tree):
+            yield (type(node).__name__,
+                   *(v for v in map(node.__getattribute__, node.__slots__)
+                     if isinstance(v, str)))
+
+    trees = hashlib.sha256()
     digest = hashlib.sha256()
     count = 0
     for workload, seeds, rounds in QUERIES:
         for seed in seeds:
             for index in rounds:
                 for q in workloads.round_queries(workload, seed, index):
-                    verdict = answer(q)
+                    tree = parse(q)
+                    for node in nodes(tree):
+                        trees.update(repr(node).encode())
+                    verdict = answer(q, tree)
                     digest.update(repr((workload, seed, index, q.family, q.size,
                                         run.verdict_text(q, verdict),
                                         run.verdict_key(q, verdict))).encode())
                     count += 1
+    print("parse %s" % trees.hexdigest())
     print("%d queries" % count)
     print(digest.hexdigest())
     return 0
