@@ -70,10 +70,11 @@ _TOKEN = re.compile("|".join(re.escape(op) for op in sorted(
 _EXPR, _FORMULA, _TERM = "expression", "formula", "term"
 
 # The infix operators of a grammar by token kind: (own level, right operand
-# level, builder of the node from the two operands). A pending operator is
-# applied before the next one when its right operand level exceeds that
-# one's own level. An expression juxtaposes at a word or "("; the builder
-# of "-|" is made at each use, since a failed match reports its position.
+# level, builder), where the builder is a node class of the two operands or
+# a connective's tag. A pending operator is applied before the next one when
+# its right operand level exceeds that one's own level. An expression
+# juxtaposes at a word or "("; the builder of "-|" is made at each use,
+# since a failed match reports the position of its left operand.
 _E_INFIX = {"|": (_E_LEVELS[Constraint], _E_LEVELS[Constraint], Constraint),
             "-|": (_E_LEVELS[Match], _E_LEVELS[Match], None),
             "+": (_E_LEVELS[Sum], _E_LEVELS[Sum] + 1, Sum),
