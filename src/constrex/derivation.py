@@ -34,20 +34,28 @@ from .syntax import (
 DerivPair = tuple[Expr, frozenset]
 DerivativeSet = tuple[DerivPair, ...]
 
+_NOTHING = frozenset()  # the set of no assumptions
+
 
 def derive_word(env: Environment, alpha: str, a: str) -> list[tuple[str, frozenset]]:
-    """Constrained derivative of a mixed word w.r.t. one symbol."""
-    if alpha == "":
-        return []
-    head, rest = alpha[0], alpha[1:]
-    if head == a:
-        return [(rest, frozenset())]
-    if not env.is_variable(head):
-        return []
-    x = head
-    out = [(x + subst_word(rest, {x: a + x}), frozenset({(x, a + x)}))]
-    for alpha2, X in derive_word(env, subst_word(rest, {x: ""}), a):
-        out.append((alpha2, X | {(x, "")}))
+    """Constrained derivative of a mixed word w.r.t. one symbol.
+
+    A leading variable x gives the pair that assumes x starts with a, then
+    the pairs of the rest with x erased; a loop walks that run of erased
+    variables, each pair carrying the erasures made before it."""
+    out = []
+    erased = _NOTHING
+    while alpha:
+        head, rest = alpha[0], alpha[1:]
+        if head == a:
+            out.append((rest, erased))
+            break
+        if not env.is_variable(head):
+            break
+        x = head
+        out.append((x + subst_word(rest, {x: a + x}), erased | {(x, a + x)}))
+        erased |= {(x, "")}
+        alpha = subst_word(rest, {x: ""})
     return out
 
 
@@ -96,30 +104,62 @@ def _guard(env, left: Expr, pairs):
 
 
 def _derive(env: Environment, e: Expr, a: str) -> list[DerivPair]:
-    if isinstance(e, Word):
-        return [(Word(alpha), X) for alpha, X in derive_word(env, e.letters, a)]
-    if isinstance(e, Empty):
-        return []
-    if isinstance(e, Sum):
-        return _derive(env, e.left, a) + _derive(env, e.right, a)
-    if isinstance(e, Star):
-        return _odot_left(env, _derive(env, e.child, a), e)
-    if isinstance(e, Constraint):
-        return [(Constraint(e2, apply_subst_set(env, e.formula, X)), X)
-                for e2, X in _derive(env, e.child, a)]
-    if isinstance(e, Match):
-        out = []
-        for alpha1, X1 in derive_word(env, e.word, a):
-            for e2, X2 in _derive(env, apply_subst_set(env, e.child, X1), a):
-                out.append((Match(apply_subst_set(env, alpha1, X2), e2), X1 | X2))
-        return out
-    if isinstance(e, Cat):
-        if isinstance(e.left, Word):
+    kind = type(e)
+    if kind is Cat:
+        if type(e.left) is Word:
             return _derive_word_headed(env, e.left.letters, e.right, a)
         out = _odot_left(env, _derive(env, e.left, a), e.right)
         if not never_null(env, e.left):
             out += _guard(env, e.left, _derive(env, e.right, a))
         return out
+    if kind is Word:
+        return [(Word(alpha), X) for alpha, X in derive_word(env, e.letters, a)]
+    if kind is Sum:
+        # the summands left to right in one loop, whichever way the sums
+        # nest: a left child that is a sum is entered, its parent's right
+        # child waiting on a linked stack
+        out = []
+        waiting = None
+        while True:
+            left = e.left
+            if type(left) is Sum:
+                waiting = e.right, waiting
+                e = left
+                continue
+            out += _derive(env, left, a)
+            e = e.right
+            while type(e) is not Sum:
+                out += _derive(env, e, a)
+                if waiting is None:
+                    return out
+                e, waiting = waiting
+    if kind is Star:
+        return _odot_left(env, _derive(env, e.child, a), e)
+    if kind is Match:
+        # a chain of matches is a loop: each path holds its node below the
+        # matches passed so far and the (word, set) pairs chosen at them,
+        # innermost first, linked; the paths keep the order of choosing at
+        # each match in turn
+        paths = [(e, None)]
+        while paths and type(e) is Match:
+            paths = [(apply_subst_set(env, node.child, X1), (alpha1, X1, chosen))
+                     for node, chosen in paths
+                     for alpha1, X1 in derive_word(env, node.word, a)]
+            e = e.child     # substitution keeps the node types of the chain
+        out = []
+        for node, chosen in paths:
+            for e2, X2 in _derive(env, node, a):
+                link = chosen
+                while link is not None:
+                    alpha1, X1, link = link
+                    e2, X2 = Match(apply_subst_set(env, alpha1, X2), e2), X1 | X2
+                out.append((e2, X2))
+        return out
+    if kind is Constraint:
+        return [(Constraint(e2, apply_subst_set(env, e.formula, X)), X)
+                for e2, X in _derive(env, e.child, a)]
+    if kind is Empty:
+        return []
     raise TypeError(e)
 
 
@@ -127,14 +167,23 @@ def _derive_word_headed(env, alpha: str, tail: Expr, a: str) -> list[DerivPair]:
     """Derive `alpha . tail` by the word rule, applying each pair's set to the tail.
 
     A head of variables only may also be erased for the tail to consume a.
+    When the erased tail is word-headed in turn, the loop derives it, each
+    pair carrying the erasures made before it.
     """
-    out = [(Cat(Word(alpha2), apply_subst_set(env, tail, X)), X)
-           for alpha2, X in derive_word(env, alpha, a)]
-    if all(env.is_variable(c) for c in alpha):
-        erased = frozenset((x, "") for x in alpha)
-        out += [(e2, X | erased)
-                for e2, X in _derive(env, apply_subst_set(env, tail, erased), a)]
-    return out
+    out = []
+    erased = _NOTHING
+    while True:
+        out += [(Cat(Word(alpha2), apply_subst_set(env, tail, X)),
+                 X | erased if erased else X)
+                for alpha2, X in derive_word(env, alpha, a)]
+        if not all(env.is_variable(c) for c in alpha):
+            return out
+        here = frozenset((x, "") for x in alpha)
+        erased |= here
+        tail = apply_subst_set(env, tail, here)
+        if type(tail) is not Cat or type(tail.left) is not Word:
+            return out + [(e2, X | erased) for e2, X in _derive(env, tail, a)]
+        alpha, tail = tail.left.letters, tail.right
 
 
 def canonical(env: Environment, pairs: Iterable[DerivPair]) -> DerivativeSet:
@@ -225,11 +274,17 @@ def _ordered(env: Environment, e: Expr, a: str):
     substituted only when its state is pulled. Children that print alike
     are ordered by their full printed states, as in canonical. Any other
     state orders its states by their own text. Then the set's text decides,
-    and the later of two duplicates wins.
+    and the later of two duplicates wins. A derivative of one pair is
+    yielded without printing it.
     """
     phi = e.formula if type(e) is Constraint else None
+    pairs = _derive(env, e if phi is None else e.child, a)
+    if len(pairs) == 1:     # one state is its own order: print nothing
+        (e2, X), = pairs
+        yield (e2, X) if phi is None else (Constraint(e2, apply_subst_set(env, phi, X)), X)
+        return
     groups: dict = {}
-    for e2, X in _derive(env, e if phi is None else e.child, a):
+    for e2, X in pairs:
         head = expr_str(e2)
         if phi is not None:
             head = ("(" + head + ")" if type(e2) is Constraint else head) + " | "

@@ -624,7 +624,9 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], tuple | No
         return known
 
     def need(e: Expr) -> tuple | None:
-        # a catenation's right spine is a loop, its left factors walked first
+        # a catenation's right spine is a loop, its left factors walked
+        # first; so are a sum chain of any nesting and a chain of matches
+        # and constraints
         total = nothing
         while type(e) is Cat:
             left = need(e.left)
@@ -632,28 +634,41 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], tuple | No
                 return None
             total = combine(operator.add, total, left)
             e = e.right
+        wrappers = None     # the matches and constraints above e, linked
         kind = type(e)
+        while kind is Match or kind is Constraint:
+            wrappers = e, wrappers
+            e = e.child
+            kind = type(e)
         if kind is Word:
             last = words.get(e.letters) or count(e.letters)
         elif kind is Star:
             last = nothing
         elif kind is Sum:
-            left, right = need(e.left), need(e.right)
-            if left is None or right is None:
-                last = right if left is None else left
-            else:
-                last = tuple(map(min, left, right))
-        elif kind is Match:
-            child = need(e.child)
-            if child is None or (e.word == "" and child[0]):
-                return None
-            last = combine(max, words.get(e.word) or count(e.word), child)
-        elif kind is Constraint:
-            last = need(e.child)
-            if last is not None and unsatisfiable(e.formula):
-                return None
+            last = None     # until a summand is not void
+            stack = [e.right, e.left]
+            while stack:
+                e = stack.pop()
+                if type(e) is Sum:
+                    stack += e.right, e.left
+                    continue
+                summand = need(e)
+                if summand is not None:
+                    last = summand if last is None else tuple(map(min, last, summand))
+        elif kind is Cat:
+            last = need(e)
         else:   # Empty
             return None
+        while wrappers is not None:
+            e, wrappers = wrappers
+            if last is None:
+                return None
+            if type(e) is Match:
+                if e.word == "" and last[0]:
+                    return None
+                last = combine(max, words.get(e.word) or count(e.word), last)
+            elif unsatisfiable(e.formula):
+                return None
         return None if last is None else combine(operator.add, total, last)
 
     return need

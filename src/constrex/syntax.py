@@ -11,8 +11,9 @@ The term and formula nodes `App`, `Atom` and `Conn` store two summaries,
 computed once in the constructor from their children's: the hash, and a
 flag `normal` that says whether the node's terms are in normal form (see
 `App`). A `Var` is always normal. The expression nodes (`Word`, `Sum`,
-`Cat`, `Star`, `Match`, `Constraint`) do not store their hash yet: it is
-recomputed, recursively, at every call.
+`Cat`, `Star`, `Match`, `Constraint`) store their hash too, computed once
+from their children's stored hashes, and `Empty` has a constant one; so
+hashing a node of any size takes constant time and never recurses.
 `walk` yields the nodes of any such tree from an explicit stack, parents
 first; the collectors (`as_mixed_word`, `subterms`, `tree_variables`,
 `expr_variables`) read it. `fold` is its post-order twin: it hands each node
@@ -156,11 +157,14 @@ class Environment:
 #
 # Each node class writes out what `dataclass(frozen=True)` would generate: a
 # constructor, equality on the field tuple between nodes of one class, and
-# the hash of the field tuple. Written per class, the tuples are built
-# inline, which a shared base class reading the fields generically is not;
-# comparing tuples keeps the identity shortcut on shared subtrees. App, Atom
-# and Conn hash their field tuple once, in the constructor, where each child
-# hands over its own stored hash, so hashing a deep term does not recurse.
+# a hash. Written per class, the tuples are built inline, which a shared
+# base class reading the fields generically is not; comparing tuples keeps
+# the identity shortcut on shared subtrees. Every node but a Var hashes
+# once, in its constructor, so hashing a deep tree does not recurse: App,
+# Atom and Conn hash their field tuple, where each child hands over its
+# stored hash; an expression node hashes the tuple of its fields with each
+# child replaced by its stored hash, since reading the ints keeps the
+# constructor free of Python-level `__hash__` calls.
 
 
 def fields_repr(self) -> str:
@@ -170,12 +174,22 @@ def fields_repr(self) -> str:
         "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
-class _Summary:
-    """The slots of the summaries that App, Atom and Conn store: the hash,
-    the same value as the hash of the field tuple, and the normal flag. A
-    base class holds them, so that each node class's `__slots__` still
-    names its fields alone, as `fields_repr` reads them."""
-    __slots__ = ("_hash", "normal")
+class _Hashed:
+    """The slot of the stored hash, and the `__hash__` that returns it. A
+    base class holds the slot, so that each node class's `__slots__` still
+    names its fields alone, as `fields_repr` reads them. A class that
+    defines `__eq__` loses its inherited `__hash__`, so each node class
+    names it again."""
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+
+class _Summary(_Hashed):
+    """The summaries that App, Atom and Conn store: the hash, the same value
+    as the hash of the field tuple, and the normal flag."""
+    __slots__ = ("normal",)
 
 
 _normal = operator.attrgetter("normal")
@@ -208,6 +222,7 @@ class App(_Summary):
     application when all its arguments are."""
     __slots__ = ("fn", "args")
     __repr__ = fields_repr
+    __hash__ = _Hashed.__hash__
 
     def __init__(self, fn: str, args: tuple = ()):
         self.fn = fn
@@ -225,9 +240,6 @@ class App(_Summary):
         if other.__class__ is App:
             return (self.fn, self.args) == (other.fn, other.args)
         return NotImplemented
-
-    def __hash__(self):
-        return self._hash
 
 
 Term = Var | App
@@ -253,6 +265,7 @@ class Atom(_Summary):
     """An atom; normal when all its terms are."""
     __slots__ = ("pred", "args")
     __repr__ = fields_repr
+    __hash__ = _Hashed.__hash__
 
     def __init__(self, pred: str, args: tuple = ()):
         self.pred = pred
@@ -265,14 +278,12 @@ class Atom(_Summary):
             return (self.pred, self.args) == (other.pred, other.args)
         return NotImplemented
 
-    def __hash__(self):
-        return self._hash
-
 
 class Conn(_Summary):
     """A connective node; normal when all its children are."""
     __slots__ = ("tag", "children")
     __repr__ = fields_repr
+    __hash__ = _Hashed.__hash__
 
     def __init__(self, tag: str, children: tuple = ()):
         self.tag = tag
@@ -285,9 +296,6 @@ class Conn(_Summary):
             return (self.tag, self.children) == (other.tag, other.children)
         return NotImplemented
 
-    def __hash__(self):
-        return self._hash
-
 
 Formula = Atom | Conn
 
@@ -299,117 +307,110 @@ BOT = Conn(FALSE)
 # constrained expressions
 
 
-class Word:
+class Word(_Hashed):
     __slots__ = ("letters",)
     __repr__ = fields_repr
+    __hash__ = _Hashed.__hash__
 
     def __init__(self, letters: str):
         self.letters = letters
+        self._hash = hash((letters,))
 
     def __eq__(self, other):
         if other.__class__ is Word:
             return (self.letters,) == (other.letters,)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.letters,))
-
 
 class Empty:
     __slots__ = ()
     __repr__ = fields_repr
+    __hash__ = _Hashed.__hash__
+    _hash = hash(())    # a class constant: Empty has no fields
 
     def __eq__(self, other):
         if other.__class__ is Empty:
             return True
         return NotImplemented
 
-    def __hash__(self):
-        return hash(())
 
-
-class Sum:
+class Sum(_Hashed):
     __slots__ = ("left", "right")
     __repr__ = fields_repr
+    __hash__ = _Hashed.__hash__
 
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
+        self._hash = hash((left._hash, right._hash))
 
     def __eq__(self, other):
         if other.__class__ is Sum:
             return (self.left, self.right) == (other.left, other.right)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.left, self.right))
 
-
-class Cat:
+class Cat(_Hashed):
     __slots__ = ("left", "right")
     __repr__ = fields_repr
+    __hash__ = _Hashed.__hash__
 
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
+        self._hash = hash((left._hash, right._hash))
 
     def __eq__(self, other):
         if other.__class__ is Cat:
             return (self.left, self.right) == (other.left, other.right)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.left, self.right))
 
-
-class Star:
+class Star(_Hashed):
     __slots__ = ("child",)
     __repr__ = fields_repr
+    __hash__ = _Hashed.__hash__
 
     def __init__(self, child: Expr):
         self.child = child
+        self._hash = hash((child._hash,))
 
     def __eq__(self, other):
         if other.__class__ is Star:
             return (self.child,) == (other.child,)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.child,))
 
-
-class Constraint:
+class Constraint(_Hashed):
     __slots__ = ("child", "formula")
     __repr__ = fields_repr
+    __hash__ = _Hashed.__hash__
 
     def __init__(self, child: Expr, formula: Formula):
         self.child = child
         self.formula = formula
+        self._hash = hash((child._hash, formula._hash))
 
     def __eq__(self, other):
         if other.__class__ is Constraint:
             return (self.child, self.formula) == (other.child, other.formula)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.child, self.formula))
 
-
-class Match:
+class Match(_Hashed):
     __slots__ = ("word", "child")
     __repr__ = fields_repr
+    __hash__ = _Hashed.__hash__
 
     def __init__(self, word: str, child: Expr):
         self.word = word
         self.child = child
+        self._hash = hash((word, child._hash))
 
     def __eq__(self, other):
         if other.__class__ is Match:
             return (self.word, self.child) == (other.word, other.child)
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.word, self.child))
 
 
 Expr = Word | Empty | Sum | Cat | Star | Constraint | Match

@@ -343,6 +343,42 @@ def test_free_pipeline_on_a_3000_symbol_catenation(env_file, capsys, argv, statu
     assert captured.out.splitlines() == lines
 
 
+def test_check_fixed_on_a_3000_symbol_catenation(env_file, capsys):
+    # each derived state hands over its stored hash, so the state sets of
+    # the fixed-case engine hash no deeper than the state
+    with recursion_headroom():
+        status, out = invoke(capsys, "check-fixed", "--env", env_file, "--expr", LONG,
+                             "--word", "ab" * 1500, "--interp", INTERP, "--real", "")
+    assert (status, out.splitlines()) == (0, ["ACCEPT"])
+
+
+SUM_LEFT = " + ".join(["a"] * 3000)                   # nests to the left
+SUM_RIGHT = "a + (" * 2999 + "a" + ")" * 2999
+
+
+@pytest.mark.parametrize("argv, status, lines", [
+    (("check-fixed", "--expr", SUM_LEFT, "--word", "a", "--interp", INTERP, "--real", ""),
+     0, ["ACCEPT"]),
+    (("check-fixed", "--expr", SUM_RIGHT, "--word", "a", "--interp", INTERP, "--real", ""),
+     0, ["ACCEPT"]),
+    (("check-free", "--expr", SUM_LEFT, "--word", "a"), 0, ["ACCEPT"]),
+    (("check-free", "--expr", SUM_RIGHT, "--word", "a"), 0, ["ACCEPT"]),
+    # the intersection of {a} with b* is empty
+    (("check-free", "--expr", "a -| " * 1000 + "b*", "--word", "a"), 1, ["REJECT"]),
+    # x^1000 has a length divisible by 1000
+    (("check-free", "--expr", " ".join(["x"] * 1000), "--word", "ab"), 1, ["REJECT"]),
+], ids=["check-fixed-sum-left", "check-fixed-sum-right", "check-free-sum-left",
+        "check-free-sum-right", "check-free-match-chain", "check-free-variable-head"])
+def test_engines_loop_over_long_chains(env_file, capsys, argv, status, lines):
+    # sum chains, match chains and heads of variables only are loops in the
+    # derivative and in the letter need, not one frame per link
+    with recursion_headroom():
+        assert run([argv[0], "--env", env_file, *argv[1:]]) == status
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == lines
+
+
 @pytest.mark.parametrize("env_bytes, expr_bytes", [
     (ENV3_TEXT.replace("sim/2", "sim/\u00b2").encode(), None),
     (b"alphabet: a b\n\xff\n", None),

@@ -15,11 +15,16 @@ from constrex import (
 )
 from constrex import derivation, logic
 from constrex.derivation import (
-    _derive, canonical, const_null, never_null, simplify_expr,
+    _derive, _guard, _odot_left, canonical, const_null, never_null, simplify_expr,
 )
-from constrex.syntax import Atom, Cat, Conn, Constraint, Empty, Match, Word, expr_str
+from constrex.syntax import (
+    Atom, Cat, Conn, Constraint, Empty, Environment, Match, Star, Sum, Word,
+    apply_subst_set, expr_str, subst_word,
+)
 
-from conftest import FUZZ_SCALE, rand_expr, rand_formula, rand_realization
+from conftest import (
+    FUZZ_SCALE, rand_expr, rand_formula, rand_realization, recursion_headroom,
+)
 
 
 def pairs_view(env, pairs):
@@ -392,3 +397,98 @@ def test_realization_transfer(env3, interp_len):
         for w in words:
             assert brute_membership_fixed_r(interp_len, r, e, w) == \
                 brute_membership_fixed_r(interp_len, r_assoc, e_sub, w)
+
+
+# ---------------------------------------------------------------------------
+# the derivative as one frame per node, the definition the loops must keep
+
+
+def _derive_word_reference(env, alpha, a):
+    if alpha == "":
+        return []
+    head, rest = alpha[0], alpha[1:]
+    if head == a:
+        return [(rest, frozenset())]
+    if not env.is_variable(head):
+        return []
+    x = head
+    out = [(x + subst_word(rest, {x: a + x}), frozenset({(x, a + x)}))]
+    for alpha2, X in _derive_word_reference(env, subst_word(rest, {x: ""}), a):
+        out.append((alpha2, X | {(x, "")}))
+    return out
+
+
+def _derive_reference(env, e, a):
+    if isinstance(e, Word):
+        return [(Word(alpha), X) for alpha, X in _derive_word_reference(env, e.letters, a)]
+    if isinstance(e, Empty):
+        return []
+    if isinstance(e, Sum):
+        return _derive_reference(env, e.left, a) + _derive_reference(env, e.right, a)
+    if isinstance(e, Star):
+        return _odot_left(env, _derive_reference(env, e.child, a), e)
+    if isinstance(e, Constraint):
+        return [(Constraint(e2, apply_subst_set(env, e.formula, X)), X)
+                for e2, X in _derive_reference(env, e.child, a)]
+    if isinstance(e, Match):
+        out = []
+        for alpha1, X1 in _derive_word_reference(env, e.word, a):
+            for e2, X2 in _derive_reference(env, apply_subst_set(env, e.child, X1), a):
+                out.append((Match(apply_subst_set(env, alpha1, X2), e2), X1 | X2))
+        return out
+    if isinstance(e.left, Word):
+        alpha, tail = e.left.letters, e.right
+        out = [(Cat(Word(alpha2), apply_subst_set(env, tail, X)), X)
+               for alpha2, X in _derive_word_reference(env, alpha, a)]
+        if all(env.is_variable(c) for c in alpha):
+            erased = frozenset((x, "") for x in alpha)
+            out += [(e2, X | erased) for e2, X in
+                    _derive_reference(env, apply_subst_set(env, tail, erased), a)]
+        return out
+    out = _odot_left(env, _derive_reference(env, e.left, a), e.right)
+    if not never_null(env, e.left):
+        out += _guard(env, e.left, _derive_reference(env, e.right, a))
+    return out
+
+
+def test_derive_matches_the_recursive_definition(env3, envp):
+    # the same pairs in the same order, sets included
+    rng = random.Random(1996)
+    for _ in range(400 * FUZZ_SCALE):
+        env = rng.choice([env3, envp])
+        e = rand_expr(rng, env, 4)
+        for a in env.symbols:
+            assert _derive(env, e, a) == _derive_reference(env, e, a), expr_str(e)
+
+
+def _sum_chain(summands, left):
+    e = summands[0] if left else summands[-1]
+    for s in (summands[1:] if left else reversed(summands[:-1])):
+        e = Sum(e, s) if left else Sum(s, e)
+    return e
+
+
+@pytest.mark.parametrize("build", [
+    lambda env: _sum_chain([parse_expression(t, env) for t in ["x", "a y", "b*", "z a"] * 75],
+                           left=True),
+    lambda env: _sum_chain([parse_expression(t, env) for t in ["x", "a y", "b*", "z a"] * 75],
+                           left=False),
+    lambda env: parse_expression("x -| " * 300 + "(a + x)*", env),
+    lambda env: parse_expression(" ".join("xyz" * 100) + " a", env),
+], ids=["sum-left", "sum-right", "match-chain", "variable-head"])
+def test_derive_loops_over_chains(env3, build):
+    # 300 links, under a limit of 50 frames more than the caller's; the
+    # comparison recurses, so it comes after
+    e = build(env3)
+    with recursion_headroom():
+        got = _derive(env3, e, "a")
+    assert got == _derive_reference(env3, e, "a")
+
+
+def test_derive_word_loops_over_a_run_of_variables():
+    env = Environment(("a",), tuple(chr(0x100 + i) for i in range(300)))
+    alpha = "".join(env.variables) + "a"
+    with recursion_headroom():
+        got = derive_word(env, alpha, "a")
+    assert got == _derive_word_reference(env, alpha, "a")
+    assert len(got) == 301

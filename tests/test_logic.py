@@ -10,7 +10,7 @@ import time
 import pytest
 
 from constrex import (
-    ConfigError, Constraint, FiniteRelation, Match, Sum, TruthTableLimitError,
+    Cat, ConfigError, Constraint, FiniteRelation, Match, Star, Sum, TruthTableLimitError,
     UnsupportedAlphabetError, Word,
     brute_membership_fixed_r, brute_satisfiable_free, build_witness, derive_expr,
     derive_paths, eval_formula, eval_term, indicator_set, left_dot_level,
@@ -827,6 +827,63 @@ def test_letter_need_holds_on_accepted_words(request, env_name, draws):
                         assert all(map(operator.le, wanted, held[w])), (str(s), w)
                         checked += any(wanted)
     assert checked >= 2 * draws * FUZZ_SCALE, checked
+
+
+def _need_reference(env, e, void):
+    """letter_need's bottom-up definition, one frame per node; void(phi)
+    says whether a constraint's formula makes it void."""
+    if isinstance(e, Word):
+        counts = tuple(e.letters.count(a) for a in env.symbols)
+        return (sum(counts), *counts)
+    if isinstance(e, Star):
+        return (0,) * (len(env.symbols) + 1)
+    if isinstance(e, (Cat, Sum)):
+        left, right = _need_reference(env, e.left, void), _need_reference(env, e.right, void)
+        if isinstance(e, Cat):
+            return None if left is None or right is None else tuple(map(operator.add, left, right))
+        if left is None or right is None:
+            return right if left is None else left
+        return tuple(map(min, left, right))
+    if isinstance(e, Match):
+        child = _need_reference(env, e.child, void)
+        if child is None or (e.word == "" and child[0]):
+            return None
+        return tuple(map(max, _need_reference(env, Word(e.word), void), child))
+    if isinstance(e, Constraint):
+        child = _need_reference(env, e.child, void)
+        return None if child is None or void(e.formula) else child
+    return None     # Empty
+
+
+def test_letter_need_matches_the_recursive_definition(env3, envp):
+    rng = random.Random("need reference")
+    for env in (env3, envp):
+        need = letter_need(env, 20)
+
+        def void(phi):
+            return need(Constraint(Word(""), phi)) is None
+
+        for _ in range(300 * FUZZ_SCALE):
+            e = rand_expr(rng, env, 4)
+            assert need(e) == _need_reference(env, e, void), str(e)
+
+
+@pytest.mark.parametrize("text", [
+    " + ".join(["a b", "x", "empty", "b a c"] * 300),
+    "a + (" * 1199 + "b" + ")" * 1199,
+    "a -| " * 600 + "ab -| (x a | sim(x, a)) -| " * 300 + "(a + b)*",
+], ids=["sum-left", "sum-right", "match-and-constraint-chain"])
+def test_letter_need_loops_over_chains(env3, text):
+    e = parse_expression(text, env3)
+    need = letter_need(env3, 20)
+    with recursion_headroom():
+        got = need(e)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10000)
+    try:
+        assert got == _need_reference(env3, e, lambda phi: False)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_unsatisfiable_constraint_is_cut_at_once(env3):

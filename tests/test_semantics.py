@@ -11,7 +11,7 @@ from constrex import (
     parse_expression, parse_formula, parse_term, regex_derivative, regex_str,
     regularize,
 )
-from constrex import syntax
+from constrex import semantics, syntax
 from constrex.syntax import (
     AND, BOT, IMPLIES, NOT, OR, TOP, Atom, Cat, Conn, Constraint, Empty,
     Match, Star, Sum, Word, expr_str, formula_str, register_connective,
@@ -209,6 +209,43 @@ def test_fixed_state_sets_stay_small(env3):
     for a in "".join(rng.choice("ab") for _ in range(400)):
         states = frozenset(d for r0 in states for d in regex_derivative(r0, a))
         assert len(states) <= 5
+
+
+def _star_cat(k):
+    """The star of a catenation of k letters, and the word of two rounds."""
+    body = ("abc" * k)[:k]
+    factors = [Word(c) for c in body]
+    e = factors.pop()
+    for f in reversed(factors):
+        e = Cat(f, e)
+    return Star(e), body * 2
+
+
+def test_fixed_derivative_sets_hash_each_state_once(monkeypatch):
+    # a state hands over its stored hash, so putting it in a set enters none
+    # of its children: the hashes grow with the word, not with the word
+    # times the state
+    derived, hashed = [], []
+    derive = semantics._derive
+
+    def recording(env, e, a):
+        pairs = derive(env, e, a)
+        derived.extend(d for d, _X in pairs)
+        return pairs
+
+    monkeypatch.setattr(semantics, "_derive", recording)
+    for cls in (Word, Empty, Sum, Cat, Star, Match, Constraint):
+        monkeypatch.setattr(cls, "__hash__",
+                            lambda node, own=cls.__hash__: hashed.append(node) or own(node))
+    counts = []
+    for k in (100, 200):
+        rx, w = _star_cat(k)
+        derived[:], hashed[:] = [rx], []
+        assert any(const_null(d) for d in semantics.regex_word_derivative(rx, w))
+        states = {id(d) for d in derived}
+        assert all(id(node) in states for node in hashed)
+        counts.append(len(hashed))
+    assert counts == [2 * 100 + 1, 2 * 200 + 1]
 
 
 def test_regex_null_examples():

@@ -290,6 +290,48 @@ def test_stored_hashes_equal_the_structural_hash(env3):
             assert hash(node) == _structural_hash(node)
 
 
+def _expr_hash(node):
+    """The hash of an expression node's field tuple, with each child given
+    as its hash, computed again, recursively; a formula's is structural."""
+    kind = type(node)
+    if kind is Word:
+        return hash((node.letters,))
+    if kind is Empty:
+        return hash(())
+    if kind is Sum or kind is Cat:
+        return hash((_expr_hash(node.left), _expr_hash(node.right)))
+    if kind is Star:
+        return hash((_expr_hash(node.child),))
+    if kind is Match:
+        return hash((node.word, _expr_hash(node.child)))
+    if kind is Constraint:
+        return hash((_expr_hash(node.child), _structural_hash(node.formula)))
+    return _structural_hash(node)
+
+
+def test_stored_expression_hashes_equal_the_recursive_hash(env3):
+    rng = random.Random(1996)
+    for _ in range(300 * FUZZ_SCALE):
+        for node in walk(rand_expr(rng, env3, 5)):
+            assert hash(node) == _expr_hash(node)
+
+
+def test_expressions_built_apart_are_equal_values(env3):
+    for seed in range(200 * FUZZ_SCALE):
+        e, again = (rand_expr(random.Random(seed), env3, 5) for _ in range(2))
+        assert e == again and hash(e) == hash(again)
+
+
+def test_deep_expressions_hash_without_recursion():
+    a = Word("a")
+    cat, total, star = a, a, a
+    for _ in range(DEEP):
+        cat, total, star = Cat(a, cat), Sum(total, a), Star(star)
+    with recursion_headroom():
+        nodes = {cat, total, star, a}
+        assert len(nodes) == 4 and cat in nodes and total in nodes and star in nodes
+
+
 ENV_FG = "alphabet: a b c\nvariables: x\npredicates: sim/2\nfunctions: f/1 fg/1 g/1"
 _A, _B, _X = App("a"), App("b"), Var("x")
 
@@ -387,8 +429,10 @@ def test_walk_order_and_unknown_nodes(env3):
     x, a = phi.args
     assert list(walk(e)) == [e, e.child, e.child.left, e.child.left.child,
                              e.child.right, phi, x, a]
+    odd = object.__new__(Star)  # the constructor would read the child's hash
+    odd.child = "x"
     with pytest.raises(TypeError):
-        list(walk(Star("x")))
+        list(walk(odd))
 
 
 def test_deep_trees_are_walked_without_recursion(env3):

@@ -18,7 +18,9 @@ that associate differently, which print alike. Two source trees that print
 the same parse digest build the same trees from all of these texts.
 
 The output is the parse digest, then the count of queries, then the verdict
-digest, last.
+digest, last. ``tools/digests.txt`` holds the output for the committed
+source; CI compares against it, so a change that alters how any of these
+queries parse or answer must update that file with it.
 
 ROOT is a checkout of the repository, by default the one holding this file;
 its ``src`` and ``bench`` are imported, and nothing is written. Stdlib only.
