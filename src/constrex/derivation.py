@@ -59,36 +59,62 @@ def derive_word(env: Environment, alpha: str, a: str) -> list[tuple[str, frozens
     return out
 
 
+def _summands(e: Sum):
+    """The summands of a sum chain, left to right, whichever way it nests."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if type(e) is Sum:
+            stack += (e.right, e.left)
+        else:
+            yield e
+
+
 def const_null(e: Expr) -> bool:
-    """True iff the empty word is denoted under every interpretation and realization."""
-    if isinstance(e, Word):
-        return e.letters == ""
-    if isinstance(e, Star):
-        return True
-    if isinstance(e, Cat):
-        return const_null(e.left) and const_null(e.right)
-    if isinstance(e, Sum):
-        return const_null(e.left) or const_null(e.right)
-    if isinstance(e, Match):
-        return e.word == "" and const_null(e.child)
-    return False
+    """True iff the empty word is denoted under every interpretation and realization.
+
+    A catenation's right spine and a chain of matches are a loop, and so is
+    a sum chain of any nesting; only a left factor and a summand are calls.
+    """
+    while True:
+        kind = type(e)
+        if kind is Cat:
+            if not const_null(e.left):
+                return False
+            e = e.right
+        elif kind is Match:
+            if e.word != "":
+                return False
+            e = e.child
+        elif kind is Sum:
+            return any(map(const_null, _summands(e)))
+        else:
+            return kind is Star or kind is Word and e.letters == ""
 
 
 def never_null(env: Environment, e: Expr) -> bool:
-    """True iff the empty word is denoted under no interpretation and realization."""
-    if isinstance(e, Word):
-        return not all(env.is_variable(c) for c in e.letters)
-    if isinstance(e, Empty):
-        return True
-    if isinstance(e, Cat):
-        return never_null(env, e.left) or never_null(env, e.right)
-    if isinstance(e, Sum):
-        return never_null(env, e.left) and never_null(env, e.right)
-    if isinstance(e, Match):
-        return not all(env.is_variable(c) for c in e.word) or never_null(env, e.child)
-    if isinstance(e, Constraint):
-        return never_null(env, e.child)
-    return False
+    """True iff the empty word is denoted under no interpretation and realization.
+
+    Loops as const_null does, a chain of constraints included.
+    """
+    while True:
+        kind = type(e)
+        if kind is Word:
+            return not all(env.is_variable(c) for c in e.letters)
+        if kind is Cat:
+            if never_null(env, e.left):
+                return True
+            e = e.right
+        elif kind is Match:
+            if not all(env.is_variable(c) for c in e.word):
+                return True
+            e = e.child
+        elif kind is Constraint:
+            e = e.child
+        elif kind is Sum:
+            return all(never_null(env, s) for s in _summands(e))
+        else:
+            return kind is Empty
 
 
 def _odot_left(env, pairs, right: Expr):
@@ -186,12 +212,48 @@ def _derive_word_headed(env, alpha: str, tail: Expr, a: str) -> list[DerivPair]:
         alpha, tail = tail.left.letters, tail.right
 
 
-def canonical(env: Environment, pairs: Iterable[DerivPair]) -> DerivativeSet:
-    """Deduplicate and sort pairs by pretty-printed expression, then set."""
-    keyed = {}
+def canonical(env: Environment, pairs: Iterable[DerivPair], phi=None):
+    """pairs deduplicated and in canonical order, an iterator.
+
+    The order sorts by printed expression, then by printed set, and of two
+    pairs that print alike the later one wins. With a formula phi, the pairs
+    are those of a constraint's child, and the order is that of the states
+    `E' | phi[X]`: each prints as its child's head, the child's text plus
+    " | ", then phi[X]. A head holds no top-level " | " (a constraint child
+    prints in parentheses), so two different heads order their states on
+    their own, and phi[X] is substituted only when its state is pulled;
+    children that print alike are ordered by their full printed states. A
+    lone pair is yielded without printing it.
+    """
+    pairs = list(pairs)
+    if len(pairs) == 1:     # one pair is its own order: print nothing
+        return _pull(env, [{None: pairs[0]}], phi)
+    groups: dict = {}
     for e, X in pairs:
-        keyed[(expr_str(e), subst_set_str(env, X))] = (e, X)
-    return tuple(keyed[k] for k in sorted(keyed))
+        head = expr_str(e)
+        if phi is not None:
+            head = ("(" + head + ")" if type(e) is Constraint else head) + " | "
+        groups.setdefault(head, {})[subst_set_str(env, X)] = e, X
+    return _pull(env, [groups[head] for head in sorted(groups)], phi)
+
+
+def _pull(env: Environment, groups: list, phi):
+    """The pairs of canonical's sorted groups, each state's formula
+    substituted as it is pulled."""
+    for group in groups:
+        if phi is None:
+            for s in sorted(group):
+                yield group[s]
+        elif len(group) == 1:
+            (e, X), = group.values()
+            yield Constraint(e, apply_subst_set(env, phi, X)), X
+        else:
+            tied = {}
+            for s, (e, X) in group.items():
+                state = Constraint(e, apply_subst_set(env, phi, X))
+                tied[expr_str(state), s] = state, X
+            for key in sorted(tied):
+                yield tied[key]
 
 
 def _check_symbols(env: Environment, letters) -> None:
@@ -203,7 +265,7 @@ def _check_symbols(env: Environment, letters) -> None:
 def derive_expr(env: Environment, e: Expr, a: str) -> DerivativeSet:
     """Constrained derivative of an expression w.r.t. one symbol, canonical."""
     _check_symbols(env, [a])
-    return canonical(env, _derive(env, e, a))
+    return tuple(_ordered(env, e, a))
 
 
 def derive_expr_word(env: Environment, e: Expr, w: str) -> DerivativeSet:
@@ -213,7 +275,7 @@ def derive_expr_word(env: Environment, e: Expr, w: str) -> DerivativeSet:
     pairs = derive_expr(env, e, w[0])
     _check_symbols(env, w[1:])
     for a in w[1:]:
-        pairs = canonical(env, (p for e2, _X in pairs for p in _derive(env, e2, a)))
+        pairs = tuple(canonical(env, (p for e2, _X in pairs for p in _derive(env, e2, a))))
     return pairs
 
 
@@ -265,45 +327,11 @@ def _walk_paths(env: Environment, e: Expr, w: str, keep):
 
 
 def _ordered(env: Environment, e: Expr, a: str):
-    """canonical(env, _derive(env, e, a)), one state at a time.
-
-    Deriving `E | phi` derives E alone; each state prints as its child's
-    head, the child's text plus " | ", then phi[X]. A head holds no
-    top-level " | " (a constraint child prints in parentheses), so two
-    different heads order their states on their own, and phi[X] is
-    substituted only when its state is pulled. Children that print alike
-    are ordered by their full printed states, as in canonical. Any other
-    state orders its states by their own text. Then the set's text decides,
-    and the later of two duplicates wins. A derivative of one pair is
-    yielded without printing it.
-    """
-    phi = e.formula if type(e) is Constraint else None
-    pairs = _derive(env, e if phi is None else e.child, a)
-    if len(pairs) == 1:     # one state is its own order: print nothing
-        (e2, X), = pairs
-        yield (e2, X) if phi is None else (Constraint(e2, apply_subst_set(env, phi, X)), X)
-        return
-    groups: dict = {}
-    for e2, X in pairs:
-        head = expr_str(e2)
-        if phi is not None:
-            head = ("(" + head + ")" if type(e2) is Constraint else head) + " | "
-        groups.setdefault(head, {})[subst_set_str(env, X)] = e2, X
-    for head in sorted(groups):
-        group = groups[head]
-        if phi is None:
-            for s in sorted(group):
-                yield group[s]
-        elif len(group) == 1:
-            (e2, X), = group.values()
-            yield Constraint(e2, apply_subst_set(env, phi, X)), X
-        else:
-            tied = {}
-            for s, (e2, X) in group.items():
-                state = Constraint(e2, apply_subst_set(env, phi, X))
-                tied[expr_str(state), s] = state, X
-            for key in sorted(tied):
-                yield tied[key]
+    """canonical(env, _derive(env, e, a)), one state at a time: deriving
+    `E | phi` derives E alone, and canonical substitutes phi[X] lazily."""
+    if type(e) is Constraint:
+        return canonical(env, _derive(env, e.child, a), e.formula)
+    return canonical(env, _derive(env, e, a))
 
 
 def associated_realization(r, X: frozenset):
@@ -378,4 +406,4 @@ def simplify(env: Environment, pairs: Iterable[DerivPair]) -> DerivativeSet:
         e2 = simplify_expr(env, e)
         if not isinstance(e2, Empty):
             out.append((e2, X))
-    return canonical(env, out)
+    return tuple(canonical(env, out))

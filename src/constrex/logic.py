@@ -36,7 +36,7 @@ from .syntax import (
     AND, CAT, EPSILON, EPS_TERM, NOT, OR, TRUE,
     App, Atom, Cat, Constraint, Environment, Expr, Formula, Match,
     Star, Sum, Term, Var, Word,
-    connective, fields_repr, fold, rebuild, term_str, tree_variables, walk,
+    _Value, connective, fold, rebuild, term_str, tree_variables, walk,
 )
 
 DEFAULT_MAX_PROPS = 20
@@ -410,24 +410,14 @@ def separator_word(env: Environment, terms: Iterable[Term]) -> str:
 # witnesses
 
 
-class Witness:
+class Witness(_Value):
     """A concrete (interpretation, realization) pair demonstrating satisfiability."""
 
     __slots__ = ("interpretation", "realization")
-    __repr__ = fields_repr
 
     def __init__(self, interpretation: Interpretation, realization: Realization):
         self.interpretation = interpretation
         self.realization = realization
-
-    def __eq__(self, other):
-        if other.__class__ is Witness:
-            return (self.interpretation, self.realization) == \
-                (other.interpretation, other.realization)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.interpretation, self.realization))
 
 
 def build_witness(env: Environment, phi: Formula,

@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .syntax import (
     CAT, EPSILON,
     App, Atom, Conn, Constraint, Empty, Environment, Expr, Formula, Match,
-    Term, Var, Word, connective, fields_repr, fold, rebuild, regex_str,
+    Term, Var, Word, _Value, connective, fold, rebuild, regex_str,
 )
 
 
@@ -46,46 +46,29 @@ BUILTIN_FUNCTIONS = {
 ARGCAT = "argcat"  # k-ary default: left-to-right catenation of the arguments
 
 
-class FiniteRelation:
+class FiniteRelation(_Value):
     """Tuples carrying the non-default truth value; co-finite via default=True."""
 
     __slots__ = ("tuples", "default")
-    __repr__ = fields_repr
 
     def __init__(self, tuples: frozenset, default: bool = False):
         self.tuples = tuples
         self.default = default
 
-    def __eq__(self, other):
-        if other.__class__ is FiniteRelation:
-            return (self.tuples, self.default) == (other.tuples, other.default)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.tuples, self.default))
-
     def holds(self, args: tuple) -> bool:
         return (args in self.tuples) != self.default
 
 
-class TableFunction:
+class TableFunction(_Value):
     """A finite override table; arguments it does not list are catenated."""
 
     __slots__ = ("table",)  # sorted ((args, value), ...) pairs
-    __repr__ = fields_repr
-    # a constant, not an option: bench/run.py's witness key reads it
+    # a class constant, not a slot, so neither equality nor the repr reads
+    # it; it stays, because bench/run.py's witness key reads it
     default = ARGCAT
 
     def __init__(self, table: tuple):
         self.table = table
-
-    def __eq__(self, other):
-        if other.__class__ is TableFunction:
-            return (self.table,) == (other.table,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.table,))
 
     @staticmethod
     def from_dict(table: Mapping) -> "TableFunction":

@@ -2,11 +2,12 @@
 
 Mixed words are plain strings over the symbol and variable alphabets (both
 restricted to single characters), with "" playing the role of the empty word.
-Terms, formulas and expressions are trees of plain `__slots__` classes with
-value equality and a structural hash. They are immutable by convention: no
-field is assigned after construction, because subtrees are shared. Every
-operation here is a pure function, so values can be shared freely across
-threads.
+Terms, formulas and expressions are trees of plain `__slots__` classes.
+Their value equality, structural hash and repr come from one base class,
+`_Value`, which the finite tables of `semantics` and the witnesses of
+`logic` share. They are immutable by convention: no field is assigned after
+construction, because subtrees are shared. Every operation here is a pure
+function, so values can be shared freely across threads.
 The term and formula nodes `App`, `Atom` and `Conn` store two summaries,
 computed once in the constructor from their children's: the hash, and a
 flag `normal` that says whether the node's terms are in normal form (see
@@ -155,16 +156,15 @@ class Environment:
 # ---------------------------------------------------------------------------
 # tree nodes
 #
-# Each node class writes out what `dataclass(frozen=True)` would generate: a
-# constructor, equality on the field tuple between nodes of one class, and
-# a hash. Written per class, the tuples are built inline, which a shared
-# base class reading the fields generically is not; comparing tuples keeps
-# the identity shortcut on shared subtrees. Every node but a Var hashes
-# once, in its constructor, so hashing a deep tree does not recurse: App,
-# Atom and Conn hash their field tuple, where each child hands over its
-# stored hash; an expression node hashes the tuple of its fields with each
-# child replaced by its stored hash, since reading the ints keeps the
-# constructor free of Python-level `__hash__` calls.
+# Every node class derives from `_Value`, which alone defines what a value
+# does: equality on the field tuple between objects of one class, a hash and
+# a repr. Comparing tuples keeps the identity shortcut on shared subtrees.
+# Every node but a Var stores its hash, computed once in its constructor, so
+# hashing a deep tree does not recurse: App, Atom and Conn hash their field
+# tuple, where each child hands over its stored hash; an expression node
+# hashes the tuple of its fields with each child replaced by its stored
+# hash, since reading the ints keeps the constructor free of Python-level
+# `__hash__` calls.
 
 
 def fields_repr(self) -> str:
@@ -174,12 +174,43 @@ def fields_repr(self) -> str:
         "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
-class _Hashed:
-    """The slot of the stored hash, and the `__hash__` that returns it. A
-    base class holds the slot, so that each node class's `__slots__` still
-    names its fields alone, as `fields_repr` reads them. A class that
-    defines `__eq__` loses its inherited `__hash__`, so each node class
-    names it again."""
+class _Value:
+    """Equality, hash and repr of a plain value, written once for the tree
+    nodes here and the values of `semantics` and `logic`.
+
+    A class's fields are the names in its own `__slots__`, read once, when
+    the class is made, into `_fields`, which returns an object's field
+    tuple. Two objects are equal when they are of one class and their field
+    tuples are; the hash is that of the field tuple, and the repr is
+    `fields_repr`. The three methods are shared, not generated per class as
+    a dataclass's are, so importing the package compiles nothing more.
+    """
+    __slots__ = ()
+    __repr__ = fields_repr
+
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        if len(names) == 1:     # attrgetter of one name returns its value
+            get = operator.attrgetter(*names)
+            cls._fields = staticmethod(lambda obj: (get(obj),))
+        else:
+            cls._fields = staticmethod(
+                operator.attrgetter(*names) if names else lambda obj: ())
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            fields = self._fields
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+
+class _Hashed(_Value):
+    """A value whose constructor stores its hash in the slot `_hash`, which
+    `__hash__` returns in place of `_Value`'s. A base class holds the slot,
+    so that each node class's `__slots__` still names its fields alone."""
     __slots__ = ("_hash",)
 
     def __hash__(self):
@@ -199,21 +230,12 @@ _normal = operator.attrgetter("normal")
 # terms
 
 
-class Var:
+class Var(_Value):
     __slots__ = ("name",)
-    __repr__ = fields_repr
     normal = True   # a class constant: a variable is a normal term
 
     def __init__(self, name: str):
         self.name = name
-
-    def __eq__(self, other):
-        if other.__class__ is Var:
-            return (self.name,) == (other.name,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
 
 
 class App(_Summary):
@@ -221,8 +243,6 @@ class App(_Summary):
     child is eps and the left child is no catenation, and any other
     application when all its arguments are."""
     __slots__ = ("fn", "args")
-    __repr__ = fields_repr
-    __hash__ = _Hashed.__hash__
 
     def __init__(self, fn: str, args: tuple = ()):
         self.fn = fn
@@ -235,11 +255,6 @@ class App(_Summary):
                 and (right.__class__ is Var or right.fn != EPSILON)
         else:
             self.normal = not args or all(map(_normal, args))
-
-    def __eq__(self, other):
-        if other.__class__ is App:
-            return (self.fn, self.args) == (other.fn, other.args)
-        return NotImplemented
 
 
 Term = Var | App
@@ -264,8 +279,6 @@ def term_of_word(env: Environment, w: str) -> Term:
 class Atom(_Summary):
     """An atom; normal when all its terms are."""
     __slots__ = ("pred", "args")
-    __repr__ = fields_repr
-    __hash__ = _Hashed.__hash__
 
     def __init__(self, pred: str, args: tuple = ()):
         self.pred = pred
@@ -273,28 +286,16 @@ class Atom(_Summary):
         self._hash = hash((pred, args))
         self.normal = all(map(_normal, args))
 
-    def __eq__(self, other):
-        if other.__class__ is Atom:
-            return (self.pred, self.args) == (other.pred, other.args)
-        return NotImplemented
-
 
 class Conn(_Summary):
     """A connective node; normal when all its children are."""
     __slots__ = ("tag", "children")
-    __repr__ = fields_repr
-    __hash__ = _Hashed.__hash__
 
     def __init__(self, tag: str, children: tuple = ()):
         self.tag = tag
         self.children = children
         self._hash = hash((tag, children))
         self.normal = all(map(_normal, children))
-
-    def __eq__(self, other):
-        if other.__class__ is Conn:
-            return (self.tag, self.children) == (other.tag, other.children)
-        return NotImplemented
 
 
 Formula = Atom | Conn
@@ -309,108 +310,59 @@ BOT = Conn(FALSE)
 
 class Word(_Hashed):
     __slots__ = ("letters",)
-    __repr__ = fields_repr
-    __hash__ = _Hashed.__hash__
 
     def __init__(self, letters: str):
         self.letters = letters
         self._hash = hash((letters,))
 
-    def __eq__(self, other):
-        if other.__class__ is Word:
-            return (self.letters,) == (other.letters,)
-        return NotImplemented
 
-
-class Empty:
+class Empty(_Hashed):
     __slots__ = ()
-    __repr__ = fields_repr
-    __hash__ = _Hashed.__hash__
     _hash = hash(())    # a class constant: Empty has no fields
-
-    def __eq__(self, other):
-        if other.__class__ is Empty:
-            return True
-        return NotImplemented
 
 
 class Sum(_Hashed):
     __slots__ = ("left", "right")
-    __repr__ = fields_repr
-    __hash__ = _Hashed.__hash__
 
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
         self._hash = hash((left._hash, right._hash))
-
-    def __eq__(self, other):
-        if other.__class__ is Sum:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
 
 
 class Cat(_Hashed):
     __slots__ = ("left", "right")
-    __repr__ = fields_repr
-    __hash__ = _Hashed.__hash__
 
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
         self._hash = hash((left._hash, right._hash))
 
-    def __eq__(self, other):
-        if other.__class__ is Cat:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
 
 class Star(_Hashed):
     __slots__ = ("child",)
-    __repr__ = fields_repr
-    __hash__ = _Hashed.__hash__
 
     def __init__(self, child: Expr):
         self.child = child
         self._hash = hash((child._hash,))
 
-    def __eq__(self, other):
-        if other.__class__ is Star:
-            return (self.child,) == (other.child,)
-        return NotImplemented
-
 
 class Constraint(_Hashed):
     __slots__ = ("child", "formula")
-    __repr__ = fields_repr
-    __hash__ = _Hashed.__hash__
 
     def __init__(self, child: Expr, formula: Formula):
         self.child = child
         self.formula = formula
         self._hash = hash((child._hash, formula._hash))
 
-    def __eq__(self, other):
-        if other.__class__ is Constraint:
-            return (self.child, self.formula) == (other.child, other.formula)
-        return NotImplemented
-
 
 class Match(_Hashed):
     __slots__ = ("word", "child")
-    __repr__ = fields_repr
-    __hash__ = _Hashed.__hash__
 
     def __init__(self, word: str, child: Expr):
         self.word = word
         self.child = child
         self._hash = hash((word, child._hash))
-
-    def __eq__(self, other):
-        if other.__class__ is Match:
-            return (self.word, self.child) == (other.word, other.child)
-        return NotImplemented
 
 
 Expr = Word | Empty | Sum | Cat | Star | Constraint | Match
@@ -732,9 +684,25 @@ def _printer(levels: dict, match_operand: int, match_glyph: str):
         elif kind is Cat:
             s = " ".join([show(f, star) for f in _cat_factors(e)])
         elif kind is Sum:
-            s = show(e.left, own) + " + " + show(e.right, own + 1)
+            # a left-nested sum is a loop, its right summands taken last first
+            rights = []
+            while type(e) is Sum:
+                rights.append(show(e.right, own + 1))
+                e = e.left
+            rights.append(show(e, own))
+            s = " + ".join(reversed(rights))
         elif kind is Match:
-            s = word_str(e.word) + match_glyph + show(e.child, match_operand)
+            # a chain of matches is a loop; a notation whose match operand
+            # binds tighter than a match parenthesizes each inner one
+            pieces = []
+            opened = 0
+            while type(e) is Match:
+                pieces.append(word_str(e.word) + match_glyph)
+                e = e.child
+                if type(e) is Match and own < match_operand:
+                    pieces.append("(")
+                    opened += 1
+            s = "".join(pieces) + show(e, match_operand) + ")" * opened
         elif kind is Constraint and kind in levels:
             s = show(e.child, own + 1) + " | " + formula_str(e.formula)
         else:

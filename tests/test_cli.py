@@ -354,6 +354,8 @@ def test_check_fixed_on_a_3000_symbol_catenation(env_file, capsys):
 
 SUM_LEFT = " + ".join(["a"] * 3000)                   # nests to the left
 SUM_RIGHT = "a + (" * 2999 + "a" + ")" * 2999
+SUM_FACTOR = "(%s) b" % SUM_LEFT
+MATCH_CHAIN = "x -| " * 1000 + "(a + x)*"
 
 
 @pytest.mark.parametrize("argv, status, lines", [
@@ -367,11 +369,22 @@ SUM_RIGHT = "a + (" * 2999 + "a" + ")" * 2999
     (("check-free", "--expr", "a -| " * 1000 + "b*", "--word", "a"), 1, ["REJECT"]),
     # x^1000 has a length divisible by 1000
     (("check-free", "--expr", " ".join(["x"] * 1000), "--word", "ab"), 1, ["REJECT"]),
+    # the nullability tests cross the sum as a left factor
+    (("check-free", "--expr", SUM_FACTOR, "--word", "ab"), 0, ["ACCEPT"]),
+    (("check-fixed", "--expr", SUM_FACTOR, "--word", "ab", "--interp", INTERP, "--real", ""),
+     0, ["ACCEPT"]),
+    # two derivatives to order, so the printer reads each chain
+    (("check-free", "--expr", MATCH_CHAIN, "--word", "a"), 0, ["ACCEPT", "x = a"]),
+    (("derive", "--expr", MATCH_CHAIN, "--word", "a"), 0,
+     ["x -| " * 1000 + "eps (a + ax)*\t{(x,ax)}", "x -| " * 1000 + "x (a + ax)*\t{(x,ax)}"]),
 ], ids=["check-fixed-sum-left", "check-fixed-sum-right", "check-free-sum-left",
-        "check-free-sum-right", "check-free-match-chain", "check-free-variable-head"])
+        "check-free-sum-right", "check-free-match-chain", "check-free-variable-head",
+        "check-free-sum-factor", "check-fixed-sum-factor", "check-free-printed-match-chain",
+        "derive-printed-match-chain"])
 def test_engines_loop_over_long_chains(env_file, capsys, argv, status, lines):
     # sum chains, match chains and heads of variables only are loops in the
-    # derivative and in the letter need, not one frame per link
+    # derivative, the letter need, the nullability tests and the printer,
+    # not one frame per link
     with recursion_headroom():
         assert run([argv[0], "--env", env_file, *argv[1:]]) == status
     captured = capsys.readouterr()

@@ -175,15 +175,28 @@ def _search_order(env, e, a):
     return [(state, chain[0]) for state, chain in derive_paths(env, e, a)]
 
 
+def eager_order(env, pairs):
+    """The reference canonical order: every pair printed whole, sorted by
+    its text, then its set's; of two that print alike the later wins."""
+    keyed = {}
+    for e, X in pairs:
+        keyed[expr_str(e), subst_set_str(env, X)] = e, X
+    return [keyed[k] for k in sorted(keyed)]
+
+
 def test_search_order_is_canonical_under_a_constraint(env3):
     # the search substitutes a constraint's formula lazily, yet pulls the
-    # states of canonical, in its order
+    # states of the eager order, in that order; so does derive_expr, and
+    # canonical orders the child's pairs as the eager order does
     rng = random.Random(97)
     for _ in range(300 * FUZZ_SCALE):
         e = Constraint(rand_expr(rng, env3, 3), rand_formula(rng, env3, 1))
         for a in env3.symbols:
-            assert _search_order(env3, e, a) == \
-                list(canonical(env3, _derive(env3, e, a))), (expr_str(e), a)
+            expected = eager_order(env3, _derive(env3, e, a))
+            assert _search_order(env3, e, a) == expected, (expr_str(e), a)
+            assert list(derive_expr(env3, e, a)) == expected, (expr_str(e), a)
+            pairs = _derive(env3, e.child, a)
+            assert list(canonical(env3, pairs)) == eager_order(env3, pairs)
 
 
 @pytest.mark.parametrize("text, states", [

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from constrex import (
-    App, Atom, Cat, Conn, Constraint, Empty, FiniteRelation, Match, ParseError,
-    PreconditionError, Star, Sum, TableFunction, Var, Word,
+    App, Atom, Cat, Conn, Constraint, Empty, FiniteRelation, Interpretation, Match,
+    ParseError, PreconditionError, Realization, Star, Sum, TableFunction, Var, Witness,
+    Word,
     apply_subst_set, check_subst_set, derive_expr_word, expr_str, parse_environment,
     parse_expression, parse_formula, parse_term, subterms, term_of_word,
     term_str, variables_of,
@@ -79,6 +80,13 @@ def test_parse_environment_points_at_the_offending_entry(text, position):
     assert (err.value.line, err.value.column) == position
 
 
+# a witness's parts compare by identity, so a witness equals one built
+# again from the same two objects
+_ENV = parse_environment(ENV3_TEXT)
+_INTERP = Interpretation(_ENV, {"sim": "eq", "lt": "lenleq"}, {"f": "rev"})
+_REAL = Realization(_ENV, {"x": "ab"})
+
+
 @pytest.mark.parametrize("left, right, equal, text", [
     (Cat(Word("a"), Star(Word("b"))), Cat(Word("a"), Star(Word("b"))), True,
      "Cat(left=Word(letters='a'), right=Star(child=Word(letters='b')))"),
@@ -100,6 +108,14 @@ def test_parse_environment_points_at_the_offending_entry(text, position):
      "FiniteRelation(tuples=frozenset(), default=False)"),
     (TableFunction.from_dict({("a",): "b"}), TableFunction(((("a",), "b"),)), True,
      "TableFunction(table=((('a',), 'b'),))"),
+    # the field counts of the shared base: one, one holding a node, two
+    (Var("x"), Var("x"), True, "Var(name='x')"),
+    (Star(Word("a")), Star(Word("a")), True, "Star(child=Word(letters='a'))"),
+    (Word("a"), Var("a"), False, "Word(letters='a')"),
+    (Match("a", Word("b")), Match("a", Word("b")), True,
+     "Match(word='a', child=Word(letters='b'))"),
+    (Witness(_INTERP, _REAL), Witness(_INTERP, _REAL), True,
+     "Witness(interpretation=%r, realization=%r)" % (_INTERP, _REAL)),
 ])
 def test_nodes_are_values(left, right, equal, text):
     assert left is not right
