@@ -182,8 +182,16 @@ def _derive(env: Environment, e: Expr, a: str) -> list[DerivPair]:
                 out.append((e2, X2))
         return out
     if kind is Constraint:
-        return [(Constraint(e2, apply_subst_set(env, e.formula, X)), X)
-                for e2, X in _derive(env, e.child, a)]
+        # a chain of constraints is a loop: derive the innermost child, then
+        # wrap its states in the chain's formulas, innermost first
+        formulas = []
+        while type(e) is Constraint:
+            formulas.append(e.formula)
+            e = e.child
+        out = _derive(env, e, a)
+        for phi in reversed(formulas):
+            out = [(Constraint(e2, apply_subst_set(env, phi, X)), X) for e2, X in out]
+        return out
     if kind is Empty:
         return []
     raise TypeError(e)

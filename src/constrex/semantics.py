@@ -203,6 +203,14 @@ def eval_formula(interp: Interpretation, r: Realization, phi: Formula) -> bool:
 # the constrained derivative of `derivation` derives it under an environment
 # that declares none, and there its rules are Antimirov's partial
 # derivatives; the substitution sets all come back empty.
+#
+# A regular form has finitely many partial derivatives, so its derivative
+# sets are the states of a finite automaton. `regex_word_derivative` builds
+# that automaton lazily, for one call: it remembers the move from a set by a
+# letter once the set has been met before, so a set met again costs a dict
+# lookup and is never derived again. A set met for the first time keeps
+# only its hash, because a word whose sets never repeat (a^n b^n c^n under
+# a fixed realization) would otherwise hold every state it passed.
 
 # declares no variable, so every letter reads as a symbol
 _REGULAR = Environment((EPSILON,))
@@ -221,10 +229,28 @@ def regex_derivative(rx: Expr, a: str) -> frozenset:
 
 
 def regex_word_derivative(rx: Expr, w: str) -> frozenset:
-    out = frozenset({rx})
+    """The Antimirov derivative set of a regular form w.r.t. a word.
+
+    Each derivative set is a state of a finite automaton that is built
+    lazily, for this call only: the move `(set, letter) -> next set` is kept
+    once the set has been met before, so a set met again costs a dict
+    lookup. A set met for the first time leaves only its hash behind, so
+    the memory of a word whose sets never repeat is a set of ints, not
+    every state with its suffix words.
+    """
+    state = frozenset({rx})
+    seen = set()        # the hashes of the sets derived so far
+    moves = {}          # (set, letter) -> next set, for sets seen before
     for a in w:
-        out = frozenset(d for r0 in out for d, _X in _derive(_REGULAR, r0, a))
-    return out
+        after = moves.get((state, a))
+        if after is None:
+            after = frozenset(d for r0 in state for d, _X in _derive(_REGULAR, r0, a))
+            if hash(state) in seen:
+                moves[state, a] = after
+            else:
+                seen.add(hash(state))
+        state = after
+    return state
 
 
 def membership_fixed(interp: Interpretation, r: Realization, e: Expr, w: str) -> bool:

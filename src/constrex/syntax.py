@@ -508,6 +508,11 @@ def subst_word(alpha: str, m: Substitution) -> str:
     return "".join(m.get(c, c) for c in alpha)
 
 
+def _is_eps(t: Term) -> bool:
+    """Whether a term is the empty word, by its class and symbol alone."""
+    return type(t) is App and t.fn == EPSILON
+
+
 def subst_tree(env: Environment, root, m: Substitution):
     """A term, formula or expression with each variable x in m replaced by
     the word m[x], in one fold; an untouched subtree is returned itself.
@@ -531,9 +536,9 @@ def subst_tree(env: Environment, root, m: Substitution):
             values = [fold(t, visit) for t in node.args]
         elif kind is App and node.fn == CAT:
             left, right = values
-            if left == EPS_TERM and node.args[0] != EPS_TERM:
+            if _is_eps(left) and not _is_eps(node.args[0]):
                 return right
-            if right == EPS_TERM and node.args[1] != EPS_TERM:
+            if _is_eps(right) and not _is_eps(node.args[1]):
                 return left
         return rebuild(node, values)
 
@@ -667,6 +672,17 @@ def _printer(levels: dict, match_operand: int, match_glyph: str):
     the match glyph. A constraint in a notation without its level raises
     TypeError, as does a node of no expression type."""
     star = levels[Star]
+    plus = levels[Sum]
+
+    def left_spine(e: Expr) -> str:
+        """e at the level of a sum: a left-nested sum is a loop, its right
+        summands taken last first."""
+        rights = []
+        while type(e) is Sum:
+            rights.append(show(e.right, plus + 1))
+            e = e.left
+        rights.append(show(e, plus))
+        return " + ".join(reversed(rights))
 
     def show(e: Expr, level: int) -> str:
         kind = type(e)
@@ -684,13 +700,13 @@ def _printer(levels: dict, match_operand: int, match_glyph: str):
         elif kind is Cat:
             s = " ".join([show(f, star) for f in _cat_factors(e)])
         elif kind is Sum:
-            # a left-nested sum is a loop, its right summands taken last first
-            rights = []
-            while type(e) is Sum:
-                rights.append(show(e.right, own + 1))
-                e = e.left
-            rights.append(show(e, own))
-            s = " + ".join(reversed(rights))
+            # a right summand that is a sum, parenthesized, is the next
+            # turn of a loop; its left summand is printed by left_spine
+            heads = []
+            while type(e.right) is Sum:
+                heads.append(left_spine(e.left) + " + (")
+                e = e.right
+            s = "".join(heads) + left_spine(e) + ")" * len(heads)
         elif kind is Match:
             # a chain of matches is a loop; a notation whose match operand
             # binds tighter than a match parenthesizes each inner one
@@ -704,7 +720,12 @@ def _printer(levels: dict, match_operand: int, match_glyph: str):
                     opened += 1
             s = "".join(pieces) + show(e, match_operand) + ")" * opened
         elif kind is Constraint and kind in levels:
-            s = show(e.child, own + 1) + " | " + formula_str(e.formula)
+            # a chain of constraints is a loop, each inner one parenthesized
+            tails = []
+            while type(e) is Constraint:
+                tails.append(" | " + formula_str(e.formula))
+                e = e.child
+            s = "(" * (len(tails) - 1) + show(e, own + 1) + ")".join(reversed(tails))
         else:
             raise TypeError(e)
         return "(" + s + ")" if own < level else s

@@ -356,6 +356,8 @@ SUM_LEFT = " + ".join(["a"] * 3000)                   # nests to the left
 SUM_RIGHT = "a + (" * 2999 + "a" + ")" * 2999
 SUM_FACTOR = "(%s) b" % SUM_LEFT
 MATCH_CHAIN = "x -| " * 1000 + "(a + x)*"
+CONSTRAINT_CHAIN = "(" * 999 + "x | sim(x, a)" + ") | sim(x, a)" * 999
+STAR_OF_SUM_RIGHT = "(" + "a + (" * 999 + "a + a" + ")" * 999 + ")*"   # prints as it reads
 
 
 @pytest.mark.parametrize("argv, status, lines", [
@@ -377,14 +379,24 @@ MATCH_CHAIN = "x -| " * 1000 + "(a + x)*"
     (("check-free", "--expr", MATCH_CHAIN, "--word", "a"), 0, ["ACCEPT", "x = a"]),
     (("derive", "--expr", MATCH_CHAIN, "--word", "a"), 0,
      ["x -| " * 1000 + "eps (a + ax)*\t{(x,ax)}", "x -| " * 1000 + "x (a + ax)*\t{(x,ax)}"]),
+    # a constraint chain is derived and printed link by link
+    (("derive", "--expr", CONSTRAINT_CHAIN, "--word", "a"), 0,
+     [CONSTRAINT_CHAIN.replace("sim(x, a)", "sim(ax, a)") + "\t{(x,ax)}"]),
+    (("check-free", "--expr", CONSTRAINT_CHAIN, "--word", "a"), 0,
+     ["ACCEPT", "x = a", "sim(a,a)"]),
+    # a right-nested sum prints with its parentheses, one turn of a loop each
+    (("derive", "--expr", STAR_OF_SUM_RIGHT + " b", "--word", "a"), 0,
+     ["eps %s b\t{}" % STAR_OF_SUM_RIGHT]),
+    (("check-free", "--expr", STAR_OF_SUM_RIGHT + " b", "--word", "ab"), 0, ["ACCEPT"]),
 ], ids=["check-fixed-sum-left", "check-fixed-sum-right", "check-free-sum-left",
         "check-free-sum-right", "check-free-match-chain", "check-free-variable-head",
         "check-free-sum-factor", "check-fixed-sum-factor", "check-free-printed-match-chain",
-        "derive-printed-match-chain"])
+        "derive-printed-match-chain", "derive-constraint-chain", "check-free-constraint-chain",
+        "derive-printed-sum-right", "check-free-printed-sum-right"])
 def test_engines_loop_over_long_chains(env_file, capsys, argv, status, lines):
-    # sum chains, match chains and heads of variables only are loops in the
-    # derivative, the letter need, the nullability tests and the printer,
-    # not one frame per link
+    # sum chains, match chains, constraint chains and heads of variables only
+    # are loops in the derivative, the letter need, the nullability tests and
+    # the printer, not one frame per link
     with recursion_headroom():
         assert run([argv[0], "--env", env_file, *argv[1:]]) == status
     captured = capsys.readouterr()

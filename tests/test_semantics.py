@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -246,6 +247,81 @@ def test_fixed_derivative_sets_hash_each_state_once(monkeypatch):
         assert all(id(node) in states for node in hashed)
         counts.append(len(hashed))
     assert counts == [2 * 100 + 1, 2 * 200 + 1]
+
+
+def test_fixed_engine_derives_each_state_set_once(env3, monkeypatch):
+    # the derivative sets of a regular form are the states of a finite
+    # automaton, so once every set has been met the word costs no derivation
+    rx = parse_expression("(a + b)* a (a + b)(a + b)(a + b)", env3)
+    calls = []
+    derive = semantics._derive
+    monkeypatch.setattr(semantics, "_derive",
+                        lambda env, e, a: calls.append(e) or derive(env, e, a))
+    counts = []
+    for n in (1000, 3000):
+        rng = random.Random(n)
+        w = "".join(rng.choice("ab") for _ in range(n))
+        calls[:] = []
+        states = semantics.regex_word_derivative(rx, w)
+        assert any(const_null(d) for d in states) == (w[-4] == "a")
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_fixed_engine_keeps_no_states_that_never_repeat(env3, interp_leneq, anbncn):
+    # no derivative set of a^m b^m c^m repeats, so the call keeps one hash
+    # per letter, not every set it derived
+    m = 1000
+    r = Realization(env3, {"x": "a" * m, "y": "b" * m, "z": "c" * m})
+    rx = regularize(interp_leneq, r, anbncn)
+    tracemalloc.start()
+    try:
+        states = semantics.regex_word_derivative(rx, "a" * m + "b" * m + "c" * m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert any(const_null(d) for d in states)
+    assert peak < 1 << 20
+
+
+def _step(states, a):
+    return frozenset(d for r0 in states for d in regex_derivative(r0, a))
+
+
+def _stepwise_word_derivative(rx, w):
+    """The reference: every letter derives every state of the set anew."""
+    states = frozenset({rx})
+    for a in w:
+        states = _step(states, a)
+    return states
+
+
+def _live_walk(rng, rx, n):
+    """A random word of up to n letters after each of which the derivative
+    set of rx is still nonempty."""
+    states, w = frozenset({rx}), ""
+    for _ in range(n):
+        moves = [(a, after) for a in "abc" for after in [_step(states, a)] if after]
+        if not moves:
+            break
+        a, states = rng.choice(moves)
+        w += a
+    return w
+
+
+def test_word_derivative_matches_the_stepwise_reference(env3, interp_len):
+    # a star of a random form keeps a long word live and returns to its
+    # sets, so the remembered moves are taken
+    rng = random.Random(24)
+    for _ in range(100 * FUZZ_SCALE):
+        rx = regularize(interp_len, rand_realization(rng, env3), rand_expr(rng, env3, 4))
+        for form in (rx, Star(rx)):
+            words = [rand_word(rng, "abc", 6) for _ in range(2)]
+            words.append(_live_walk(rng, form, 40))
+            words.append(rand_word(rng, "abc") * rng.randint(5, 20))
+            for w in words:
+                assert semantics.regex_word_derivative(form, w) == \
+                    _stepwise_word_derivative(form, w)
 
 
 def test_regex_null_examples():
