@@ -158,7 +158,7 @@ def _alphabet(phi: Formula) -> tuple[tuple[Atom, ...], list]:
     The occurrences are read in walk order from a stack over the connectives
     alone, so no term is entered, and each is hashed once: distinct atoms
     are numbered as first seen, and each distinct atom is printed once to
-    sort them.
+    sort them, when there are two or more.
     """
     first: dict[Atom, int] = {}     # each distinct atom -> its first-seen number
     seen = []
@@ -170,6 +170,8 @@ def _alphabet(phi: Formula) -> tuple[tuple[Atom, ...], list]:
         else:
             stack += reversed(node.children)
     distinct = list(first)
+    if len(distinct) < 2:   # one atom is its own order: print nothing
+        return tuple(distinct), seen
     order = sorted(range(len(distinct)), key=lambda i: _prop_name(distinct[i]))
     rank = [0] * len(order)
     for r, i in enumerate(order):
@@ -420,6 +422,12 @@ class Witness(_Value):
         self.realization = realization
 
 
+def _call_str(call: tuple) -> str:
+    """fn(w1, ..., wn) for a function name and its argument words."""
+    fn, args = call
+    return "%s(%s)" % (fn, ", ".join(u or "eps" for u in args)) if args else fn
+
+
 def build_witness(env: Environment, phi: Formula,
                   assignment: dict[Atom, bool]) -> Witness:
     """Turn a satisfying propositional assignment into a concrete witness.
@@ -428,7 +436,7 @@ def build_witness(env: Environment, phi: Formula,
     separator words a b^p a, a b^(p+1) a, ..., counted up from the separator
     word of the normalized terms. The next application bound is the ready
     one (all its arguments evaluate to words) that prints first as
-    fn(w1, ..., wn). Since applications are opaque at their edges, every
+    fn(w1, ..., wn); a lone ready one is bound without printing it. Since applications are opaque at their edges, every
     binding lands in a middle word between a delimiters, so rewriting the
     terms with the bindings so far would give the counter's next word. The
     evaluation is an injection of the formula's terms, so predicate tables
@@ -445,7 +453,7 @@ def build_witness(env: Environment, phi: Formula,
     def value(t: Term, words) -> str | None:
         """The word t evaluates to, given the words of its arguments, or
         None while an application in it is unbound; the ready unbound
-        applications go into ready by key."""
+        applications go into ready as (fn, argument words)."""
         if type(t) is Var:
             return bindings[t.name]
         if None in words:
@@ -459,16 +467,15 @@ def build_witness(env: Environment, phi: Formula,
         args = tuple(words)
         w = overrides[t.fn].get(args)
         if w is None:
-            printed = ", ".join(u or "eps" for u in args)
-            ready["%s(%s)" % (t.fn, printed) if args else t.fn] = t.fn, args
+            ready.add((t.fn, args))
         return w
 
     while True:
-        ready: dict = {}
+        ready: set = set()
         values = {t: fold(t, value) for t in terms}
         if not ready:
             break
-        fn, args = ready[min(ready)]
+        fn, args = min(ready, key=_call_str) if len(ready) > 1 else ready.pop()
         overrides[fn][args] = next(separators)
     functions = {name: TableFunction.from_dict(table)
                  for name, table in overrides.items()}

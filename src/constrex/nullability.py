@@ -171,7 +171,12 @@ def _union_product(left: set, right: set) -> set:
 
 def _erased(env: Environment, group: list):
     """One group's pairs, erased, without the earlier of two that print
-    alike, in the order of their printed formulas."""
+    alike, in the order of their printed formulas. A lone pair is yielded
+    without printing it."""
+    if len(group) == 1:     # one pair is its own order: print nothing
+        (xs, phi), = group
+        yield xs, erase_vars(env, phi, xs)
+        return
     keyed = {}
     for xs, phi in group:
         phi = erase_vars(env, phi, xs)

@@ -33,8 +33,8 @@ when it closes: the value of a group, which ")" closes, or one argument of
 an `Atom` or `App`, which "," or ")" closes.
 
 A pending operator waits until the next one binds looser than its right
-operand allows. The levels come from the printers' tables:
-`syntax._E_LEVELS` for expressions and `syntax._F_BINARY` and `_F_NOT` for
+operand allows. The levels come from the printer's operator tables:
+`syntax._E_BINARY` for expressions and `syntax._F_BINARY` and `_F_NOT` for
 formulas. "+", "||" and "&&" associate left; "-|", "->" and juxtaposition
 associate right, and "*" applies at once. "|" switches its frame to the
 formula grammar, and its pending entry builds the constraint when the frame
@@ -53,9 +53,9 @@ import re
 
 from .errors import ConfigError, ParseError
 from .syntax import (
-    CAT, NOT, _E_LEVELS, _F_BINARY, _F_NOT,
-    App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Sum, Term, Var, Word, EPS_TERM, as_mixed_word,
+    CAT, NOT, _E_BINARY, _F_BINARY, _F_NOT,
+    App, Atom, Conn, Constraint, Empty, Environment, Expr, Formula,
+    Match, Star, Term, Var, Word, EPS_TERM, as_mixed_word,
 )
 
 # The operators, as token kinds; an identifier run is of kind "word".
@@ -73,12 +73,12 @@ _EXPR, _FORMULA, _TERM = "expression", "formula", "term"
 # level, builder), where the builder is a node class of the two operands or
 # a connective's tag. A pending operator is applied before the next one when
 # its right operand level exceeds that one's own level. An expression
-# juxtaposes at a word or "("; the builder of "-|" is made at each use,
-# since a failed match reports the position of its left operand.
-_E_INFIX = {"|": (_E_LEVELS[Constraint], _E_LEVELS[Constraint], Constraint),
-            "-|": (_E_LEVELS[Match], _E_LEVELS[Match], None),
-            "+": (_E_LEVELS[Sum], _E_LEVELS[Sum] + 1, Sum),
-            "word": (_E_LEVELS[Cat], _E_LEVELS[Cat], Cat)}
+# juxtaposes at a word or "(", as a catenation prints a space; the builder
+# of "-|" is made at each use, since a failed match reports the position of
+# its left operand.
+_E_INFIX = {glyph.strip() or "word": (own, right, None if kind is Match else kind)
+            for kind, (glyph, own, _left, right) in _E_BINARY.items()
+            if kind not in _F_BINARY}
 _E_INFIX["("] = _E_INFIX["word"]
 _F_INFIX = {glyph.strip(): (own, right, tag)
             for tag, (glyph, own, _left, right) in _F_BINARY.items()}

@@ -19,9 +19,12 @@ hashing a node of any size takes constant time and never recurses.
 first; the collectors (`as_mixed_word`, `subterms`, `tree_variables`,
 `expr_variables`) read it. `fold` is its post-order twin: it hands each node
 the values of its children and returns the root's value. Substitution
-(`subst_tree`), `term_str` and `formula_str` are visits on it, as are
-evaluation, normalization, the indicator pairs, witness construction and
-`simplify_expr` elsewhere. Both accept trees of any depth.
+(`subst_tree`) and printing are visits on it, as are evaluation,
+normalization, the indicator pairs, witness construction and
+`simplify_expr` elsewhere. Both accept trees of any depth. A term prints by
+`term_str`; an expression or formula prints by one visit per notation
+(`expr_str`, `formula_str`, and `regex_str` for regular forms), built from a
+table of binary operators with their levels, the one the parser reads.
 """
 
 from __future__ import annotations
@@ -613,142 +616,99 @@ def term_str(t: Term) -> str:
     return fold(t, _term_piece)[0]
 
 
-# The binary connectives: glyph, own level, left and right operand levels.
-# `and` and `or` associate left, `implies` right; a negation binds tighter
-# than all three, and any other formula is atomic.
+# The binary operators of a notation, keyed by node class or connective
+# tag: glyph, own level, left and right operand levels. An operand whose
+# level is below what its side allows is parenthesized; higher binds
+# tighter. `and` and `or` associate left, `implies` right; a negation binds
+# tighter than all three. A match's left operand is its word, which never
+# takes parentheses. Any other node, but a negation, is atomic.
 _F_BINARY = {
     IMPLIES: (" -> ", 1, 2, 1),
     OR: (" || ", 2, 2, 3),
     AND: (" && ", 3, 3, 4),
 }
 _F_NOT = 4
-_F_ATOMIC = 5
+_ATOMIC = 5
+# constrex notation; a constraint's formula prints in the same fold
+_E_BINARY = {
+    Constraint: (" | ", 1, 2, 1),
+    Match: (" -| ", 2, _ATOMIC, 2),
+    Sum: (" + ", 3, 3, 4),
+    Cat: (" ", 4, 4, 4),
+    **_F_BINARY,
+}
+# A regular form reads `w -| E` as the intersection {w} & L(E), which binds
+# tighter than a sum; a regular form has no constraints.
+_R_BINARY = {
+    Sum: (" + ", 1, 1, 2),
+    Match: (" & ", 2, _ATOMIC, 3),
+    Cat: (" ", 3, 3, 3),
+}
 
 
-def _formula_piece(phi: Formula, values) -> tuple:
-    """The text of phi and its level, from the pieces of its children."""
-    if type(phi) is Atom:
-        if not phi.args:
-            return phi.pred, _F_ATOMIC
-        return "%s(%s)" % (phi.pred, ", ".join(map(term_str, phi.args))), _F_ATOMIC
-    tag = phi.tag
-    if tag in _F_BINARY:
-        glyph, own, left, right = _F_BINARY[tag]
-        (text, level), (right_text, right_level) = values
-        if level < left:
-            text = "(" + text + ")"
-        if right_level < right:
-            right_text = "(" + right_text + ")"
-        return text + glyph + right_text, own
-    if tag == NOT:
-        text, level = values[0]
-        return ("!" + text if level >= _F_NOT else "!(" + text + ")"), _F_NOT
-    if tag in (TRUE, FALSE):
-        return tag, _F_ATOMIC
-    return "%s(%s)" % (tag, ", ".join(text for text, _ in values)), _F_ATOMIC
+def _piece_visit(binary: dict):
+    """The fold visit of one notation: the text of a node and its level,
+    from its children's. A node the notation has no rule for, a constraint
+    in a regular form among them, raises TypeError."""
+    def visit(node, values):
+        kind = type(node)
+        if kind is Word:
+            return word_str(node.letters), _ATOMIC
+        entry = binary.get(node.tag if kind is Conn else kind)
+        if entry is not None:
+            glyph, own, left, right = entry
+            if kind is Match:   # the left operand is the word
+                text = word_str(node.word)
+                right_text, level = values[0]
+            else:
+                (text, level), (right_text, right_level) = values
+                if level < left:
+                    text = "(" + text + ")"
+                level = right_level
+            if level < right:
+                right_text = "(" + right_text + ")"
+            return text + glyph + right_text, own
+        if kind is Star:
+            child = node.child
+            text = values[0][0]
+            if not (type(child) in (Star, Empty) or
+                    type(child) is Word and len(child.letters) == 1):
+                text = "(" + text + ")"
+            return text + "*", _ATOMIC
+        if kind is Empty:
+            return "empty", _ATOMIC
+        if kind is Atom:
+            if not node.args:
+                return node.pred, _ATOMIC
+            return "%s(%s)" % (node.pred, ", ".join(map(term_str, node.args))), _ATOMIC
+        if kind is not Conn:
+            raise TypeError(node)
+        tag = node.tag
+        if tag == NOT:
+            text, level = values[0]
+            return ("!" + text if level >= _F_NOT else "!(" + text + ")"), _F_NOT
+        if tag in (TRUE, FALSE):
+            return tag, _ATOMIC
+        return "%s(%s)" % (tag, ", ".join(text for text, _ in values)), _ATOMIC
+
+    return visit
+
+
+_expr_piece = _piece_visit(_E_BINARY)
+_regex_piece = _piece_visit(_R_BINARY)
 
 
 def formula_str(phi: Formula) -> str:
-    return fold(phi, _formula_piece)[0]
-
-
-def _cat_factors(e: Expr) -> list:
-    """The factors of a catenation, left to right. The right spine is a loop;
-    only a left factor that is itself a catenation is entered recursively."""
-    out = []
-    while isinstance(e, Cat):
-        if isinstance(e.left, Cat):
-            out += _cat_factors(e.left)
-        else:
-            out.append(e.left)
-        e = e.right
-    out.append(e)
-    return out
-
-
-def _printer(levels: dict, match_operand: int, match_glyph: str):
-    """The expression printer of one notation, given as data: the level of
-    each node type (higher binds tighter), the level of a match's operand and
-    the match glyph. A constraint in a notation without its level raises
-    TypeError, as does a node of no expression type."""
-    star = levels[Star]
-    plus = levels[Sum]
-
-    def left_spine(e: Expr) -> str:
-        """e at the level of a sum: a left-nested sum is a loop, its right
-        summands taken last first."""
-        rights = []
-        while type(e) is Sum:
-            rights.append(show(e.right, plus + 1))
-            e = e.left
-        rights.append(show(e, plus))
-        return " + ".join(reversed(rights))
-
-    def show(e: Expr, level: int) -> str:
-        kind = type(e)
-        if kind is Word:
-            return word_str(e.letters)
-        if kind is Empty:
-            return "empty"
-        own = levels.get(kind)
-        if kind is Star:
-            child = e.child
-            s = show(child, 0)
-            atomic = type(child) in (Star, Empty) or \
-                type(child) is Word and len(child.letters) == 1
-            s = (s if atomic else "(" + s + ")") + "*"
-        elif kind is Cat:
-            s = " ".join([show(f, star) for f in _cat_factors(e)])
-        elif kind is Sum:
-            # a right summand that is a sum, parenthesized, is the next
-            # turn of a loop; its left summand is printed by left_spine
-            heads = []
-            while type(e.right) is Sum:
-                heads.append(left_spine(e.left) + " + (")
-                e = e.right
-            s = "".join(heads) + left_spine(e) + ")" * len(heads)
-        elif kind is Match:
-            # a chain of matches is a loop; a notation whose match operand
-            # binds tighter than a match parenthesizes each inner one
-            pieces = []
-            opened = 0
-            while type(e) is Match:
-                pieces.append(word_str(e.word) + match_glyph)
-                e = e.child
-                if type(e) is Match and own < match_operand:
-                    pieces.append("(")
-                    opened += 1
-            s = "".join(pieces) + show(e, match_operand) + ")" * opened
-        elif kind is Constraint and kind in levels:
-            # a chain of constraints is a loop, each inner one parenthesized
-            tails = []
-            while type(e) is Constraint:
-                tails.append(" | " + formula_str(e.formula))
-                e = e.child
-            s = "(" * (len(tails) - 1) + show(e, own + 1) + ")".join(reversed(tails))
-        else:
-            raise TypeError(e)
-        return "(" + s + ")" if own < level else s
-
-    return show
-
-
-# The binding level of each expression node type in constrex notation,
-# higher binds tighter; the expression printer and the parser read it.
-_E_LEVELS = {Constraint: 1, Match: 2, Sum: 3, Cat: 4, Star: 5}
-_expr_printer = _printer(_E_LEVELS, _E_LEVELS[Match], " -| ")
-# A regular form reads `w -| E` as the intersection {w} & L(E), which binds
-# tighter than a sum; a regular form has no constraints.
-_regex_printer = _printer({Sum: 1, Match: 2, Cat: 3, Star: 4}, 3, " & ")
+    return fold(phi, _expr_piece)[0]
 
 
 def expr_str(e: Expr) -> str:
-    return _expr_printer(e, 0)
+    return fold(e, _expr_piece)[0]
 
 
 def regex_str(rx: Expr) -> str:
     """A regular form in regex notation: `w -| E` prints as `w & E`."""
-    return _regex_printer(rx, 0)
+    return fold(rx, _regex_piece)[0]
 
 
 def subst_set_str(env: Environment, X: Iterable[Assumption]) -> str:

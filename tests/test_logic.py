@@ -201,6 +201,22 @@ def test_sat_search_hashes_each_atom_occurrence_once(env5, monkeypatch):
     assert len(hashes) == 3 + len(model) == 6
 
 
+def test_sat_search_prints_no_lone_atom(env5, monkeypatch):
+    names = []
+    prop_name = logic._prop_name
+    monkeypatch.setattr(logic, "_prop_name",
+                        lambda atom: names.append(atom) or prop_name(atom))
+    # one atom is its own order: the alphabet prints no name
+    phi = parse_formula("lt(x, ab) && !lt(x, ab) || lt(x, ab)", env5)
+    atom = parse_formula("lt(x, ab)", env5)
+    assert prop_alphabet(phi) == (atom,)
+    assert sat_truth_table(phi) == {atom: True}
+    assert names == []
+    # two atoms are ordered by their names, each printed once
+    assert len(prop_alphabet(parse_formula("lt(x, ab) && lt(b, x)", env5))) == 2
+    assert len(names) == 2
+
+
 def test_satisfiable_free_on_a_long_flat_chain(envp):
     # the parser left-nests the chain, and normalization keeps its place on
     # a stack, so each answers without recursing once per atom

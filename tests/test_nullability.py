@@ -204,6 +204,18 @@ def test_indicator_pairs_match_eager_construction(env3, envp):
         (), ("x",), ("x", "y"), ("y",), ("z",), ("z", "x"), ("z", "x", "y"), ("z", "y")]
 
 
+def test_null_general_prints_no_lone_pair(env3, monkeypatch):
+    printed = []
+    monkeypatch.setattr(nullability, "formula_str",
+                        lambda phi: printed.append(phi) or formula_str(phi))
+    # the least group erases nothing and holds one pair, its own order
+    assert null_general(env3, parse_expression("a* | sim(x, a)", env3)) is not None
+    assert printed == []
+    # a group of two is ordered by the printed formulas
+    indicator_set(env3, parse_expression("(a* | sim(x, a)) + (b* | lt(x, a))", env3))
+    assert len(printed) == 2
+
+
 def test_null_general_erases_only_the_reached_group(monkeypatch):
     env = parse_environment("alphabet: a b\nvariables: p q r s t u v w x y\n"
                             "predicates: sim/2\nfunctions: f/1")

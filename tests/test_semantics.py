@@ -8,9 +8,9 @@ import pytest
 
 from constrex import (
     ConfigError, Interpretation, Realization,
-    const_null, enumerate_language, eval_formula, eval_term, membership_fixed,
+    const_null, derive_expr, enumerate_language, eval_formula, eval_term, membership_fixed,
     parse_expression, parse_formula, parse_term, regex_derivative, regex_str,
-    regularize,
+    regularize, subst_set_str,
 )
 from constrex import semantics, syntax
 from constrex.syntax import (
@@ -166,6 +166,25 @@ def test_printers_match_recorded_digest(env3, interp_len):
         digest.update((formula_str(_rand_printed_formula(rng, env3, 4)) + "\n").encode())
     assert digest.hexdigest() == (
         "0e6b840b88b27e6bdfa78e2c115f396052417da09942664a966458184fdb2a4e")
+
+
+def test_constrained_printing_matches_recorded_digest(env3):
+    # 1,000 random constrained expressions, with their constraints, matches
+    # and chains of both, each with a left-nested catenation of three, and
+    # the derivative states of each by one letter; the digest was recorded
+    # before the expression printer became a fold visit
+    rng = random.Random(47)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        e = rand_expr(rng, env3, 4)
+        left = Cat(Cat(e, rand_expr(rng, env3, 2)), rand_expr(rng, env3, 2))
+        for form in (e, left):
+            lines = [expr_str(form), str(form)]
+            for state, X in derive_expr(env3, form, rng.choice(env3.symbols)):
+                lines.append(expr_str(state) + "\t" + subst_set_str(env3, X))
+            digest.update(("\n".join(lines) + "\n").encode())
+    assert digest.hexdigest() == (
+        "a4f04aa0b80842ab36f3728f5810903e670bbb8c8da6eaf2b1374eb53bb7be6a")
 
 
 def test_regex_str_rejects_what_is_not_a_regular_form():

@@ -10,7 +10,7 @@ from constrex import (
     ParseError, PreconditionError, Realization, Star, Sum, TableFunction, Var, Witness,
     Word,
     apply_subst_set, check_subst_set, derive_expr_word, expr_str, parse_environment,
-    parse_expression, parse_formula, parse_term, subterms, term_of_word,
+    parse_expression, parse_formula, parse_term, regex_str, subterms, term_of_word,
     term_str, variables_of,
 )
 from constrex.errors import ConfigError
@@ -460,6 +460,11 @@ def test_deep_trees_are_walked_without_recursion(env3):
         assert tree_variables(Atom("sim", (t, t))) == {"x"}
         assert expr_variables(env3, Constraint(e, Atom("lt", (t, App("b"))))) == {"x"}
         assert expr_str(e) == " ".join(letters)
+        # a left-nested catenation prints flat in both notations
+        nested = Word(letters[0])
+        for c in letters[1:]:
+            nested = Cat(nested, Word(c))
+        assert expr_str(nested) == regex_str(nested) == str(nested) == " ".join(letters)
         # a long mixed word on either side of -|
         word = "ab" * (DEEP // 2)
         left = parse_expression(" ".join(word) + " -| (a + b)*", env3)

@@ -1,5 +1,5 @@
-"""Print two SHA-256 digests over a fixed set of benchmark queries: one over
-their parsed trees, one over their answers.
+"""Print three SHA-256 digests over a fixed set of benchmark queries: one over
+their parsed trees, one over what prints of them, one over their answers.
 
     python tools/digests.py [ROOT]
 
@@ -17,8 +17,15 @@ no child. So it reads a tree of any depth, and it tells apart catenations
 that associate differently, which print alike. Two source trees that print
 the same parse digest build the same trees from all of these texts.
 
-The output is the parse digest, then the count of queries, then the verdict
-digest, last. ``tools/digests.txt`` holds the output for the committed
+The print digest covers the printed text of each query: its parsed tree by
+``expr_str`` or ``formula_str``; for a fixed query, ``regex_str`` of its
+regular form; for a general query with a nonempty word, its derivative set
+by the word's first letter, one line per pair, the state by ``expr_str``, a
+tab, then the set by ``subst_set_str``. Two source trees that print the same
+print digest print these alike, in the same order.
+
+The output is the parse digest, then the print digest, then the count of
+queries, then the verdict digest, last. ``tools/digests.txt`` holds the output for the committed
 source; CI compares against it, so a change that alters how any of these
 queries parse or answer must update that file with it.
 
@@ -43,7 +50,7 @@ def main(argv) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import run          # bench/run.py: verdict_key and verdict_text
     import workloads
-    from constrex import logic, parser, semantics, syntax
+    from constrex import derivation, logic, parser, semantics, syntax
 
     envs = {k: parser.parse_environment(v) for k, v in workloads.ENVIRONMENTS.items()}
 
@@ -54,18 +61,35 @@ def main(argv) -> int:
         rule = parser.parse_formula if q.kind == "sat" else parser.parse_expression
         return rule(q.text, envs[q.env])
 
+    def fixed(q):
+        """The interpretation and realization of a fixed query."""
+        env = envs[q.env]
+        bound = bindings(q.interp)
+        interp = semantics.Interpretation(
+            env, {k: v for k, v in bound.items() if k in env.predicates},
+            {k: v for k, v in bound.items() if k not in env.predicates})
+        return interp, semantics.Realization(env, bindings(q.real))
+
     def answer(q, tree):
         env = envs[q.env]
         if q.kind == "fixed":
-            bound = bindings(q.interp)
-            interp = semantics.Interpretation(
-                env, {k: v for k, v in bound.items() if k in env.predicates},
-                {k: v for k, v in bound.items() if k not in env.predicates})
-            real = semantics.Realization(env, bindings(q.real))
-            return semantics.membership_fixed(interp, real, tree, q.word)
+            return semantics.membership_fixed(*fixed(q), tree, q.word)
         if q.kind == "general":
             return logic.membership_general(env, tree, q.word)
         return logic.satisfiable_free(env, tree)
+
+    def printed(q, tree):
+        """The lines that print of a query's tree."""
+        env = envs[q.env]
+        if q.kind == "sat":
+            yield syntax.formula_str(tree)
+            return
+        yield syntax.expr_str(tree)
+        if q.kind == "fixed":
+            yield syntax.regex_str(semantics.regularize(*fixed(q), tree))
+        elif q.word:
+            for state, X in derivation.derive_expr(env, tree, q.word[0]):
+                yield syntax.expr_str(state) + "\t" + syntax.subst_set_str(env, X)
 
     def nodes(tree):
         """Each node in walk order: its class name and its own string fields."""
@@ -75,6 +99,7 @@ def main(argv) -> int:
                      if isinstance(v, str)))
 
     trees = hashlib.sha256()
+    texts = hashlib.sha256()
     digest = hashlib.sha256()
     count = 0
     for workload, seeds, rounds in QUERIES:
@@ -84,12 +109,15 @@ def main(argv) -> int:
                     tree = parse(q)
                     for node in nodes(tree):
                         trees.update(repr(node).encode())
+                    for line in printed(q, tree):
+                        texts.update((line + "\n").encode())
                     verdict = answer(q, tree)
                     digest.update(repr((workload, seed, index, q.family, q.size,
                                         run.verdict_text(q, verdict),
                                         run.verdict_key(q, verdict))).encode())
                     count += 1
     print("parse %s" % trees.hexdigest())
+    print("print %s" % texts.hexdigest())
     print("%d queries" % count)
     print(digest.hexdigest())
     return 0
