@@ -422,10 +422,12 @@ class Witness(_Value):
         self.realization = realization
 
 
-def _call_str(call: tuple) -> str:
-    """fn(w1, ..., wn) for a function name and its argument words."""
+def _call_key(call: tuple) -> tuple:
+    """The order of a function name and its argument words: as printed,
+    fn(w1, ..., wn) with the empty word as eps, then by the words, since a
+    word of the symbols e, p and s prints as the empty word does."""
     fn, args = call
-    return "%s(%s)" % (fn, ", ".join(u or "eps" for u in args)) if args else fn
+    return ("%s(%s)" % (fn, ", ".join(u or "eps" for u in args)) if args else fn), call
 
 
 def build_witness(env: Environment, phi: Formula,
@@ -435,12 +437,13 @@ def build_witness(env: Environment, phi: Formula,
     Variables in name order, then innermost applications, are bound to the
     separator words a b^p a, a b^(p+1) a, ..., counted up from the separator
     word of the normalized terms. The next application bound is the ready
-    one (all its arguments evaluate to words) that prints first as
-    fn(w1, ..., wn); a lone ready one is bound without printing it. Since applications are opaque at their edges, every
-    binding lands in a middle word between a delimiters, so rewriting the
-    terms with the bindings so far would give the counter's next word. The
-    evaluation is an injection of the formula's terms, so predicate tables
-    can mirror the assignment tuple by tuple.
+    one (all its arguments evaluate to words) that comes first by
+    `_call_key`; a lone ready one is bound without printing it. Since
+    applications are opaque at their edges, every binding lands in a middle
+    word between a delimiters, so rewriting the terms with the bindings so
+    far would give the counter's next word. The evaluation is an injection
+    of the formula's terms, so predicate tables can mirror the assignment
+    tuple by tuple.
     """
     phi = normalize_formula(phi)
     terms = terms_of_formula(phi)
@@ -475,7 +478,7 @@ def build_witness(env: Environment, phi: Formula,
         values = {t: fold(t, value) for t in terms}
         if not ready:
             break
-        fn, args = min(ready, key=_call_str) if len(ready) > 1 else ready.pop()
+        fn, args = min(ready, key=_call_key) if len(ready) > 1 else ready.pop()
         overrides[fn][args] = next(separators)
     functions = {name: TableFunction.from_dict(table)
                  for name, table in overrides.items()}

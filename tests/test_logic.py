@@ -217,6 +217,15 @@ def test_sat_search_prints_no_lone_atom(env5, monkeypatch):
     assert len(names) == 2
 
 
+def test_witness_orders_applications_that_print_alike():
+    # f(eps) and f(e p s) both print f(eps); the empty word is bound first,
+    # whatever the hash seed
+    env = parse_environment("alphabet: a b e p s\npredicates: sim/2\nfunctions: f/1")
+    witness = satisfiable_free(env, parse_formula("sim(f(eps), f(e p s))", env))
+    assert witness.interpretation.functions["f"].table == (
+        (("",), "aba"), (("eps",), "abba"))
+
+
 def test_satisfiable_free_on_a_long_flat_chain(envp):
     # the parser left-nests the chain, and normalization keeps its place on
     # a stack, so each answers without recursing once per atom
