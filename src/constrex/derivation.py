@@ -7,12 +7,16 @@ mixed word threads the word rule's empty-word branch through the tail.
 Crossing any other left factor F derives the right factor under the guard
 `eps -| F`; the guard is elided when F is nullable under every
 interpretation, and the right factor is not derived when F is nullable under
-none, since the guard then denotes nothing. These readings are
-language-preserving for every (I,r) and reproduce the worked derivative sets
-of the source constructions. On a regular form, which has no variables and
-no constraints, every left factor is one or the other, so the rules are
-Antimirov's partial derivatives; the fixed-(I,r) engine of `semantics`
-derives with them.
+none, since the guard then denotes nothing. Both tests read the flags each
+node stores when it is built (`syntax._Node`); under an environment with
+variables the second also reads the node's letter need (`need`), which is
+stored on each node for one environment at a time, so the subtrees that a
+derived state shares with its parent are not summarized again. These
+readings are language-preserving for every (I,r) and reproduce the worked
+derivative sets of the source constructions. On a regular form, which has
+no variables and no constraints, every left factor is one or the other, so
+the rules are Antimirov's partial derivatives; the fixed-(I,r) engine of
+`semantics` derives with them.
 
 The derivative of `E | phi` is `E' | phi[X]` for each pair (E', X) of E's.
 The sets come back whole and in canonical order from derive_expr; the path
@@ -22,11 +26,12 @@ only into the states it pulls.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterable
 
 from .errors import PreconditionError
 from .syntax import (
-    Cat, Constraint, Empty, Environment, Expr, Match, Star, Sum, Word,
+    Cat, Constraint, Empty, Environment, Expr, Formula, Match, Star, Sum, Word,
     apply_subst_set, as_mixed_word, expr_str, fold, rebuild, subst_set_str,
     subst_word,
 )
@@ -59,62 +64,100 @@ def derive_word(env: Environment, alpha: str, a: str) -> list[tuple[str, frozens
     return out
 
 
-def _summands(e: Sum):
-    """The summands of a sum chain, left to right, whichever way it nests."""
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if type(e) is Sum:
-            stack += (e.right, e.left)
-        else:
-            yield e
-
-
 def const_null(e: Expr) -> bool:
-    """True iff the empty word is denoted under every interpretation and realization.
-
-    A catenation's right spine and a chain of matches are a loop, and so is
-    a sum chain of any nesting; only a left factor and a summand are calls.
-    """
-    while True:
-        kind = type(e)
-        if kind is Cat:
-            if not const_null(e.left):
-                return False
-            e = e.right
-        elif kind is Match:
-            if e.word != "":
-                return False
-            e = e.child
-        elif kind is Sum:
-            return any(map(const_null, _summands(e)))
-        else:
-            return kind is Star or kind is Word and e.letters == ""
+    """True iff the empty word is denoted under every interpretation and realization."""
+    return e.null
 
 
 def never_null(env: Environment, e: Expr) -> bool:
     """True iff the empty word is denoted under no interpretation and realization.
 
-    Loops as const_null does, a chain of constraints included.
+    The stored flag `never` reads every letter as a symbol, so it answers
+    alone when env declares no variable; else e must also need a letter, or
+    be void, by its need.
     """
-    while True:
-        kind = type(e)
-        if kind is Word:
-            return not all(env.is_variable(c) for c in e.letters)
-        if kind is Cat:
-            if never_null(env, e.left):
-                return True
-            e = e.right
-        elif kind is Match:
-            if not all(env.is_variable(c) for c in e.word):
-                return True
-            e = e.child
-        elif kind is Constraint:
-            e = e.child
-        elif kind is Sum:
-            return all(never_null(env, s) for s in _summands(e))
-        else:
-            return kind is Empty
+    if not e.never or not env.variables:
+        return e.never
+    wanted = need(env, e)
+    return wanted is None or wanted[0] > 0
+
+
+def _count(env: Environment, letters: str) -> tuple:
+    """The need of a mixed word: its letters that are no variable, since a
+    variable may be realized empty, then its copies of each symbol."""
+    length = len(letters)
+    for x in env.variables:
+        length -= letters.count(x)
+    return (length, *map(letters.count, env.symbols))
+
+
+def need(env: Environment, e: Expr, void: Callable[[Formula], bool] | None = None):
+    """What e needs of the rest of the word, or None for a void state; the
+    definition is that of `logic.letter_need`, whose formula test void is.
+
+    With void None, every constraint reads as satisfiable. One pass, children
+    before their parent on an explicit stack, stops at each node already
+    summarized for env and stores in each node it computes the triple (need,
+    whether a constraint lies outside the node's stars, env). Under void, a
+    node whose need rests on a constraint is computed for this call alone
+    and not stored. A need of length 0 is all zeros, since the length counts
+    every letter that is no variable; it is the unit of the sum and the
+    maximum, and the least element for the minimum.
+    """
+    nothing = (0,) * (len(env.symbols) + 1)
+    star, empty = (nothing, False, env), (None, False, env)
+    todo = [e]
+    done = []   # the triples of the finished nodes, in order
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is tuple:   # the second visit: the children are done
+            node, = node
+            kind = type(node)
+            wanted, held, _ = done.pop()
+            if kind is Cat or kind is Sum:
+                left, held_left, _ = done.pop()
+                held = held or held_left
+                if kind is Sum:
+                    if wanted is None or left is not None and not left[0]:
+                        wanted = left
+                    elif left is not None and wanted[0]:
+                        wanted = tuple(map(min, left, wanted))
+                elif left is None or wanted is None:
+                    wanted = None
+                elif left[0]:
+                    wanted = tuple(map(operator.add, left, wanted)) if wanted[0] else left
+            elif kind is Match:
+                if wanted is None or node.word == "" and wanted[0]:
+                    wanted = None
+                elif node.word:
+                    word = _count(env, node.word)
+                    if word[0]:
+                        wanted = tuple(map(max, word, wanted)) if wanted[0] else word
+            else:   # Constraint
+                held = True
+                if wanted is not None and void is not None and void(node.formula):
+                    wanted = None
+            summary = wanted, held, env
+            if void is None or not held:
+                node._need = summary
+            done.append(summary)
+            continue
+        summary = node._need
+        if summary is None or summary[2] is not env or void is not None and summary[1]:
+            if kind is Word:
+                node._need = summary = (
+                    _count(env, node.letters) if node.letters else nothing), False, env
+            elif kind is Star:
+                summary = star
+            elif kind is Empty:
+                summary = empty
+            else:
+                todo.append((node,))
+                todo += (node.right, node.left) if kind is Cat or kind is Sum else (node.child,)
+                continue
+        done.append(summary)
+    return done[0][0]
 
 
 def _odot_left(env, pairs, right: Expr):
@@ -124,7 +167,7 @@ def _odot_left(env, pairs, right: Expr):
 
 def _guard(env, left: Expr, pairs):
     """F (.) pairs: prepend `eps -| F` with the pair's substitutions applied."""
-    if const_null(left):
+    if left.null:
         return list(pairs)
     return [(Cat(Match("", apply_subst_set(env, left, X)), e), X) for e, X in pairs]
 
@@ -393,7 +436,7 @@ def simplify_expr(env: Environment, e: Expr) -> Expr:
             if node.word == "":
                 if isinstance(child, Match) and child.word == "":
                     return child
-                if const_null(child):
+                if child.null:
                     return Word("")
             word_child = as_mixed_word(child)
             if word_child is not None and _symbols_only(env, node.word) \

@@ -29,13 +29,12 @@ import os
 from collections.abc import Callable, Iterable
 
 from .errors import ConfigError, TruthTableLimitError, UnsupportedAlphabetError
-from .derivation import derive_paths
+from .derivation import derive_paths, need
 from .nullability import indicator_pairs
 from .semantics import FiniteRelation, Interpretation, Realization, TableFunction
 from .syntax import (
     AND, CAT, EPSILON, EPS_TERM, NOT, OR, TRUE,
-    App, Atom, Cat, Constraint, Environment, Expr, Formula, Match,
-    Star, Sum, Term, Var, Word,
+    App, Atom, Environment, Expr, Formula, Term, Var,
     _Value, connective, fold, rebuild, term_str, tree_variables, walk,
 )
 
@@ -573,10 +572,10 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], tuple | No
     need(e) is a tuple that bounds from below, under every (I, r), the
     letters of each word e denotes: first its length, then its copies of
     each symbol of env.symbols, in their order. It is built bottom-up: a
-    word counts its symbol letters, since a variable may be realized empty;
-    a catenation adds; a sum takes the minimum over its non-void children;
-    a star needs nothing; a constraint passes its child's need; and
-    `w -| F` takes the maximum of w's and F's.
+    word counts its letters that are no variable, since a variable may be
+    realized empty; a catenation adds; a sum takes the minimum over its
+    non-void children; a star needs nothing; a constraint passes its child's
+    need; and `w -| F` takes the maximum of w's and F's.
 
     A state is void when it denotes the empty language under every (I, r):
     it is empty, a catenation with a void factor, a sum of two void
@@ -585,28 +584,14 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], tuple | No
     formula of atoms joined by and/or only is satisfiable, read as it is.
     Any other is normalized once: it is satisfiable if it is one-sided
     (_one_sided), and else the SAT search decides it; one over more than
-    max_props symbols counts as satisfiable. One walk gives both answers.
+    max_props symbols counts as satisfiable. `derivation.need` gives both
+    answers in one pass, and keeps the need of each node whose need no
+    formula decides, so a state's shared subtrees are not walked again.
     """
-    symbols = env.symbols
-    nothing = (0,) * (len(symbols) + 1)
-    words: dict[str, tuple] = {}    # the need of each mixed word seen
     # keyed by the formula's id, which its entry keeps alive: comparing two
     # equal formulas recurses once per nesting level, so a deep chain cannot
     # be a key
     unsat: dict[int, tuple[Formula, bool]] = {}
-
-    def count(letters: str) -> tuple:
-        counts = [letters.count(a) for a in symbols]
-        out = words[letters] = (sum(counts), *counts) if any(counts) else nothing
-        return out
-
-    def combine(join, left: tuple, right: tuple) -> tuple:
-        # nothing is the unit of the sum and of the maximum
-        if left is nothing:
-            return right
-        if right is nothing:
-            return left
-        return tuple(map(join, left, right))
 
     def unsatisfiable(phi: Formula) -> bool:
         if _one_sided(phi, None):
@@ -623,55 +608,7 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], tuple | No
         unsat[id(phi)] = phi, known
         return known
 
-    def need(e: Expr) -> tuple | None:
-        # a catenation's right spine is a loop, its left factors walked
-        # first; so are a sum chain of any nesting and a chain of matches
-        # and constraints
-        total = nothing
-        while type(e) is Cat:
-            left = need(e.left)
-            if left is None:
-                return None
-            total = combine(operator.add, total, left)
-            e = e.right
-        wrappers = None     # the matches and constraints above e, linked
-        kind = type(e)
-        while kind is Match or kind is Constraint:
-            wrappers = e, wrappers
-            e = e.child
-            kind = type(e)
-        if kind is Word:
-            last = words.get(e.letters) or count(e.letters)
-        elif kind is Star:
-            last = nothing
-        elif kind is Sum:
-            last = None     # until a summand is not void
-            stack = [e.right, e.left]
-            while stack:
-                e = stack.pop()
-                if type(e) is Sum:
-                    stack += e.right, e.left
-                    continue
-                summand = need(e)
-                if summand is not None:
-                    last = summand if last is None else tuple(map(min, last, summand))
-        elif kind is Cat:
-            last = need(e)
-        else:   # Empty
-            return None
-        while wrappers is not None:
-            e, wrappers = wrappers
-            if last is None:
-                return None
-            if type(e) is Match:
-                if e.word == "" and last[0]:
-                    return None
-                last = combine(max, words.get(e.word) or count(e.word), last)
-            elif unsatisfiable(e.formula):
-                return None
-        return None if last is None else combine(operator.add, total, last)
-
-    return need
+    return lambda e: need(env, e, unsatisfiable)
 
 
 def membership_general(env: Environment, e: Expr, w: str,
@@ -690,10 +627,10 @@ def membership_general(env: Environment, e: Expr, w: str,
     original expression, not just the empty word on a derived one.
     """
     max_props = _resolve_max_props(max_props)
-    need = letter_need(env, max_props)
+    need_of = letter_need(env, max_props)
 
     def keep(state: Expr, i: int) -> bool:
-        wanted = need(state)
+        wanted = need_of(state)
         return wanted is not None and all(map(operator.le, wanted, have[i]))
 
     paths = derive_paths(env, e, w, keep)   # raises unless w is all symbols

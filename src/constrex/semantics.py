@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .derivation import _derive, const_null
+from .derivation import _derive
 from .errors import ConfigError
 from .syntax import (
     CAT, EPSILON,
@@ -256,4 +256,4 @@ def regex_word_derivative(rx: Expr, w: str) -> frozenset:
 def membership_fixed(interp: Interpretation, r: Realization, e: Expr, w: str) -> bool:
     """Decide w in the (I,r)-language via regularization and derivatives."""
     rx = regularize(interp, r, e)
-    return any(const_null(d) for d in regex_word_derivative(rx, w))
+    return any(d.null for d in regex_word_derivative(rx, w))

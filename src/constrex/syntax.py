@@ -14,7 +14,15 @@ flag `normal` that says whether the node's terms are in normal form (see
 `App`). A `Var` is always normal. The expression nodes (`Word`, `Sum`,
 `Cat`, `Star`, `Match`, `Constraint`) store their hash too, computed once
 from their children's stored hashes, and `Empty` has a constant one; so
-hashing a node of any size takes constant time and never recurses.
+hashing a node of any size takes constant time and never recurses. They
+store two empty-word flags the same way (see `_Node`): `null`, whether every
+(I, r) puts the empty word in the language, and `never`, whether no path
+reaches it without reading a letter. One slot, `_need`, is written after
+construction: `derivation.need` fills it with the value that the node's
+children and one environment determine, tagged with that environment. A
+reader takes it only under its own environment, and every writer for that
+environment writes the same value, so sharing nodes across threads stays
+safe.
 `walk` yields the nodes of any such tree from an explicit stack, parents
 first; the collectors (`as_mixed_word`, `subterms`, `tree_variables`,
 `expr_variables`) read it. `fold` is its post-order twin: it hands each node
@@ -311,61 +319,88 @@ BOT = Conn(FALSE)
 # constrained expressions
 
 
-class Word(_Hashed):
+class _Node(_Hashed):
+    """The summaries an expression node stores besides its hash: `null`,
+    whether every (I, r) puts the empty word in its language, and `never`,
+    whether no path reaches the empty word without reading a letter, every
+    letter read as a symbol; both computed in the constructor from the
+    children's flags. `_need` starts as None and is filled by
+    `derivation.need`, the one slot written after construction."""
+    __slots__ = ("null", "never", "_need")
+
+
+class Word(_Node):
     __slots__ = ("letters",)
 
     def __init__(self, letters: str):
         self.letters = letters
         self._hash = hash((letters,))
+        self.null = letters == ""
+        self.never = letters != ""
+        self._need = None
 
 
-class Empty(_Hashed):
+class Empty(_Node):
     __slots__ = ()
-    _hash = hash(())    # a class constant: Empty has no fields
+    _hash = hash(())    # class constants: Empty has no fields and no need
+    null, never, _need = False, True, None
 
 
-class Sum(_Hashed):
+class Sum(_Node):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
         self._hash = hash((left._hash, right._hash))
+        self.null = left.null or right.null
+        self.never = left.never and right.never
+        self._need = None
 
 
-class Cat(_Hashed):
+class Cat(_Node):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
         self._hash = hash((left._hash, right._hash))
+        self.null = left.null and right.null
+        self.never = left.never or right.never
+        self._need = None
 
 
-class Star(_Hashed):
+class Star(_Node):
     __slots__ = ("child",)
+    null, never, _need = True, False, None     # a star needs nothing
 
     def __init__(self, child: Expr):
         self.child = child
         self._hash = hash((child._hash,))
 
 
-class Constraint(_Hashed):
+class Constraint(_Node):
     __slots__ = ("child", "formula")
+    null = False
 
     def __init__(self, child: Expr, formula: Formula):
         self.child = child
         self.formula = formula
         self._hash = hash((child._hash, formula._hash))
+        self.never = child.never
+        self._need = None
 
 
-class Match(_Hashed):
+class Match(_Node):
     __slots__ = ("word", "child")
 
     def __init__(self, word: str, child: Expr):
         self.word = word
         self.child = child
         self._hash = hash((word, child._hash))
+        self.null = word == "" and child.null
+        self.never = word != "" or child.never
+        self._need = None
 
 
 Expr = Word | Empty | Sum | Cat | Star | Constraint | Match

@@ -61,6 +61,12 @@ def envp():
     return parse_environment(ENVP_TEXT)
 
 
+@pytest.fixture
+def envq():
+    # envp without variables: every letter is a symbol
+    return parse_environment("alphabet: a b\npredicates: p/1 q/2\nfunctions: f/1 g/2")
+
+
 # envp formulas whose witness needs the letters next to an application:
 # when separator words did not see them, x, y and the application all got
 # the same word and the witness was wrong

@@ -348,6 +348,21 @@ def test_never_null_is_sound(env3, interp_len):
     assert checked >= 50 * FUZZ_SCALE
 
 
+@pytest.mark.parametrize("env_name, letter, null, never", [
+    ("env3", "a", False, True), ("env3", "x", False, False),
+    ("env3", "eps", True, False), ("envq", "a", False, True),
+    ("envq", "eps", True, False),
+])
+def test_nullability_tests_read_left_nested_catenations(request, env_name, letter,
+                                                        null, never):
+    # ((…(l l) l) …) l nested 1,000 deep: no frame per level
+    env = request.getfixturevalue(env_name)
+    e = parse_expression("(" * 999 + letter + (" %s)" % letter) * 999, env)
+    with recursion_headroom():
+        assert const_null(e) is null
+        assert never_null(env, e) is never
+
+
 def test_a_never_nullable_left_factor_drops_the_right_derivative(env3):
     # `eps -| a + b` denotes nothing, so the right factor is not derived
     assert derive_expr(env3, parse_expression("(a + b) c", env3), "c") == ()

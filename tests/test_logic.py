@@ -5,6 +5,7 @@ import operator
 import os
 import random
 import sys
+import threading
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from constrex import (
     terms_of_formula,
 )
 from constrex import derivation, logic, syntax
+from constrex.derivation import const_null, never_null
 from constrex.logic import is_normalized, letter_need
 from constrex.oracle import realizations
 from constrex.syntax import (
@@ -880,6 +882,107 @@ def _need_reference(env, e, void):
     return None     # Empty
 
 
+def _const_null_reference(e):
+    """const_null's bottom-up definition, one frame per node."""
+    if isinstance(e, Word):
+        return e.letters == ""
+    if isinstance(e, Cat):
+        return _const_null_reference(e.left) and _const_null_reference(e.right)
+    if isinstance(e, Sum):
+        return _const_null_reference(e.left) or _const_null_reference(e.right)
+    if isinstance(e, Match):
+        return e.word == "" and _const_null_reference(e.child)
+    return isinstance(e, Star)  # Empty and Constraint: False
+
+
+def _never_null_reference(env, e):
+    """never_null's bottom-up definition, one frame per node: a word
+    forces a letter unless all its letters are variables."""
+    if isinstance(e, Word):
+        return not all(map(env.is_variable, e.letters))
+    if isinstance(e, Cat):
+        return _never_null_reference(env, e.left) or _never_null_reference(env, e.right)
+    if isinstance(e, Sum):
+        return _never_null_reference(env, e.left) and _never_null_reference(env, e.right)
+    if isinstance(e, Match):
+        return not all(map(env.is_variable, e.word)) or _never_null_reference(env, e.child)
+    if isinstance(e, Constraint):
+        return _never_null_reference(env, e.child)
+    return not isinstance(e, Star)  # Empty: True
+
+
+@pytest.mark.parametrize("env_name", ["env3", "envp", "envq"])
+def test_nullability_and_need_match_the_recursive_definitions(request, env_name):
+    # const_null, never_null and letter_need asked in random order along the
+    # paths of each draw, whose states share subtrees and so stored needs;
+    # some draws hold a constraint that no (I, r) satisfies, which
+    # letter_need reads as void and never_null must not
+    env = request.getfixturevalue(env_name)
+    rng = random.Random("nullability " + env_name)
+    need = letter_need(env, 20)
+
+    def void(phi):
+        return need(Constraint(Word(""), phi)) is None
+
+    for _ in range(200 * FUZZ_SCALE):
+        e = rand_expr(rng, env, 4)
+        roll = rng.random()
+        if roll < 0.4:
+            phi = rand_formula(rng, env, 1)
+            e = Constraint(e, Conn("and", (phi, Conn("not", (phi,)))))
+            if roll < 0.2:
+                e = Sum(rand_expr(rng, env, 2), e)
+        states = [e]
+        for w in ("a", "ab"):
+            states += [s for s, _chain in derive_paths(env, e, w)]
+        for s in states:
+            for check in rng.sample(range(3), 3):
+                if check == 0:
+                    assert const_null(s) == _const_null_reference(s), str(s)
+                elif check == 1:
+                    assert never_null(env, s) == _never_null_reference(env, s), str(s)
+                else:
+                    assert need(s) == _need_reference(env, s, void), str(s)
+
+
+def test_stored_needs_stay_right_across_threads(envp):
+    # four threads ask the same nodes, two under envp and two under an
+    # environment that reads x and y as symbols, so each overwrites the
+    # needs the others stored; a reader must take only a need stored under
+    # its own environment
+    envs = [envp, parse_environment("alphabet: a b x y\npredicates: p/1 q/2\n"
+                                    "functions: f/1 g/2")]
+    rng = random.Random("threads")
+    states = []
+    for _ in range(40 * FUZZ_SCALE):
+        e = rand_expr(rng, envp, 4)
+        states += [e] + [s for s, _chain in derive_paths(envp, e, "ab")]
+    # no constraint of these draws is unsatisfiable
+    expected = {env: [(_never_null_reference(env, s),
+                       _need_reference(env, s, lambda phi: False)) for s in states]
+                for env in envs}
+    failures = []
+
+    def ask(env):
+        need = letter_need(env, 20)
+        for _ in range(100):
+            if [(never_null(env, s), need(s)) for s in states] != expected[env]:
+                failures.append(env)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(envs[i % 2],)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+
+
 def test_letter_need_matches_the_recursive_definition(env3, envp):
     rng = random.Random("need reference")
     for env in (env3, envp):
@@ -897,7 +1000,8 @@ def test_letter_need_matches_the_recursive_definition(env3, envp):
     " + ".join(["a b", "x", "empty", "b a c"] * 300),
     "a + (" * 1199 + "b" + ")" * 1199,
     "a -| " * 600 + "ab -| (x a | sim(x, a)) -| " * 300 + "(a + b)*",
-], ids=["sum-left", "sum-right", "match-and-constraint-chain"])
+    "(" * 999 + "a" + " a)" * 999,
+], ids=["sum-left", "sum-right", "match-and-constraint-chain", "cat-left"])
 def test_letter_need_loops_over_chains(env3, text):
     e = parse_expression(text, env3)
     need = letter_need(env3, 20)
@@ -935,6 +1039,26 @@ def test_states_short_of_letters_are_cut(env3, monkeypatch, w, most):
     monkeypatch.setattr(derivation, "_derive", counted)
     assert membership_general(env3, e, w) is None
     assert calls[0] <= most
+
+
+def test_accepting_a_catenation_counts_each_word_once(env3, monkeypatch):
+    # each derived state shares the rest of the catenation with the state
+    # before it, whose need is stored: the words counted grow linearly in n
+    calls = [0]
+    count = derivation._count
+
+    def counted(*args):
+        calls[0] += 1
+        return count(*args)
+
+    monkeypatch.setattr(derivation, "_count", counted)
+    counts = []
+    for n in (1000, 2000):
+        w = "ab" * (n // 2)
+        calls[0] = 0
+        assert membership_general(env3, parse_expression(" ".join(w), env3), w)
+        counts.append(calls[0])
+    assert counts[1] <= 2 * counts[0], counts
 
 
 def test_constraint_over_the_limit_is_not_cut(env3):
