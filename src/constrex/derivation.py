@@ -22,6 +22,21 @@ The derivative of `E | phi` is `E' | phi[X]` for each pair (E', X) of E's.
 The sets come back whole and in canonical order from derive_expr; the path
 search of derive_paths pulls them in the same order but substitutes phi[X]
 only into the states it pulls.
+
+`_derive` computes one derivative in one loop over a worklist of (node,
+wrap) entries, so no shape of expression costs a frame per level. A wrap is
+a linked list `(rule, argument, rest)` of the rules that the node's
+ancestors apply to its pairs, innermost first. A sum enters its left child
+and pushes its right one, both under its own wrap. A catenation enters its
+left factor under `_odot_left` and, unless that factor is nullable under no
+(I, r), pushes its right factor under `_guard`. A star or a constraint
+enters its child under `_odot_left` or `_constrain`, and a match pushes its
+substituted child under `_match` once per pair of its word's derivative. A
+leaf, a word or the word rule of a word-headed catenation, runs its pairs
+through its wrap; when the head is variables only, the word rule first
+pushes its tail with that head erased, under `_erase`. Entries leave the
+stack in the order in which the recursive rules concatenate their pairs, so
+the pairs keep that order.
 """
 
 from __future__ import annotations
@@ -39,8 +54,6 @@ from .syntax import (
 DerivPair = tuple[Expr, frozenset]
 DerivativeSet = tuple[DerivPair, ...]
 
-_NOTHING = frozenset()  # the set of no assumptions
-
 
 def derive_word(env: Environment, alpha: str, a: str) -> list[tuple[str, frozenset]]:
     """Constrained derivative of a mixed word w.r.t. one symbol.
@@ -49,7 +62,7 @@ def derive_word(env: Environment, alpha: str, a: str) -> list[tuple[str, frozens
     the pairs of the rest with x erased; a loop walks that run of erased
     variables, each pair carrying the erasures made before it."""
     out = []
-    erased = _NOTHING
+    erased = frozenset()    # the set of no assumptions
     while alpha:
         head, rest = alpha[0], alpha[1:]
         if head == a:
@@ -165,102 +178,81 @@ def _odot_left(env, pairs, right: Expr):
     return [(Cat(e, apply_subst_set(env, right, X)), X) for e, X in pairs]
 
 
-def _guard(env, left: Expr, pairs):
-    """F (.) pairs: prepend `eps -| F` with the pair's substitutions applied."""
+def _guard(env, pairs, left: Expr):
+    """F (.) pairs: prepend `eps -| F` with the pair's substitutions applied,
+    or nothing when F is nullable under every (I, r)."""
     if left.null:
-        return list(pairs)
+        return pairs
     return [(Cat(Match("", apply_subst_set(env, left, X)), e), X) for e, X in pairs]
 
 
+def _constrain(env, pairs, phi: Formula):
+    """pairs | phi: each state under phi with the pair's substitutions applied."""
+    return [(Constraint(e, apply_subst_set(env, phi, X)), X) for e, X in pairs]
+
+
+def _match(env, pairs, chosen):
+    """w -| pairs, for the pair (alpha1, X1) chosen from w's derivative:
+    alpha1 with each pair's substitutions applied, and X1 joined to them."""
+    alpha1, X1 = chosen
+    return [(Match(apply_subst_set(env, alpha1, X), e), X1 | X) for e, X in pairs]
+
+
+def _erase(env, pairs, erased: frozenset):
+    """The pairs of a tail whose head of variables was erased, which they assume."""
+    return [(e, X | erased) for e, X in pairs]
+
+
 def _derive(env: Environment, e: Expr, a: str) -> list[DerivPair]:
-    kind = type(e)
-    if kind is Cat:
-        if type(e.left) is Word:
-            return _derive_word_headed(env, e.left.letters, e.right, a)
-        out = _odot_left(env, _derive(env, e.left, a), e.right)
-        if not never_null(env, e.left):
-            out += _guard(env, e.left, _derive(env, e.right, a))
-        return out
-    if kind is Word:
-        return [(Word(alpha), X) for alpha, X in derive_word(env, e.letters, a)]
-    if kind is Sum:
-        # the summands left to right in one loop, whichever way the sums
-        # nest: a left child that is a sum is entered, its parent's right
-        # child waiting on a linked stack
-        out = []
-        waiting = None
-        while True:
-            left = e.left
-            if type(left) is Sum:
-                waiting = e.right, waiting
-                e = left
-                continue
-            out += _derive(env, left, a)
-            e = e.right
-            while type(e) is not Sum:
-                out += _derive(env, e, a)
-                if waiting is None:
-                    return out
-                e, waiting = waiting
-    if kind is Star:
-        return _odot_left(env, _derive(env, e.child, a), e)
-    if kind is Match:
-        # a chain of matches is a loop: each path holds its node below the
-        # matches passed so far and the (word, set) pairs chosen at them,
-        # innermost first, linked; the paths keep the order of choosing at
-        # each match in turn
-        paths = [(e, None)]
-        while paths and type(e) is Match:
-            paths = [(apply_subst_set(env, node.child, X1), (alpha1, X1, chosen))
-                     for node, chosen in paths
-                     for alpha1, X1 in derive_word(env, node.word, a)]
-            e = e.child     # substitution keeps the node types of the chain
-        out = []
-        for node, chosen in paths:
-            for e2, X2 in _derive(env, node, a):
-                link = chosen
-                while link is not None:
-                    alpha1, X1, link = link
-                    e2, X2 = Match(apply_subst_set(env, alpha1, X2), e2), X1 | X2
-                out.append((e2, X2))
-        return out
-    if kind is Constraint:
-        # a chain of constraints is a loop: derive the innermost child, then
-        # wrap its states in the chain's formulas, innermost first
-        formulas = []
-        while type(e) is Constraint:
-            formulas.append(e.formula)
-            e = e.child
-        out = _derive(env, e, a)
-        for phi in reversed(formulas):
-            out = [(Constraint(e2, apply_subst_set(env, phi, X)), X) for e2, X in out]
-        return out
-    if kind is Empty:
-        return []
-    raise TypeError(e)
-
-
-def _derive_word_headed(env, alpha: str, tail: Expr, a: str) -> list[DerivPair]:
-    """Derive `alpha . tail` by the word rule, applying each pair's set to the tail.
-
-    A head of variables only may also be erased for the tail to consume a.
-    When the erased tail is word-headed in turn, the loop derives it, each
-    pair carrying the erasures made before it.
-    """
-    out = []
-    erased = _NOTHING
+    """The derivative pairs of e by a, in the order of the recursive rules,
+    from one loop over a worklist of (node, wrap) entries (see the module
+    docstring). Each rule maps a list of pairs to a list of pairs, and an
+    empty list leaves the rest of a wrap unrun."""
+    out: list[DerivPair] = []
+    todo: list = []     # the (node, wrap) entries still to derive, the next last
+    wrap = None
     while True:
-        out += [(Cat(Word(alpha2), apply_subst_set(env, tail, X)),
-                 X | erased if erased else X)
-                for alpha2, X in derive_word(env, alpha, a)]
-        if not all(env.is_variable(c) for c in alpha):
+        kind = type(e)
+        pairs = ()
+        if kind is Cat:
+            left, right = e.left, e.right
+            if type(left) is not Word:
+                if not never_null(env, left):
+                    todo.append((right, (_guard, left, wrap)))
+                e, wrap = left, (_odot_left, right, wrap)
+                continue
+            # the word rule; a head of variables only may also be erased,
+            # for the tail to read a
+            if all(map(env.is_variable, left.letters)):
+                erased = frozenset((x, "") for x in left.letters)
+                todo.append((apply_subst_set(env, right, erased),
+                             (_erase, erased, wrap) if erased else wrap))
+            pairs = [(Cat(Word(alpha), apply_subst_set(env, right, X)), X)
+                     for alpha, X in derive_word(env, left.letters, a)]
+        elif kind is Sum:
+            todo.append((e.right, wrap))
+            e = e.left
+            continue
+        elif kind is Star:
+            e, wrap = e.child, (_odot_left, e, wrap)
+            continue
+        elif kind is Constraint:
+            e, wrap = e.child, (_constrain, e.formula, wrap)
+            continue
+        elif kind is Word:
+            pairs = [(Word(alpha), X) for alpha, X in derive_word(env, e.letters, a)]
+        elif kind is Match:
+            todo += [(apply_subst_set(env, e.child, chosen[1]), (_match, chosen, wrap))
+                     for chosen in reversed(derive_word(env, e.word, a))]
+        elif kind is not Empty:
+            raise TypeError(e)
+        while pairs and wrap is not None:
+            rule, argument, wrap = wrap
+            pairs = rule(env, pairs, argument)
+        out += pairs
+        if not todo:
             return out
-        here = frozenset((x, "") for x in alpha)
-        erased |= here
-        tail = apply_subst_set(env, tail, here)
-        if type(tail) is not Cat or type(tail.left) is not Word:
-            return out + [(e2, X | erased) for e2, X in _derive(env, tail, a)]
-        alpha, tail = tail.left.letters, tail.right
+        e, wrap = todo.pop()
 
 
 def canonical(env: Environment, pairs: Iterable[DerivPair], phi=None):

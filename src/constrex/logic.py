@@ -588,24 +588,19 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], tuple | No
     answers in one pass, and keeps the need of each node whose need no
     formula decides, so a state's shared subtrees are not walked again.
     """
-    # keyed by the formula's id, which its entry keeps alive: comparing two
-    # equal formulas recurses once per nesting level, so a deep chain cannot
-    # be a key
-    unsat: dict[int, tuple[Formula, bool]] = {}
+    unsat: dict[Formula, bool] = {}     # this query's answers, by formula
 
     def unsatisfiable(phi: Formula) -> bool:
         if _one_sided(phi, None):
             return False
-        entry = unsat.get(id(phi))
-        if entry is not None and entry[0] is phi:
-            return entry[1]
-        normal = normalize_formula(phi)
-        try:
-            known = (not _one_sided(normal, {})
-                     and sat_truth_table(normal, max_props) is None)
-        except TruthTableLimitError:
-            known = False
-        unsat[id(phi)] = phi, known
+        known = unsat.get(phi)
+        if known is None:
+            normal = normalize_formula(phi)
+            try:
+                known = not _one_sided(normal, {}) and sat_truth_table(normal, max_props) is None
+            except TruthTableLimitError:
+                known = False
+            unsat[phi] = known
         return known
 
     return lambda e: need(env, e, unsatisfiable)

@@ -4,8 +4,11 @@ Mixed words are plain strings over the symbol and variable alphabets (both
 restricted to single characters), with "" playing the role of the empty word.
 Terms, formulas and expressions are trees of plain `__slots__` classes.
 Their value equality, structural hash and repr come from one base class,
-`_Value`, which the finite tables of `semantics` and the witnesses of
-`logic` share. They are immutable by convention: no field is assigned after
+`_Tree`, whose hash is stored and whose repr is a fold; it derives from
+`_Value`, which gives the finite tables of `semantics` and the witnesses of
+`logic` the same three. Equality compares field tuples, and two trees too
+deep for that are compared on an explicit stack (`_tree_equal`).
+They are immutable by convention: no field is assigned after
 construction, because subtrees are shared. Every operation here is a pure
 function, so values can be shared freely across threads.
 The term and formula nodes `App`, `Atom` and `Conn` store two summaries,
@@ -167,11 +170,11 @@ class Environment:
 # ---------------------------------------------------------------------------
 # tree nodes
 #
-# Every node class derives from `_Value`, which alone defines what a value
-# does: equality on the field tuple between objects of one class, a hash and
-# a repr. Comparing tuples keeps the identity shortcut on shared subtrees.
-# Every node but a Var stores its hash, computed once in its constructor, so
-# hashing a deep tree does not recurse: App, Atom and Conn hash their field
+# Every node class derives from `_Value`, which defines what a value does:
+# equality on the field tuple between objects of one class, a hash and a
+# repr. The tree nodes derive from `_Tree`, which overrides all three so
+# that none recurses on a deep tree. Every tree node stores its hash,
+# computed once in its constructor: a Var, App, Atom or Conn hashes its field
 # tuple, where each child hands over its stored hash; an expression node
 # hashes the tuple of its fields with each child replaced by its stored
 # hash, since reading the ints keeps the constructor free of Python-level
@@ -186,15 +189,17 @@ def fields_repr(self) -> str:
 
 
 class _Value:
-    """Equality, hash and repr of a plain value, written once for the tree
-    nodes here and the values of `semantics` and `logic`.
+    """Equality, hash and repr of a plain value, written once for the values
+    of `semantics` and `logic` and overridden by the tree nodes here.
 
     A class's fields are the names in its own `__slots__`, read once, when
     the class is made, into `_fields`, which returns an object's field
     tuple. Two objects are equal when they are of one class and their field
-    tuples are; the hash is that of the field tuple, and the repr is
-    `fields_repr`. The three methods are shared, not generated per class as
-    a dataclass's are, so importing the package compiles nothing more.
+    tuples are; two trees nested too deep for the field tuples to compare
+    within the recursion limit are compared by `_tree_equal` instead. The
+    hash is that of the field tuple, and the repr is `fields_repr`. The three
+    methods are shared, not generated per class as a dataclass's are, so
+    importing the package compiles nothing more.
     """
     __slots__ = ()
     __repr__ = fields_repr
@@ -209,28 +214,75 @@ class _Value:
                 operator.attrgetter(*names) if names else lambda obj: ())
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            fields = self._fields
-            return fields(self) == fields(other)
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        try:    # the field tuples compare in C, and call this on each child pair
+            return self._fields(self) == other._fields(other)
+        except RecursionError:  # trees too deep for that go on an explicit stack
+            return _tree_equal(self, other)
 
     def __hash__(self):
         return hash(self._fields(self))
 
 
-class _Hashed(_Value):
-    """A value whose constructor stores its hash in the slot `_hash`, which
-    `__hash__` returns in place of `_Value`'s. A base class holds the slot,
-    so that each node class's `__slots__` still names its fields alone."""
+class _Tree(_Value):
+    """A term, formula or expression node. Its constructor stores its hash in
+    the slot `_hash`, the same value as `_Value`'s; a base class holds the
+    slot, so that each node class's `__slots__` still names its fields alone.
+
+    Equality is `_Value`'s: two trees too deep to compare by recursion are
+    compared by `_tree_equal`, on an explicit stack. The repr is
+    `fields_repr`'s text, built by a fold. So neither fails on a deep tree.
+    """
     __slots__ = ("_hash",)
 
     def __hash__(self):
         return self._hash
 
+    def __repr__(self):
+        return str(fold(self, _repr_piece))
 
-class _Summary(_Hashed):
-    """The summaries that App, Atom and Conn store: the hash, the same value
-    as the hash of the field tuple, and the normal flag."""
+
+def _tree_equal(left: _Tree, right: _Tree) -> bool:
+    """Whether two trees are equal, on an explicit stack of node pairs: two
+    fields that are one object are equal at once, and a pair of two classes
+    or two hashes, stored but for a Var's, is unequal at once."""
+    pairs = [(left, right)]
+    while pairs:
+        left, right = pairs.pop()
+        if left.__class__ is not right.__class__ or hash(left) != hash(right):
+            return False
+        for x, y in zip(left._fields(left), right._fields(right)):
+            if x is y:
+                continue
+            if type(x) is tuple and len(x) == len(y):   # an App's, Atom's or Conn's
+                pairs += zip(x, y)
+            elif isinstance(x, _Tree):
+                pairs.append((x, y))
+            elif x != y:
+                return False
+    return True
+
+
+class _Shown(str):
+    """A repr already made, which `%r` prints as it is."""
+    __repr__ = str.__str__
+
+
+def _repr_piece(node, values) -> _Shown:
+    """`fields_repr` of node with each child in its fields, a tuple's
+    included, replaced by the repr fold made of it; an atom folds its terms
+    itself."""
+    values = iter([fold(t, _repr_piece) for t in node.args] if type(node) is Atom else values)
+    fields = [tuple(next(values) for _ in f) if type(f) is tuple
+              else next(values) if isinstance(f, _Tree) else f for f in node._fields(node)]
+    return _Shown("%s(%s)" % (type(node).__name__, ", ".join(
+        map("%s=%r".__mod__, zip(node.__slots__, fields)))))
+
+
+class _Summary(_Tree):
+    """The summaries that App, Atom and Conn store besides the hash: the
+    normal flag."""
     __slots__ = ("normal",)
 
 
@@ -319,7 +371,7 @@ BOT = Conn(FALSE)
 # constrained expressions
 
 
-class _Node(_Hashed):
+class _Node(_Tree):
     """The summaries an expression node stores besides its hash: `null`,
     whether every (I, r) puts the empty word in its language, and `never`,
     whether no path reaches the empty word without reading a letter, every

@@ -306,8 +306,8 @@ def test_check_free_on_a_one_sided_constraint_of_3000_atoms(env_file, capsys, op
 
 
 def test_check_free_on_a_constraint_chain_with_a_negated_atom(env_file, capsys):
-    # the void test keeps its SAT answers by formula identity, so it never
-    # hashes the 3000-atom chain, whose hash recurses once per level
+    # the void test keeps its SAT answers keyed by the formula, and the
+    # 3000-atom chain hands over its stored hash
     chain = " && ".join(["sim(a, b)", "!lt(x, a)", "lt(a, x)", "!sim(x, b)"] * 750)
     with recursion_headroom():
         status = run(["check-free", "--env", env_file, "--expr", "x | " + chain,
@@ -358,6 +358,8 @@ SUM_FACTOR = "(%s) b" % SUM_LEFT
 MATCH_CHAIN = "x -| " * 1000 + "(a + x)*"
 CONSTRAINT_CHAIN = "(" * 999 + "x | sim(x, a)" + ") | sim(x, a)" * 999
 STAR_OF_SUM_RIGHT = "(" + "a + (" * 999 + "a + a" + ")" * 999 + ")*"   # prints as it reads
+CAT_LEFT = "(" * 999 + "a" + " a)" * 999
+TWO_EQUAL = "%s + %s" % ((" ".join("ab" * 1000),) * 2)
 
 
 @pytest.mark.parametrize("argv, status, lines", [
@@ -388,11 +390,23 @@ STAR_OF_SUM_RIGHT = "(" + "a + (" * 999 + "a + a" + ")" * 999 + ")*"   # prints 
     (("derive", "--expr", STAR_OF_SUM_RIGHT + " b", "--word", "a"), 0,
      ["eps %s b\t{}" % STAR_OF_SUM_RIGHT]),
     (("check-free", "--expr", STAR_OF_SUM_RIGHT + " b", "--word", "ab"), 0, ["ACCEPT"]),
+    # a left-nested catenation is derived down its left spine in one loop
+    (("derive", "--expr", CAT_LEFT, "--word", "a"), 0, ["eps" + " a" * 999 + "\t{}"]),
+    (("check-free", "--expr", CAT_LEFT, "--word", "a"), 1, ["REJECT"]),
+    # the word holds enough letters for the search to derive the input by b
+    (("check-free", "--expr", CAT_LEFT, "--word", "b" + "a" * 1000), 1, ["REJECT"]),
+    (("check-fixed", "--expr", CAT_LEFT, "--word", "a" * 1000, "--interp", INTERP,
+      "--real", ""), 0, ["ACCEPT"]),
+    # the two states after ab are equal, not one object: one set compares them
+    (("check-fixed", "--expr", TWO_EQUAL, "--word", "ab", "--interp", INTERP, "--real", ""),
+     1, ["REJECT"]),
 ], ids=["check-fixed-sum-left", "check-fixed-sum-right", "check-free-sum-left",
         "check-free-sum-right", "check-free-match-chain", "check-free-variable-head",
         "check-free-sum-factor", "check-fixed-sum-factor", "check-free-printed-match-chain",
         "derive-printed-match-chain", "derive-constraint-chain", "check-free-constraint-chain",
-        "derive-printed-sum-right", "check-free-printed-sum-right"])
+        "derive-printed-sum-right", "check-free-printed-sum-right", "derive-cat-left",
+        "check-free-cat-left", "check-free-cat-left-derived", "check-fixed-cat-left",
+        "check-fixed-equal-states"])
 def test_engines_loop_over_long_chains(env_file, capsys, argv, status, lines):
     # sum chains, match chains, constraint chains and heads of variables only
     # are loops in the derivative, the letter need, the nullability tests and

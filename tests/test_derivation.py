@@ -1,5 +1,6 @@
 """Constrained derivatives of words and expressions."""
 
+import functools
 import random
 import sys
 import time
@@ -475,18 +476,23 @@ def _derive_reference(env, e, a):
         return out
     out = _odot_left(env, _derive_reference(env, e.left, a), e.right)
     if not never_null(env, e.left):
-        out += _guard(env, e.left, _derive_reference(env, e.right, a))
+        out += _guard(env, _derive_reference(env, e.right, a), e.left)
     return out
 
 
 def test_derive_matches_the_recursive_definition(env3, envp):
-    # the same pairs in the same order, sets included
-    rng = random.Random(1996)
+    # the same pairs in the same order, sets included, on each draw and on
+    # a left-nested catenation of the draw with smaller ones
+    rng, more = random.Random(1996), random.Random(2014)
     for _ in range(400 * FUZZ_SCALE):
         env = rng.choice([env3, envp])
         e = rand_expr(rng, env, 4)
+        nested = functools.reduce(
+            Cat, [rand_expr(more, env, 2) for _ in range(more.randint(1, 4))], e)
         for a in env.symbols:
             assert _derive(env, e, a) == _derive_reference(env, e, a), expr_str(e)
+            assert _derive(env, nested, a) == _derive_reference(env, nested, a), \
+                expr_str(nested)
 
 
 def _sum_chain(summands, left):
@@ -503,7 +509,9 @@ def _sum_chain(summands, left):
                            left=False),
     lambda env: parse_expression("x -| " * 300 + "(a + x)*", env),
     lambda env: parse_expression(" ".join("xyz" * 100) + " a", env),
-], ids=["sum-left", "sum-right", "match-chain", "variable-head"])
+    lambda env: functools.reduce(
+        Cat, [parse_expression(t, env) for t in ["x", "y*", "a y", "z a"] * 75]),
+], ids=["sum-left", "sum-right", "match-chain", "variable-head", "cat-left"])
 def test_derive_loops_over_chains(env3, build):
     # 300 links, under a limit of 50 frames more than the caller's; the
     # comparison recurses, so it comes after

@@ -15,8 +15,8 @@ from constrex import (
 )
 from constrex.errors import ConfigError
 from constrex.syntax import (
-    CAT, EPS_TERM, expr_variables, formula_str, subst_tree, subst_word,
-    tree_variables, walk,
+    CAT, EPS_TERM, _Tree, _tree_equal, expr_variables, formula_str, subst_tree,
+    subst_word, tree_variables, walk,
 )
 
 from conftest import (
@@ -87,6 +87,37 @@ _INTERP = Interpretation(_ENV, {"sim": "eq", "lt": "lenleq"}, {"f": "rev"})
 _REAL = Realization(_ENV, {"x": "ab"})
 
 
+def _forged(node, like):
+    """node, storing the hash of the node like in place of its own."""
+    node._hash = like._hash
+    return node
+
+
+def _deep(kind, n):
+    """Two Word leaves a and b under n - 1 nodes of kind, nested on the left
+    for Cat and else on the right, and its repr."""
+    if kind is Cat:
+        node, text = Word("a"), "Word(letters='a')"
+        for _ in range(n - 1):
+            node = Cat(node, Word("b"))
+            text = "Cat(left=%s, right=Word(letters='b'))" % text
+    else:
+        node = Word("b")
+        for _ in range(n - 1):
+            node = kind(Word("a"), node)
+        text = ("%s(left=Word(letters='a'), right=" % kind.__name__) * (n - 1) \
+            + "Word(letters='b')" + ")" * (n - 1)
+    return node, text
+
+
+def _deep_term(n, leaf):
+    """f(f(...f(leaf)...)) nested n deep, and its repr."""
+    t = Var(leaf)
+    for _ in range(n):
+        t = App("f", (t,))
+    return t, "App(fn='f', args=(" * n + "Var(name=%r)" % leaf + ",))" * n
+
+
 @pytest.mark.parametrize("left, right, equal, text", [
     (Cat(Word("a"), Star(Word("b"))), Cat(Word("a"), Star(Word("b"))), True,
      "Cat(left=Word(letters='a'), right=Star(child=Word(letters='b')))"),
@@ -116,10 +147,28 @@ _REAL = Realization(_ENV, {"x": "ab"})
      "Match(word='a', child=Word(letters='b'))"),
     (Witness(_INTERP, _REAL), Witness(_INTERP, _REAL), True,
      "Witness(interpretation=%r, realization=%r)" % (_INTERP, _REAL)),
+    # trees DEEP levels deep compare and print past the recursion limit
+    (_deep(Cat, DEEP)[0], _deep(Cat, DEEP)[0], True, _deep(Cat, DEEP)[1]),
+    (_deep(Sum, DEEP)[0], _deep(Sum, DEEP)[0], True, _deep(Sum, DEEP)[1]),
+    (_deep(Sum, DEEP)[0], _deep(Cat, DEEP)[0], False, _deep(Sum, DEEP)[1]),
+    # a node whose stored hash collides with another's is still told apart,
+    # by its shape, its own fields, the length of its arguments or a child
+    (_deep(Cat, DEEP)[0], _forged(_deep(Cat, DEEP - 1)[0], _deep(Cat, DEEP)[0]), False,
+     _deep(Cat, DEEP)[1]),
+    (Match("a", Word("b")), _forged(Match("b", Word("b")), Match("a", Word("b"))), False,
+     "Match(word='a', child=Word(letters='b'))"),
+    (App("f", (Var("x"),)), _forged(App("f", (Var("x"), Var("x"))), App("f", (Var("x"),))),
+     False, "App(fn='f', args=(Var(name='x'),))"),
+    (Star(Word("a")), _forged(Star(Word("b")), Star(Word("a"))), False,
+     "Star(child=Word(letters='a'))"),
+    (_deep_term(DEEP, "x")[0], _deep_term(DEEP, "x")[0], True, _deep_term(DEEP, "x")[1]),
+    (_deep_term(DEEP, "x")[0], _deep_term(DEEP, "y")[0], False, _deep_term(DEEP, "x")[1]),
 ])
 def test_nodes_are_values(left, right, equal, text):
     assert left is not right
     assert (left == right) is equal and (left != right) is not equal
+    if isinstance(left, _Tree):     # what == falls back on for deep trees
+        assert _tree_equal(left, right) is equal
     if equal:
         assert hash(left) == hash(right)
         assert len({left: 1, right: 2}) == len(frozenset({left, right})) == 1

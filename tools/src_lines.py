@@ -5,9 +5,12 @@ Blank lines, comments and the docstrings of modules, classes and functions
 do not count, so the count moves only with code.
 
     python tools/src_lines.py [ROOT]
+    python tools/src_lines.py OLD_ROOT NEW_ROOT
 
 ROOT is a checkout of the repository, by default the one holding this file.
-Stdlib only.
+Given two checkouts, it prints each module's count in the old and the new,
+then the net change, per module and in total; a module missing on one side
+counts 0 there and shows as "-". Stdlib only.
 """
 
 from __future__ import annotations
@@ -44,13 +47,26 @@ def code_lines(path: Path) -> int:
     return len(lines - docstrings)
 
 
+def counts(root: Path) -> dict:
+    """The code lines of each module under root, by file name."""
+    return {path.name: code_lines(path)
+            for path in sorted((root / "src" / "constrex").glob("*.py"))}
+
+
 def main(argv) -> int:
+    if len(argv) == 3:
+        old, new = counts(Path(argv[1])), counts(Path(argv[2]))
+        for name in sorted(old.keys() | new.keys()):
+            print("%6s  %6s  %+6d  %s" % (old.get(name, "-"), new.get(name, "-"),
+                                          new.get(name, 0) - old.get(name, 0), name))
+        total_old, total_new = sum(old.values()), sum(new.values())
+        print("%6d  %6d  %+6d  total" % (total_old, total_new, total_new - total_old))
+        return 0
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
     total = 0
-    for path in sorted((root / "src" / "constrex").glob("*.py")):
-        n = code_lines(path)
+    for name, n in counts(root).items():
         total += n
-        print("%6d  %s" % (n, path.name))
+        print("%6d  %s" % (n, name))
     print("%6d  total" % total)
     return 0
 
