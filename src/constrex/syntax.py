@@ -4,13 +4,13 @@ Mixed words are plain strings over the symbol and variable alphabets (both
 restricted to single characters), with "" playing the role of the empty word.
 Terms, formulas and expressions are trees of plain `__slots__` classes.
 Their value equality, structural hash and repr come from one base class,
-`_Tree`, whose hash is stored and whose repr is a fold; it derives from
-`_Value`, which gives the finite tables of `semantics` and the witnesses of
-`logic` the same three. Equality compares field tuples, and two trees too
-deep for that are compared on an explicit stack (`_tree_equal`).
-They are immutable by convention: no field is assigned after
-construction, because subtrees are shared. Every operation here is a pure
-function, so values can be shared freely across threads.
+`_Value`, which the finite tables of `semantics` and the witnesses of
+`logic` share; every node but a `Var` derives from its subclass `_Tree`,
+which stores the hash and prints the repr by a fold. Equality compares
+field tuples, and two trees too deep for that are compared on an explicit
+stack (`_tree_equal`). They are immutable by convention: no field is
+assigned after construction, because subtrees are shared. Every operation
+here is a pure function, so values can be shared freely across threads.
 The term and formula nodes `App`, `Atom` and `Conn` store two summaries,
 computed once in the constructor from their children's: the hash, and a
 flag `normal` that says whether the node's terms are in normal form (see
@@ -170,22 +170,22 @@ class Environment:
 # ---------------------------------------------------------------------------
 # tree nodes
 #
-# Every node class derives from `_Value`, which defines what a value does:
-# equality on the field tuple between objects of one class, a hash and a
-# repr. The tree nodes derive from `_Tree`, which overrides all three so
-# that none recurses on a deep tree. Every tree node stores its hash,
-# computed once in its constructor: a Var, App, Atom or Conn hashes its field
-# tuple, where each child hands over its stored hash; an expression node
-# hashes the tuple of its fields with each child replaced by its stored
-# hash, since reading the ints keeps the constructor free of Python-level
-# `__hash__` calls.
+# Every node class derives from `_Value`, which alone defines what a value
+# does: equality on the field tuple between objects of one class, a hash and
+# a repr. Comparing tuples keeps the identity shortcut on shared subtrees.
+# Every node but a Var derives from `_Tree` and stores its hash, computed
+# once in its constructor, so hashing a deep tree does not recurse: App,
+# Atom and Conn hash their field tuple, where each child hands over its
+# stored hash; an expression node hashes the tuple of its fields with each
+# child replaced by its stored hash, since reading the ints keeps the
+# constructor free of Python-level `__hash__` calls.
 
 
-def fields_repr(self) -> str:
+def fields_repr(self, values=None) -> str:
     """The dataclass form of a repr, `Cat(left=..., right=...)`, over the
-    fields named in `__slots__`."""
-    return "%s(%s)" % (type(self).__name__, ", ".join(
-        "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+    fields named in `__slots__`, or over values in their place."""
+    return "%s(%s)" % (type(self).__name__, ", ".join("%s=%r" % pair for pair in zip(
+        self.__slots__, map(self.__getattribute__, self.__slots__) if values is None else values)))
 
 
 class _Value:
@@ -226,8 +226,8 @@ class _Value:
 
 
 class _Tree(_Value):
-    """A term, formula or expression node. Its constructor stores its hash in
-    the slot `_hash`, the same value as `_Value`'s; a base class holds the
+    """A term, formula or expression node other than a Var. Its constructor
+    stores its hash in the slot `_hash`, the same value as `_Value`'s; a base class holds the
     slot, so that each node class's `__slots__` still names its fields alone.
 
     Equality is `_Value`'s: two trees too deep to compare by recursion are
@@ -274,10 +274,9 @@ def _repr_piece(node, values) -> _Shown:
     included, replaced by the repr fold made of it; an atom folds its terms
     itself."""
     values = iter([fold(t, _repr_piece) for t in node.args] if type(node) is Atom else values)
-    fields = [tuple(next(values) for _ in f) if type(f) is tuple
-              else next(values) if isinstance(f, _Tree) else f for f in node._fields(node)]
-    return _Shown("%s(%s)" % (type(node).__name__, ", ".join(
-        map("%s=%r".__mod__, zip(node.__slots__, fields)))))
+    return _Shown(fields_repr(node, [
+        tuple(next(values) for _ in f) if type(f) is tuple
+        else next(values) if isinstance(f, _Tree) else f for f in node._fields(node)]))
 
 
 class _Summary(_Tree):
