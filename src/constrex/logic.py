@@ -8,8 +8,8 @@ as a propositional symbol indexed by its argument terms, and search for the
 lexicographically first satisfying assignment. The search encodes the
 formula as clauses with one gate variable per distinct subformula (after
 Tseitin, 1968), decides the atoms in order, False first, and propagates
-unit clauses over two watched literals between decisions (after Davis,
-Logemann and Loveland, 1962, and Moskewicz et al., 2001). Propagation sets
+unit clauses between decisions, reading each clause that holds a literal
+turned false (after Davis, Logemann and Loveland, 1962). Propagation sets
 only values that every model below the current assignment shares, so the
 first model found is the lexicographically first. A satisfying assignment
 is turned back into a concrete witness (interpretation, realization) by
@@ -231,31 +231,25 @@ def _first_model(variables: int, atoms: int, clauses: list) -> list | None:
     """The lexicographically first values of variables 0..atoms-1 in a model
     of the clauses, or None: the search of sat_truth_table.
 
-    value[lit] is True, False or None (unassigned) for each literal. A
-    two-literal clause (a, b) is kept as "not a forces b" and "not b forces
-    a"; a longer one watches its first two literals and is visited only
-    when one of them turns false.
+    value[lit] is True, False or None (unassigned) for each literal, and
+    occurs[lit] lists the clauses that hold lit. A clause of three literals
+    or more has its repeated ones removed as it is loaded, so a gate whose
+    inputs repeat still forces them; _tseitin's shorter clauses never repeat
+    a variable. When a literal turns false, each clause that holds it is
+    read whole: it is skipped if one of its literals is true, a conflict if
+    none is left unassigned, and forces its one unassigned literal if
+    exactly one is left.
     """
     value: list = [None] * (2 * variables)
-    forces: list = [[] for _ in value]      # literal -> the literals it forces
-    watches: list = [[] for _ in value]     # literal -> clauses that watch it
+    occurs: list = [[] for _ in value]
     units = []
     for clause in clauses:
-        if len(clause) > 2 and len({lit >> 1 for lit in clause}) < len(clause):
-            lits = set(clause)      # a gate whose inputs repeat a variable
-            if any(lit ^ 1 in lits for lit in lits):
-                continue
-            clause = tuple(dict.fromkeys(clause))
         if len(clause) > 2:
-            clause = list(clause)
-            watches[clause[0]].append(clause)
-            watches[clause[1]].append(clause)
-        elif len(clause) == 2:
-            a, b = clause
-            forces[a ^ 1].append(b)
-            forces[b ^ 1].append(a)
-        else:
+            clause = tuple(dict.fromkeys(clause))
+        elif len(clause) == 1:
             units.append(clause[0])
+        for lit in clause:
+            occurs[lit].append(clause)
     trail: list = []
     push = trail.append
 
@@ -267,42 +261,20 @@ def _first_model(variables: int, atoms: int, clauses: list) -> list | None:
         head = len(trail)
         push(lit)
         while head < len(trail):
-            lit = trail[head]
-            head += 1
-            for other in forces[lit]:
-                known = value[other]
-                if known is None:
-                    value[other], value[other ^ 1] = True, False
-                    push(other)
-                elif not known:
-                    return False
-            false = lit ^ 1
-            watching = watches[false]
-            if not watching:
-                continue
-            keep = []
-            for i, clause in enumerate(watching):
-                if clause[0] == false:
-                    clause[0], clause[1] = clause[1], false
-                other = clause[0]
-                if value[other]:
-                    keep.append(clause)
-                    continue
-                for j in range(2, len(clause)):
-                    if value[clause[j]] is not False:   # a new watch
-                        clause[1], clause[j] = clause[j], false
-                        watches[clause[1]].append(clause)
-                        break
+            for clause in occurs[trail[head] ^ 1]:
+                free = None     # the one unassigned literal seen so far
+                for other in clause:
+                    known = value[other]
+                    if known or known is None and free is not None:
+                        break   # satisfied, or two left unassigned
+                    if known is None:
+                        free = other
                 else:
-                    keep.append(clause)
-                    if value[other] is None:
-                        value[other], value[other ^ 1] = True, False
-                        push(other)
-                    else:
-                        keep += watching[i + 1:]
-                        watches[false] = keep
+                    if free is None:
                         return False
-            watches[false] = keep
+                    value[free], value[free ^ 1] = True, False
+                    push(free)
+            head += 1
         return True
 
     for lit in units:
@@ -328,14 +300,18 @@ def _first_model(variables: int, atoms: int, clauses: list) -> list | None:
 
 
 def _resolve_max_props(max_props: int | None = None) -> int:
-    """The symbol limit of the SAT search: max_props, else CONSTREX_MAX_PROPS."""
-    if max_props is not None:
-        return max_props
-    text = os.environ.get(MAX_PROPS_ENV, str(DEFAULT_MAX_PROPS))
-    if not text.strip().isdecimal():
-        raise ConfigError("%s must be a nonnegative integer, got %r"
-                          % (MAX_PROPS_ENV, text))
-    return int(text)
+    """The symbol limit of the SAT search: max_props, else CONSTREX_MAX_PROPS.
+
+    Either must be a nonnegative integer, and a bool is none; anything else
+    raises ConfigError.
+    """
+    name, limit = "max_props", max_props
+    if max_props is None:
+        text = os.environ.get(MAX_PROPS_ENV, str(DEFAULT_MAX_PROPS))
+        name, limit = MAX_PROPS_ENV, int(text) if text.strip().isdecimal() else text
+    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
+        raise ConfigError("%s must be a nonnegative integer, got %r" % (name, limit))
+    return limit
 
 
 def sat_truth_table(psi: Formula,
@@ -349,10 +325,12 @@ def sat_truth_table(psi: Formula,
     occurrence is hashed once, to number it (_alphabet); a model's dict
     hashes each distinct atom once more. The search
     (_first_model) decides the atoms only, in order, False first, and after
-    each decision propagates unit clauses over two watched literals (after
-    Moskewicz et al., Chaff, 2001); on a conflict it flips the latest
-    decision still on False. Once every atom has a value, propagation has
-    given every gate one too, so a conflict-free full assignment is a model.
+    each decision propagates unit clauses over one occurrence list per
+    literal: when a literal turns false, each clause that holds it is read
+    whole, and one with a single unassigned literal left forces it. On a
+    conflict the search flips the latest decision still on False. Once every
+    atom has a value, propagation has given every gate one too, so a
+    conflict-free full assignment is a model.
 
     The first model found is the lexicographically first: propagation only
     sets a value that every model extending the current assignment shares,

@@ -86,7 +86,13 @@ FunctionSpec = str | TableFunction
 
 
 class Interpretation:
-    """Bindings for the user predicate and function symbols of an environment."""
+    """Bindings for the user predicate and function symbols of an environment.
+
+    A predicate is bound to a builtin name or a FiniteRelation, a function to
+    a builtin name, argcat or a TableFunction. Each binding is checked when
+    the interpretation is built, so a bad one raises ConfigError here and not
+    on first use.
+    """
 
     def __init__(self, env: Environment,
                  predicates: Mapping[str, PredicateSpec] | None = None,
@@ -94,22 +100,22 @@ class Interpretation:
         self.env = env
         self.predicates = dict(predicates or {})
         self.functions = dict(functions or {})
-        for name, spec in self.predicates.items():
-            arity = env.predicate_arity(name)
-            if isinstance(spec, str):
-                if spec not in BUILTIN_PREDICATES:
-                    raise ConfigError("unknown builtin predicate %r" % spec)
-                if BUILTIN_PREDICATES[spec][0] != arity:
+        for kind, specs, builtins, spec_type, arity_of, allowed in (
+                ("predicate", self.predicates, BUILTIN_PREDICATES, FiniteRelation,
+                 env.predicate_arity, "a builtin name or a FiniteRelation"),
+                ("function", self.functions, BUILTIN_FUNCTIONS, TableFunction,
+                 env.function_arity, "a builtin name, argcat or a TableFunction")):
+            for name, spec in specs.items():
+                arity = arity_of(name)
+                if isinstance(spec, spec_type) or spec == ARGCAT and kind == "function":
+                    continue
+                if not isinstance(spec, str):
+                    raise ConfigError("%s %r is bound to %r, not %s" % (kind, name, spec, allowed))
+                if spec not in builtins:
+                    raise ConfigError("unknown builtin %s %r" % (kind, spec))
+                if builtins[spec][0] != arity:
                     raise ConfigError("builtin %r has arity %d, %r needs %d"
-                                      % (spec, BUILTIN_PREDICATES[spec][0], name, arity))
-        for name, spec in self.functions.items():
-            arity = env.function_arity(name)
-            if isinstance(spec, str) and spec != ARGCAT:
-                if spec not in BUILTIN_FUNCTIONS:
-                    raise ConfigError("unknown builtin function %r" % spec)
-                if BUILTIN_FUNCTIONS[spec][0] != arity:
-                    raise ConfigError("builtin %r has arity %d, %r needs %d"
-                                      % (spec, BUILTIN_FUNCTIONS[spec][0], name, arity))
+                                      % (spec, builtins[spec][0], name, arity))
 
     def eval_predicate(self, name: str, args: tuple) -> bool:
         spec = self.predicates.get(name)

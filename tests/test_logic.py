@@ -264,11 +264,19 @@ def test_sat_truth_table_limit(env5, monkeypatch):
     assert sat_truth_table(big) is not None
 
 
-def test_sat_truth_table_rejects_malformed_limit(monkeypatch):
+def test_sat_truth_table_rejects_malformed_limit(monkeypatch, env5):
     for text in ("abc", "-1"):
         monkeypatch.setenv("CONSTREX_MAX_PROPS", text)
         with pytest.raises(ConfigError):
             sat_truth_table(TOP)
+    # an argument obeys the rule the variable does: an int, not a bool, >= 0
+    monkeypatch.delenv("CONSTREX_MAX_PROPS")
+    for limit in (-1, "3", True, False, 2.0):
+        with pytest.raises(ConfigError, match="max_props must be a nonnegative integer"):
+            sat_truth_table(TOP, limit)
+        with pytest.raises(ConfigError, match="max_props must be a nonnegative integer"):
+            satisfiable_free(env5, TOP, max_props=limit)
+    assert satisfiable_free(env5, TOP, max_props=0) is not None
 
 
 def _brute_first_model(psi):
@@ -333,6 +341,73 @@ def test_sat_search_matches_truth_table(monkeypatch):
         assert sat_truth_table(psi, 12) == expected
         unsat += expected is None
     assert 100 <= unsat <= 400
+
+
+def _rand_wide_prop(rng, atoms, depth):
+    # and/or gates of 3 to 5 children, a child repeated now and then
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(atoms)
+    tag = rng.choice(("and", "or", "not", "implies"))
+    if tag in ("and", "or"):
+        children = []
+        for _ in range(rng.randint(3, 5)):
+            children.append(rng.choice(children) if children and rng.random() < 0.3
+                            else _rand_wide_prop(rng, atoms, depth - 1))
+        return Conn(tag, tuple(children))
+    arity = connective(tag)[0]
+    return Conn(tag, tuple(_rand_wide_prop(rng, atoms, depth - 1) for _ in range(arity)))
+
+
+def _binary(psi):
+    # psi with each k-ary and/or nested into binary ones, for the reference
+    if isinstance(psi, Atom):
+        return psi
+    children = [_binary(c) for c in psi.children]
+    if psi.tag in ("and", "or"):
+        out = children.pop()
+        while children:
+            out = Conn(psi.tag, (children.pop(), out))
+        return out
+    return Conn(psi.tag, tuple(children))
+
+
+def test_sat_search_matches_truth_table_on_wide_gates():
+    # native clauses of 4 to 6 literals, with repeated and complementary
+    # literals; a generator of its own, apart from the draws above
+    rng = random.Random(83)
+    unsat = 0
+    for _ in range(300):
+        atoms = [Atom("p%d" % i, ()) for i in range(rng.randint(1, 10))]
+        psi = _rand_wide_prop(rng, atoms, rng.randint(1, 4))
+        mode = rng.random()
+        if mode < 0.25:
+            psi = Conn("and", (psi, Conn("not", (psi,))))
+        elif mode < 0.4:
+            psi = Conn("and", (psi, _dual(psi)))
+        expected = _brute_first_model(_binary(psi))
+        assert sat_truth_table(psi, 10) == expected
+        unsat += expected is None
+    assert 60 <= unsat <= 240
+
+
+# Literal 2v says variable v is true and 2v + 1 that it is false; with no
+# atoms the search decides nothing, so it answers by propagation alone.
+@pytest.mark.parametrize("variables, atoms, clauses, expected", [
+    (1, 0, [(0,), (1,)], None),
+    (2, 0, [(2,), (3, 0), (3, 1)], None),
+    (2, 2, [(0, 1, 2)], [False, False]),
+    (3, 1, [(0, 4, 4), (5, 2), (5, 3)], [True]),
+    (3, 0, [(0,), (1, 4, 4), (5, 2), (5, 3)], None),
+    (4, 4, [(0,), (1, 2), (3, 4), (5, 6)], [True, True, True, True]),
+    (4, 4, [(7,), (1, 2), (3, 4), (5, 6)], [False, False, False, False]),
+    (4, 0, [(0,), (1, 2), (3, 4), (5, 6), (7,)], None),
+    (2, 2, [(0, 2), (0, 3)], [True, False]),
+    (3, 3, [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5)], [True, False, False]),
+], ids=["contradicting-units", "conflict-by-propagation", "tautology",
+        "repeated-literal-forces", "repeated-literal-refutes", "binary-chain",
+        "binary-chain-backward", "binary-chain-refuted", "backtrack", "backtrack-twice"])
+def test_first_model_on_clause_lists(variables, atoms, clauses, expected):
+    assert logic._first_model(variables, atoms, clauses) == expected
 
 
 def test_sat_search_uses_a_re_registered_builtin(monkeypatch):

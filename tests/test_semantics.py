@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -63,6 +64,32 @@ def test_eval_missing_symbol(env2, r_ex2):
     bare = Interpretation(env2)
     with pytest.raises(ConfigError):
         eval_term(bare, r_ex2, parse_term("f(x)", env2))
+
+
+@pytest.mark.parametrize("predicates, functions, message", [
+    ({"P": semantics.TableFunction(())}, {}, "predicate 'P' is bound to"),
+    ({"P": 3}, {}, "predicate 'P' is bound to 3"),
+    ({"Q": None}, {}, "predicate 'Q' is bound to None"),
+    ({}, {"f": semantics.FiniteRelation(frozenset())}, "function 'f' is bound to"),
+    ({}, {"g": ("a",)}, "function 'g' is bound to"),
+    ({"P": "argcat"}, {}, "unknown builtin predicate 'argcat'"),
+    ({}, {"f": "nope"}, "unknown builtin function 'nope'"),
+    ({"Q": "nonempty"}, {}, "builtin 'nonempty' has arity 1, 'Q' needs 2"),
+    ({}, {"f": "cat"}, "builtin 'cat' has arity 2, 'f' needs 1"),
+    ({"S": "eq"}, {}, "unknown predicate symbol 'S'"),
+    ({}, {"k": "rev"}, "unknown function symbol 'k'"),
+], ids=["predicate-table-function", "predicate-int", "predicate-none",
+        "function-relation", "function-tuple", "predicate-argcat", "unknown-function",
+        "predicate-arity", "function-arity", "unknown-predicate-symbol",
+        "unknown-function-symbol"])
+def test_interpretation_checks_its_specs(env2, predicates, functions, message):
+    # each spec is checked when the interpretation is built, not when it is
+    # first evaluated
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        Interpretation(env2, predicates, functions)
+    # argcat is a function spec, and the tables are each kind's own
+    Interpretation(env2, {"P": semantics.FiniteRelation(frozenset())},
+                   {"f": "argcat", "g": semantics.TableFunction(())})
 
 
 def test_realize_word(env3, r1, r2):
