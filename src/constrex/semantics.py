@@ -91,7 +91,8 @@ class Interpretation:
     A predicate is bound to a builtin name or a FiniteRelation, a function to
     a builtin name, argcat or a TableFunction. Each binding is checked when
     the interpretation is built, so a bad one raises ConfigError here and not
-    on first use.
+    on first use; so is each row of a table, a relation's tuple or a table
+    function's arguments, which must be a tuple of the symbol's arity.
     """
 
     def __init__(self, env: Environment,
@@ -107,7 +108,14 @@ class Interpretation:
                  env.function_arity, "a builtin name, argcat or a TableFunction")):
             for name, spec in specs.items():
                 arity = arity_of(name)
-                if isinstance(spec, spec_type) or spec == ARGCAT and kind == "function":
+                if isinstance(spec, spec_type):
+                    for row in (spec.tuples if kind == "predicate"
+                                else [args for args, _value in spec.table]):
+                        if type(row) is not tuple or len(row) != arity:
+                            raise ConfigError("%s %r has the row %r, not a %d-tuple"
+                                              % (kind, name, row, arity))
+                    continue
+                if spec == ARGCAT and kind == "function":
                     continue
                 if not isinstance(spec, str):
                     raise ConfigError("%s %r is bound to %r, not %s" % (kind, name, spec, allowed))
@@ -165,9 +173,11 @@ class Realization:
         return "".join(self(c) if self.env.is_variable(c) else c for c in alpha)
 
 
-def _evaluator(interp: Interpretation, r: Realization):
+def _evaluator(interp: Interpretation, r: Realization, match=Match):
     """The fold visit of evaluation under (I, r): a term gives its word, a
-    formula its truth value and an expression its regular form."""
+    formula its truth value and an expression its regular form, in which
+    `match(v, F)` stands for each `w -| E` that realizes to v and whose E
+    evaluates to F."""
     def visit(node, values):
         kind = type(node)
         if kind is Var:
@@ -182,7 +192,7 @@ def _evaluator(interp: Interpretation, r: Realization):
         if kind is Word:
             return Word(r.realize(node.letters))
         if kind is Match:
-            return Match(r.realize(node.word), values[0])
+            return match(r.realize(node.word), values[0])
         if kind is Constraint:
             child, holds = values
             return child if holds else Empty()
@@ -210,13 +220,21 @@ def eval_formula(interp: Interpretation, r: Realization, phi: Formula) -> bool:
 # that declares none, and there its rules are Antimirov's partial
 # derivatives; the substitution sets all come back empty.
 #
+# `regularize` keeps each match, for printing. `membership_fixed` decides
+# each one in the same fold instead: {v} & L(E) is the word v or nothing,
+# so it becomes Word(v) or Empty(), and the word is then derived through a
+# form with no match. Kept as a Match, `v -| F` would be derived in lockstep
+# with the word, and every letter would make a set not met before.
+#
 # A regular form has finitely many partial derivatives, so its derivative
 # sets are the states of a finite automaton. `regex_word_derivative` builds
 # that automaton lazily, for one call: it remembers the move from a set by a
 # letter once the set has been met before, so a set met again costs a dict
-# lookup and is never derived again. A set met for the first time keeps
-# only its hash, because a word whose sets never repeat (a^n b^n c^n under
-# a fixed realization) would otherwise hold every state it passed.
+# lookup and is never derived again. A remembered set and its successor
+# pass through one dict, so one object stands for each set, and a move is
+# found by identity without comparing states. A set met for the first time
+# keeps only its hash, because a word whose sets never repeat (a^n b^n c^n
+# under a fixed realization) would otherwise hold every state it passed.
 
 # declares no variable, so every letter reads as a symbol
 _REGULAR = Environment((EPSILON,))
@@ -224,7 +242,8 @@ _REGULAR = Environment((EPSILON,))
 
 def regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
     """The variable-free, constraint-free expression with the same
-    (I,r)-language."""
+    (I,r)-language; each match stays a Match, which `regex_str` prints as
+    an intersection."""
     return fold(e, _evaluator(interp, r))
 
 
@@ -240,19 +259,23 @@ def regex_word_derivative(rx: Expr, w: str) -> frozenset:
     Each derivative set is a state of a finite automaton that is built
     lazily, for this call only: the move `(set, letter) -> next set` is kept
     once the set has been met before, so a set met again costs a dict
-    lookup. A set met for the first time leaves only its hash behind, so
-    the memory of a word whose sets never repeat is a set of ints, not
-    every state with its suffix words.
+    lookup. The sets of a kept move pass through `one`, which maps each to
+    the first object made for it, so the walk goes on from that object and
+    the next lookup matches its key by identity. A set met for the first
+    time leaves only its hash behind, so the memory of a word whose sets
+    never repeat is a set of ints, not every state with its suffix words.
     """
     state = frozenset({rx})
     seen = set()        # the hashes of the sets derived so far
     moves = {}          # (set, letter) -> next set, for sets seen before
+    one = {}            # each set of a kept move -> the one object for it
     for a in w:
         after = moves.get((state, a))
         if after is None:
             after = frozenset(d for r0 in state for d, _X in _derive(_REGULAR, r0, a))
             if hash(state) in seen:
-                moves[state, a] = after
+                state = one.setdefault(state, state)
+                after = moves[state, a] = one.setdefault(after, after)
             else:
                 seen.add(hash(state))
         state = after
@@ -260,6 +283,17 @@ def regex_word_derivative(rx: Expr, w: str) -> frozenset:
 
 
 def membership_fixed(interp: Interpretation, r: Realization, e: Expr, w: str) -> bool:
-    """Decide w in the (I,r)-language via regularization and derivatives."""
-    rx = regularize(interp, r, e)
+    """Decide w in the (I,r)-language via regularization and derivatives.
+
+    The fold that regularizes e decides each match as it goes: `v -| F`
+    becomes Word(v) when v is in L(F) and Empty() otherwise. A v longer
+    than w becomes Empty() without a derivation: no word that long is part
+    of w, so the words the match takes away are all longer than w.
+    """
+    def decide(v: str, body: Expr) -> Expr:
+        if len(v) <= len(w) and any(d.null for d in regex_word_derivative(body, v)):
+            return Word(v)
+        return Empty()
+
+    rx = fold(e, _evaluator(interp, r, decide))
     return any(d.null for d in regex_word_derivative(rx, w))

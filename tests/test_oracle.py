@@ -1,6 +1,9 @@
 """The brute-force reference implementations."""
 
+import itertools
 import random
+
+import pytest
 
 from constrex import (
     Bound,
@@ -8,9 +11,9 @@ from constrex import (
     enumerate_language, eval_formula, membership_fixed, membership_general,
     parse_expression, parse_formula,
 )
-from constrex.syntax import Cat, Empty, Star, Sum, Word
+from constrex.syntax import Cat, Empty, Match, Star, Sum, Word
 
-from conftest import FUZZ_SCALE, rand_expr, rand_realization
+from conftest import FUZZ_SCALE, rand_expr, rand_realization, rand_word
 
 
 def test_enumerate_language_examples():
@@ -43,6 +46,56 @@ def test_brute_membership_differential(env3, interp_len):
         for w in words:
             assert brute_membership_fixed_r(interp_len, r, e, w) == \
                 membership_fixed(interp_len, r, e, w)
+
+
+def _match_draw(rng, env, shape):
+    """A random expression around a match of the given shape: nested in
+    another match, under a star, of four symbols or more, so longer than
+    the words it is tried on, or on the empty word. Half the bodies hold the match's own word, so many
+    matches hold."""
+    letters = list(env.symbols) + list(env.variables)
+
+    def body(v):
+        e = rand_expr(rng, env, 2)
+        return Sum(Word(v), e) if rng.random() < 0.5 else e
+
+    def match(v):
+        return Match(v, body(v))
+
+    v = rand_word(rng, letters)
+    if shape == "nested":
+        inner = match(rand_word(rng, letters))
+        core = Match(v, rng.choice([inner, Cat(inner, body(v)), Sum(body(v), inner)]))
+    elif shape == "star":
+        core = Star(match(v))
+    elif shape == "long":
+        core = match(v + "".join(rng.choice(env.symbols) for _ in range(4)))
+    else:
+        core = match("")
+    rest = rand_expr(rng, env, 2)
+    return rng.choice([core, Cat(core, rest), Cat(rest, core), Sum(core, rest)])
+
+
+@pytest.mark.parametrize("shape, seed", [
+    ("nested", 89), ("star", 97), ("long", 101), ("eps", 103)])
+def test_brute_membership_differential_on_matches(env3, interp_len, shape, seed):
+    # the fixed engine decides each match while it regularizes; a generator
+    # of its own leaves the draws of test_brute_membership_differential as
+    # they are
+    rng = random.Random(seed)
+    words = [""]
+    for n in range(1, 4):
+        words += ["".join(t) for t in itertools.product("abc", repeat=n)]
+    accepted = 0
+    for _ in range(100 * FUZZ_SCALE):
+        e = _match_draw(rng, env3, shape)
+        r = rand_realization(rng, env3)
+        for w in words:
+            answer = membership_fixed(interp_len, r, e, w)
+            assert answer == brute_membership_fixed_r(interp_len, r, e, w)
+            accepted += answer
+    # both answers are drawn
+    assert 0 < accepted < 100 * FUZZ_SCALE * len(words)
 
 
 def test_brute_membership_fixed_I_anbncn(env3, interp_leneq, anbncn):
