@@ -41,11 +41,6 @@ from .syntax import (
 DEFAULT_MAX_PROPS = 20
 MAX_PROPS_ENV = "CONSTREX_MAX_PROPS"
 
-# The registry entries that _tseitin may encode natively and _one_sided may
-# read by their built-in meaning; a tag re-registered later is encoded
-# through its own truth function instead.
-_BUILTIN = {tag: connective(tag) for tag in (TRUE, AND, OR, NOT)}
-
 
 # ---------------------------------------------------------------------------
 # term and formula normalization
@@ -191,9 +186,9 @@ def _tseitin(psi: Formula, atoms: int, occurrences: list) -> tuple[int, list]:
     each atom occurrence in walk order, the order in which fold visits them
     (_alphabet). Each connective node becomes one gate variable, keyed by
     its tag and its children's literals, so equal subformulas share a gate.
-    A built-in not is literal negation, a built-in and/or of any arity gets
-    its native clauses, and any other connective gets one clause per row of
-    its truth table.
+    A not is literal negation, an and/or of any arity gets its native
+    clauses, and any other connective gets one clause per row of its truth
+    table, read from the registry.
     """
     gates: dict[tuple, int] = {}
     clauses: list = []
@@ -202,22 +197,21 @@ def _tseitin(psi: Formula, atoms: int, occurrences: list) -> tuple[int, list]:
     def literal(node, lits) -> int:
         if type(node) is Atom:
             return 2 * next(occurrence)
-        tag, entry = node.tag, connective(node.tag)
-        native = tag if _BUILTIN.get(tag) is entry else None
-        if native == NOT:
+        tag = node.tag
+        if tag == NOT:
             return lits[0] ^ 1
         key = (tag, tuple(lits))
         g = gates.get(key)
         if g is None:
             g = gates[key] = 2 * (atoms + len(gates))
-            if native == AND:   # g -> each child; all children -> g
+            if tag == AND:  # g -> each child; all children -> g
                 clauses.extend((g ^ 1, c) for c in lits)
                 clauses.append((g, *[c ^ 1 for c in lits]))
-            elif native == OR:  # each child -> g; g -> some child
+            elif tag == OR:     # each child -> g; g -> some child
                 clauses.extend((g, c ^ 1) for c in lits)
                 clauses.append((g ^ 1, *lits))
             else:   # a row's inputs force g to the row's value
-                truth = entry[1]
+                truth = connective(tag)[1]
                 for row in itertools.product((False, True), repeat=len(lits)):
                     clauses.append((*map(operator.xor, lits, row),
                                     g if truth(*row) else g ^ 1))
@@ -489,12 +483,9 @@ def satisfiable_free(env: Environment, phi: Formula,
 
 def null_general(env: Environment, e: Expr,
                  max_props: int | None = None) -> Witness | None:
-    """A witness that the empty word belongs to the language of e, if any."""
-    return _null_general(env, e, _resolve_max_props(max_props))
-
-
-def _null_general(env: Environment, e: Expr, max_props: int) -> Witness | None:
-    """null_general with a resolved limit: the first satisfiable indicator pair wins."""
+    """A witness that the empty word belongs to the language of e, if any:
+    the first satisfiable indicator pair wins."""
+    max_props = _resolve_max_props(max_props)
     for erased, phi in indicator_pairs(env, e):
         witness = satisfiable_free(env, phi, max_props)
         if witness is not None:
@@ -516,8 +507,8 @@ def _extend_realization(r: Realization, X: frozenset) -> Realization:
 
 
 def _one_sided(phi: Formula, polarity: dict | None) -> bool:
-    """True if phi is built from atoms by the built-in and, or, not and
-    true, with no true negated and no atom both negated and not.
+    """True if phi is built from atoms by and, or, not and true, with no
+    true negated and no atom both negated and not.
 
     Then the assignment that makes each atom occurrence true satisfies phi.
     polarity maps each atom seen to its polarity; with polarity None, a
@@ -535,8 +526,7 @@ def _one_sided(phi: Formula, polarity: dict | None) -> bool:
                 return False
             continue
         tag = node.tag
-        if tag not in _BUILTIN or _BUILTIN[tag] is not connective(tag) \
-                or tag == TRUE and not positive:
+        if tag not in (TRUE, AND, OR, NOT) or tag == TRUE and not positive:
             return False
         if tag == NOT:
             positive = not positive
@@ -615,7 +605,7 @@ def membership_general(env: Environment, e: Expr, w: str,
         have.append((len(have), *counts))
     have.reverse()
     for derived, chain in paths:
-        witness = _null_general(env, derived, max_props)
+        witness = null_general(env, derived, max_props)
         if witness is not None:
             r = witness.realization
             for X in reversed(chain):

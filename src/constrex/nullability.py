@@ -1,5 +1,8 @@
 """Empty-word membership: the fixed-(I,r) predicate and the indicator sets.
 
+The fixed-(I,r) predicate is the fixed engine of `semantics` run on the
+empty word.
+
 The indicator set of an expression reduces "does the empty word belong" to a
 satisfiability question: each pair lists the variables that must be erased
 and a residual formula (with those variables already erased) that must hold.
@@ -17,39 +20,21 @@ from collections.abc import Iterable
 
 from .syntax import (
     AND, TOP,
-    Cat, Conn, Constraint, Empty, Environment, Expr, Formula,
-    Match, Star, Sum, Word,
+    Cat, Conn, Constraint, Environment, Expr, Formula, Match, Star, Sum, Word,
     fold, formula_str, subst_tree, tree_variables, variables_of,
 )
-from .semantics import Interpretation, Realization, _evaluator, eval_formula
+from .semantics import Interpretation, Realization, eval_formula, membership_fixed
 
 IndicatorPair = tuple[frozenset, Formula]
 IndicatorSet = tuple[IndicatorPair, ...]
 
 
 def null_fixed(interp: Interpretation, r: Realization, e: Expr) -> bool:
-    """The inductive empty-word test under a fixed interpretation and
-    realization, in one fold; a constraint's formula is evaluated by the
-    evaluation visit of `semantics`."""
-    evaluate = _evaluator(interp, r)
-
-    def visit(node, values):
-        kind = type(node)
-        if kind is Word:
-            return r.realize(node.letters) == ""
-        if kind is Empty:
-            return False
-        if kind is Match:
-            return r.realize(node.word) == "" and values[0]
-        if kind is Sum:
-            return values[0] or values[1]
-        if kind is Cat or kind is Constraint:
-            return values[0] and values[1]
-        if kind is Star:
-            return True
-        return evaluate(node, values)   # the nodes of a constraint's formula
-
-    return fold(e, visit)
+    """The empty-word test under a fixed interpretation and realization:
+    `membership_fixed` on the empty word, so it is decided on the regular
+    form, where each match `v -| F` is Word("") when v is empty and F is
+    nullable, and Empty() otherwise."""
+    return membership_fixed(interp, r, e, "")
 
 
 def erase_vars(env: Environment, phi: Formula, erased: Iterable[str]) -> Formula:

@@ -15,23 +15,17 @@ from collections.abc import Iterable
 from .semantics import FiniteRelation, Interpretation, Realization, eval_formula
 from .syntax import (
     Cat, Constraint, Empty, Environment, Expr, Formula, Match, Star, Sum,
-    Word, expr_variables, fields_repr, tree_variables,
+    Word, _Value, expr_variables, tree_variables,
 )
 
 
-class Bound:
+class Bound(_Value):
     """Search limits for the bounded oracles."""
 
     __slots__ = ("max_realization_len",)
-    __repr__ = fields_repr
 
     def __init__(self, max_realization_len: int = 2):
         self.max_realization_len = max_realization_len
-
-    def __eq__(self, other):
-        if other.__class__ is Bound:
-            return (self.max_realization_len,) == (other.max_realization_len,)
-        return NotImplemented
 
 
 def enumerate_language(rx: Expr, max_len: int) -> frozenset:

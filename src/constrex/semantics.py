@@ -92,7 +92,9 @@ class Interpretation:
     a builtin name, argcat or a TableFunction. Each binding is checked when
     the interpretation is built, so a bad one raises ConfigError here and not
     on first use; so is each row of a table, a relation's tuple or a table
-    function's arguments, which must be a tuple of the symbol's arity.
+    function's arguments, which must be a tuple of the symbol's arity, each
+    word in a table, which must be a str of symbols, and a relation's
+    default, which must be a bool.
     """
 
     def __init__(self, env: Environment,
@@ -101,6 +103,7 @@ class Interpretation:
         self.env = env
         self.predicates = dict(predicates or {})
         self.functions = dict(functions or {})
+        symbols = "".join(env.symbols)  # a word of them strips to ""
         for kind, specs, builtins, spec_type, arity_of, allowed in (
                 ("predicate", self.predicates, BUILTIN_PREDICATES, FiniteRelation,
                  env.predicate_arity, "a builtin name or a FiniteRelation"),
@@ -109,11 +112,18 @@ class Interpretation:
             for name, spec in specs.items():
                 arity = arity_of(name)
                 if isinstance(spec, spec_type):
-                    for row in (spec.tuples if kind == "predicate"
-                                else [args for args, _value in spec.table]):
+                    if kind == "predicate" and type(spec.default) is not bool:
+                        raise ConfigError("predicate %r has the default %r, not a bool"
+                                          % (name, spec.default))
+                    rows = spec.table if kind == "function" else [(t, "") for t in spec.tuples]
+                    for row, value in rows:
                         if type(row) is not tuple or len(row) != arity:
                             raise ConfigError("%s %r has the row %r, not a %d-tuple"
                                               % (kind, name, row, arity))
+                        for w in (*row, value):
+                            if not isinstance(w, str) or w.strip(symbols):
+                                raise ConfigError("%s %r has %r in its table, not a word"
+                                                  " over the symbols" % (kind, name, w))
                     continue
                 if spec == ARGCAT and kind == "function":
                     continue
@@ -158,12 +168,12 @@ class Realization:
     def __init__(self, env: Environment, assignment: Mapping[str, str] | None = None):
         self.env = env
         self.assignment = dict(assignment or {})
+        symbols = "".join(env.symbols)  # a word of them strips to ""
         for x, w in self.assignment.items():
             if not env.is_variable(x):
                 raise ConfigError("%r is not a variable" % x)
-            for c in w:
-                if not env.is_symbol(c):
-                    raise ConfigError("realization image %r is not over the alphabet" % w)
+            if not isinstance(w, str) or w.strip(symbols):
+                raise ConfigError("realization image %r is not over the alphabet" % (w,))
 
     def __call__(self, x: str) -> str:
         return self.assignment.get(x, "")

@@ -4,13 +4,14 @@ Mixed words are plain strings over the symbol and variable alphabets (both
 restricted to single characters), with "" playing the role of the empty word.
 Terms, formulas and expressions are trees of plain `__slots__` classes.
 Their value equality, structural hash and repr come from one base class,
-`_Value`, which the finite tables of `semantics` and the witnesses of
-`logic` share; every node but a `Var` derives from its subclass `_Tree`,
-which stores the hash and prints the repr by a fold. Equality compares
-field tuples, and two trees too deep for that are compared on an explicit
-stack (`_tree_equal`). They are immutable by convention: no field is
-assigned after construction, because subtrees are shared. Every operation
-here is a pure function, so values can be shared freely across threads.
+`_Value`, which the finite tables of `semantics`, the witnesses of `logic`
+and the search bound of `oracle` share; every node but a `Var` derives from
+its subclass `_Tree`, which stores the hash and prints the repr by a fold.
+Equality compares field tuples, and two trees too deep for that are compared
+on an explicit stack (`_tree_equal`). They are immutable by convention: no
+field is assigned after construction, because subtrees are shared. Every
+operation here is a pure function, so values can be shared freely across
+threads.
 The term and formula nodes `App`, `Atom` and `Conn` store two summaries,
 computed once in the constructor from their children's: the hash, and a
 flag `normal` that says whether the node's terms are in normal form (see
@@ -68,7 +69,11 @@ _CONNECTIVES: dict = {
 
 
 def register_connective(tag: str, arity: int, truth: Callable) -> None:
-    """Register a k-ary boolean connective usable in formula Conn nodes."""
+    """Register a k-ary boolean connective usable in formula Conn nodes. A
+    tag keeps its one meaning: one already registered, as each of the six
+    above is at import, raises ConfigError."""
+    if tag in _CONNECTIVES:
+        raise ConfigError("boolean operator %r is already registered" % tag)
     _CONNECTIVES[tag] = (arity, truth)
 
 
@@ -190,7 +195,8 @@ def fields_repr(self, values=None) -> str:
 
 class _Value:
     """Equality, hash and repr of a plain value, written once for the values
-    of `semantics` and `logic` and overridden by the tree nodes here.
+    of `semantics`, `logic` and `oracle` and overridden by the tree nodes
+    here.
 
     A class's fields are the names in its own `__slots__`, read once, when
     the class is made, into `_fields`, which returns an object's field

@@ -25,7 +25,7 @@ from constrex.derivation import const_null, never_null
 from constrex.logic import is_normalized, letter_need
 from constrex.oracle import realizations
 from constrex.syntax import (
-    CAT, EPSILON, TOP, BOT, App, Atom, Conn, Var, connective, expr_variables,
+    CAT, EPSILON, TOP, BOT, App, Atom, Conn, Empty, Var, connective, expr_variables,
     register_connective, term_str,
 )
 
@@ -276,6 +276,12 @@ def test_sat_truth_table_rejects_malformed_limit(monkeypatch, env5):
             sat_truth_table(TOP, limit)
         with pytest.raises(ConfigError, match="max_props must be a nonnegative integer"):
             satisfiable_free(env5, TOP, max_props=limit)
+        # also where no indicator pair or derived state reaches the search
+        for e in (Empty(), parse_expression("a", env5)):
+            with pytest.raises(ConfigError, match="max_props must be a nonnegative integer"):
+                null_general(env5, e, limit)
+            with pytest.raises(ConfigError, match="max_props must be a nonnegative integer"):
+                membership_general(env5, e, "", limit)
     assert satisfiable_free(env5, TOP, max_props=0) is not None
 
 
@@ -410,13 +416,16 @@ def test_first_model_on_clause_lists(variables, atoms, clauses, expected):
     assert logic._first_model(variables, atoms, clauses) == expected
 
 
-def test_sat_search_uses_a_re_registered_builtin(monkeypatch):
-    # short-circuiting applies only to the built-in meaning of and/or/not
+def test_register_connective_refuses_a_registered_tag(monkeypatch):
+    # a tag keeps one meaning, a builtin's and a user tag's alike, so the
+    # search may encode and/or/not natively
     monkeypatch.setattr(syntax, "_CONNECTIVES", dict(syntax._CONNECTIVES))
-    register_connective("and", 2, lambda p, q: p != q)
-    p = Atom("p", ())
-    assert sat_truth_table(Conn("and", (p, p)), 12) is None
-    assert sat_truth_table(Conn("and", (p, Conn("not", (p,)))), 12) == {p: False}
+    register_connective("maj3", 3, lambda p, q, r: p + q + r >= 2)
+    before = dict(syntax._CONNECTIVES)
+    for tag, arity in (("and", 2), ("maj3", 3)):
+        with pytest.raises(ConfigError, match="boolean operator %r is already registered" % tag):
+            register_connective(tag, arity, lambda *values: not all(values))
+        assert syntax._CONNECTIVES == before
 
 
 def test_sat_search_refutes_a_formula_and_its_dual():
@@ -858,14 +867,6 @@ def test_void_test_needs_no_search_for_one_sided_formulas(env3, monkeypatch):
     for text in ("x | sim((xy)z, a) && !sim(x(yz), b)",
                  "x | !(sim(x, a) || !lt(x, a) || !true) && lt(x, a)"):
         assert not void(parse_expression(text, env3))
-
-
-def test_void_test_uses_a_re_registered_builtin(env3, monkeypatch):
-    # and/or joins are taken as satisfiable only under their built-in meaning
-    monkeypatch.setattr(syntax, "_CONNECTIVES", dict(syntax._CONNECTIVES))
-    register_connective("and", 2, lambda p, q: p != q)
-    e = parse_expression("x | sim(x, a) && sim(x, a)", env3)
-    assert void_test(env3, 20)(e)
 
 
 def test_void_states_denote_nothing(envp):

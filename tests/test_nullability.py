@@ -12,6 +12,7 @@ from constrex.nullability import (
     check_erasure, indicator_pair_str, indicator_pairs, indicator_set,
 )
 from constrex.logic import null_general
+from constrex.oracle import brute_membership_fixed_r
 from constrex.syntax import (
     AND, TOP, Cat, Conn, Constraint, Empty, Match, Star, Sum, Word, formula_str,
     variables_of,
@@ -105,6 +106,8 @@ def test_nullability_triangle_random(env3, interp_len, interp_leneq):
             via_regex = const_null(regularize(interp, r, e))
             via_indicator = null_fixed_via_indicator(interp, r, e)
             assert direct == via_regex == via_indicator
+            # null_fixed and the regular form share the constructor flags
+            assert direct == brute_membership_fixed_r(interp, r, e, "")
 
 
 def test_null_I_characterization_bounded(env3, interp_len):

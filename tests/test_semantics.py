@@ -86,11 +86,25 @@ def test_eval_missing_symbol(env2, r_ex2):
      "function 'f' has the row ('a', 'b'), not a 1-tuple"),
     ({}, {"g": semantics.TableFunction((("ab", "ba"),))},
      "function 'g' has the row 'ab', not a 2-tuple"),
+    ({}, {"f": semantics.TableFunction(((("a",), 3),))},
+     "function 'f' has 3 in its table, not a word over the symbols"),
+    ({}, {"f": semantics.TableFunction(((("a",), "c"),))},
+     "function 'f' has 'c' in its table, not a word over the symbols"),
+    ({}, {"g": semantics.TableFunction(((("a", ("b",)), "ab"),))},
+     "function 'g' has ('b',) in its table, not a word over the symbols"),
+    ({"P": semantics.FiniteRelation(frozenset({("d",)}))}, {},
+     "predicate 'P' has 'd' in its table, not a word over the symbols"),
+    ({"Q": semantics.FiniteRelation(frozenset({("a", 1)}), True)}, {},
+     "predicate 'Q' has 1 in its table, not a word over the symbols"),
+    ({"P": semantics.FiniteRelation(frozenset(), 3)}, {},
+     "predicate 'P' has the default 3, not a bool"),
 ], ids=["predicate-table-function", "predicate-int", "predicate-none",
         "function-relation", "function-tuple", "predicate-argcat", "unknown-function",
         "predicate-arity", "function-arity", "unknown-predicate-symbol",
         "unknown-function-symbol", "relation-row-not-a-tuple", "relation-row-arity",
-        "table-key-arity", "table-key-not-a-tuple"])
+        "table-key-arity", "table-key-not-a-tuple", "table-value-int",
+        "table-value-not-over-the-symbols", "table-key-word-not-a-str",
+        "relation-word-not-over-the-symbols", "relation-word-int", "relation-default-int"])
 def test_interpretation_checks_its_specs(env2, predicates, functions, message):
     # each spec is checked when the interpretation is built, not when it is
     # first evaluated
@@ -100,7 +114,19 @@ def test_interpretation_checks_its_specs(env2, predicates, functions, message):
     # rows of the symbol's arity
     Interpretation(env2, {"P": semantics.FiniteRelation(frozenset({("a",)})),
                           "Q": semantics.FiniteRelation(frozenset({("a", "b")}), True)},
-                   {"f": "argcat", "g": semantics.TableFunction(((("a", "b"), "ba"),))})
+                   {"f": "argcat", "g": semantics.TableFunction(((("a", "b"), "ba"),)),
+                    "h": semantics.TableFunction(((("", "ab"), ""),))})
+
+
+@pytest.mark.parametrize("image", [3, ["a"], ("a",), None], ids=["int", "list", "tuple", "none"])
+def test_realization_checks_its_images(env2, image):
+    # an image is a str of symbols, checked when the realization is built
+    message = "realization image %s is not over the alphabet"
+    with pytest.raises(ConfigError, match=re.escape(message % repr(image))):
+        Realization(env2, {"x": image})
+    with pytest.raises(ConfigError, match=re.escape(message % "'ac'")):
+        Realization(env2, {"x": "ac"})
+    assert Realization(env2, {"x": "ab", "y": ""}).realize("xay") == "aba"
 
 
 def test_realize_word(env3, r1, r2):

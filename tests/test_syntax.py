@@ -6,7 +6,7 @@ import random
 import pytest
 
 from constrex import (
-    App, Atom, Cat, Conn, Constraint, Empty, FiniteRelation, Interpretation, Match,
+    App, Atom, Bound, Cat, Conn, Constraint, Empty, FiniteRelation, Interpretation, Match,
     ParseError, PreconditionError, Realization, Star, Sum, TableFunction, Var, Witness,
     Word,
     apply_subst_set, check_subst_set, derive_expr_word, expr_str, parse_environment,
@@ -163,6 +163,9 @@ def _deep_term(n, leaf):
      "Star(child=Word(letters='a'))"),
     (_deep_term(DEEP, "x")[0], _deep_term(DEEP, "x")[0], True, _deep_term(DEEP, "x")[1]),
     (_deep_term(DEEP, "x")[0], _deep_term(DEEP, "y")[0], False, _deep_term(DEEP, "x")[1]),
+    # the oracle's search bound shares the base too: equal bounds hash alike
+    (Bound(max_realization_len=1), Bound(1), True, "Bound(max_realization_len=1)"),
+    (Bound(1), Bound(), False, "Bound(max_realization_len=1)"),
 ])
 def test_nodes_are_values(left, right, equal, text):
     assert left is not right
