@@ -9,6 +9,7 @@ All output is deterministic and line-oriented.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from .errors import ConstrexError
@@ -30,25 +31,16 @@ from .syntax import (
 
 
 def _display_word(env: Environment, w: str) -> str:
-    """Run-length shorthand for long separator fillers, display only; the
-    word in full when a symbol is a digit, which a run length would mimic."""
+    """Run-length shorthand for long separator fillers, display only: a run
+    of two or more of the second symbol prints as b2, b3, ... The word is
+    printed in full when a symbol is a digit, which a run length would
+    mimic, or when there is one symbol."""
     if w == "":
         return "eps"
-    if any(c.isdigit() for c in env.symbols):
+    if len(env.symbols) < 2 or any(c.isdigit() for c in env.symbols):
         return w
-    filler = env.symbols[1] if len(env.symbols) > 1 else None
-    out = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        if w[i] == filler and j - i >= 2:
-            out.append("%s%d" % (w[i], j - i))
-        else:
-            out.append(w[i] * (j - i))
-        i = j
-    return "".join(out)
+    runs = ((c, len(list(run))) for c, run in itertools.groupby(w))
+    return "".join("%s%d" % (c, n) if c == env.symbols[1] and n > 1 else c * n for c, n in runs)
 
 
 def _witness_lines(env: Environment, witness) -> list:

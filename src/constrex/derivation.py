@@ -41,14 +41,15 @@ the pairs keep that order.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections.abc import Callable, Iterable
 
 from .errors import PreconditionError
 from .syntax import (
     Cat, Constraint, Empty, Environment, Expr, Formula, Match, Star, Sum, Word,
-    apply_subst_set, as_mixed_word, expr_str, fold, rebuild, subst_set_str,
-    subst_word,
+    apply_subst_set, as_mixed_word, expr_str, fold, in_printed_order, rebuild,
+    subst_set_str, subst_word,
 )
 
 DerivPair = tuple[Expr, frozenset]
@@ -259,44 +260,38 @@ def canonical(env: Environment, pairs: Iterable[DerivPair], phi=None):
     """pairs deduplicated and in canonical order, an iterator.
 
     The order sorts by printed expression, then by printed set, and of two
-    pairs that print alike the later one wins. With a formula phi, the pairs
-    are those of a constraint's child, and the order is that of the states
-    `E' | phi[X]`: each prints as its child's head, the child's text plus
-    " | ", then phi[X]. A head holds no top-level " | " (a constraint child
-    prints in parentheses), so two different heads order their states on
-    their own, and phi[X] is substituted only when its state is pulled;
-    children that print alike are ordered by their full printed states. A
-    lone pair is yielded without printing it.
+    pairs that print alike the later one wins (`in_printed_order`). With a
+    formula phi, the pairs are those of a constraint's child, and the order
+    is that of the states `E' | phi[X]`: each prints as its child's head,
+    the child's text plus " | ", then phi[X]. A head holds no top-level
+    " | " (a constraint child prints in parentheses), so two different heads
+    order their states on their own, and phi[X] is substituted only when its
+    state is pulled; children that print alike are ordered by their full
+    printed states (`_pull`).
     """
     pairs = list(pairs)
-    if len(pairs) == 1:     # one pair is its own order: print nothing
-        return _pull(env, [{None: pairs[0]}], phi)
-    groups: dict = {}
-    for e, X in pairs:
-        head = expr_str(e)
-        if phi is not None:
-            head = ("(" + head + ")" if type(e) is Constraint else head) + " | "
-        groups.setdefault(head, {})[subst_set_str(env, X)] = e, X
-    return _pull(env, [groups[head] for head in sorted(groups)], phi)
+    if phi is None:
+        return iter(in_printed_order(pairs, lambda p: (expr_str(p[0]), subst_set_str(env, p[1]))))
+    heads: dict = {}    # each pair's head, as printed to order it
+
+    def key(pair):
+        e, X = pair
+        head = heads[pair] = ("(%s)" if type(e) is Constraint else "%s") % expr_str(e) + " | "
+        return head, subst_set_str(env, X)
+
+    return _pull(env, in_printed_order(pairs, key), heads, phi)
 
 
-def _pull(env: Environment, groups: list, phi):
-    """The pairs of canonical's sorted groups, each state's formula
-    substituted as it is pulled."""
-    for group in groups:
-        if phi is None:
-            for s in sorted(group):
-                yield group[s]
-        elif len(group) == 1:
-            (e, X), = group.values()
-            yield Constraint(e, apply_subst_set(env, phi, X)), X
-        else:
-            tied = {}
-            for s, (e, X) in group.items():
-                state = Constraint(e, apply_subst_set(env, phi, X))
-                tied[expr_str(state), s] = state, X
-            for key in sorted(tied):
-                yield tied[key]
+def _pull(env: Environment, pairs: list, heads: dict, phi):
+    """The states of canonical's ordered pairs, each formula substituted
+    when the pull reaches its group. A group is a run of pairs whose heads
+    print alike, as heads records them; a lone pair, which canonical did
+    not print, has no head. A group of two or more is ordered by its
+    printed states, then sets."""
+    for _head, group in itertools.groupby(pairs, heads.get):
+        yield from in_printed_order(
+            [(Constraint(e, apply_subst_set(env, phi, X)), X) for e, X in group],
+            lambda p: (expr_str(p[0]), subst_set_str(env, p[1])))
 
 
 def _check_symbols(env: Environment, letters) -> None:

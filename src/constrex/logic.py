@@ -35,7 +35,7 @@ from .semantics import FiniteRelation, Interpretation, Realization, TableFunctio
 from .syntax import (
     AND, CAT, EPSILON, EPS_TERM, NOT, OR, TRUE,
     App, Atom, Environment, Expr, Formula, Term, Var,
-    _Value, connective, fold, rebuild, term_str, tree_variables, walk,
+    _Value, connective, fold, in_printed_order, rebuild, term_str, tree_variables, walk,
 )
 
 DEFAULT_MAX_PROPS = 20
@@ -151,8 +151,9 @@ def _alphabet(phi: Formula) -> tuple[tuple[Atom, ...], list]:
 
     The occurrences are read in walk order from a stack over the connectives
     alone, so no term is entered, and each is hashed once: distinct atoms
-    are numbered as first seen, and each distinct atom is printed once to
-    sort them, when there are two or more.
+    are numbered as first seen, and the numbers are ordered by their atoms'
+    propositional names, then by themselves (`in_printed_order`), so two
+    atoms that print alike both stay, in first-seen order.
     """
     first: dict[Atom, int] = {}     # each distinct atom -> its first-seen number
     seen = []
@@ -164,9 +165,8 @@ def _alphabet(phi: Formula) -> tuple[tuple[Atom, ...], list]:
         else:
             stack += reversed(node.children)
     distinct = list(first)
-    if len(distinct) < 2:   # one atom is its own order: print nothing
-        return tuple(distinct), seen
-    order = sorted(range(len(distinct)), key=lambda i: _prop_name(distinct[i]))
+    order = in_printed_order(list(range(len(distinct))),
+                             lambda i: (_prop_name(distinct[i]), i))
     rank = [0] * len(order)
     for r, i in enumerate(order):
         rank[i] = r
@@ -409,7 +409,7 @@ def build_witness(env: Environment, phi: Formula,
     separator words a b^p a, a b^(p+1) a, ..., counted up from the separator
     word of the normalized terms. The next application bound is the ready
     one (all its arguments evaluate to words) that comes first by
-    `_call_key`; a lone ready one is bound without printing it. Since
+    `_call_key`, in printed order (`in_printed_order`). Since
     applications are opaque at their edges, every binding lands in a middle
     word between a delimiters, so rewriting the terms with the bindings so
     far would give the counter's next word. The evaluation is an injection
@@ -449,7 +449,7 @@ def build_witness(env: Environment, phi: Formula,
         values = {t: fold(t, value) for t in terms}
         if not ready:
             break
-        fn, args = min(ready, key=_call_key) if len(ready) > 1 else ready.pop()
+        fn, args = in_printed_order(list(ready), _call_key)[0]
         overrides[fn][args] = next(separators)
     functions = {name: TableFunction.from_dict(table)
                  for name, table in overrides.items()}

@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from .syntax import (
     AND, TOP,
     Cat, Conn, Constraint, Environment, Expr, Formula, Match, Star, Sum, Word,
-    fold, formula_str, subst_tree, tree_variables, variables_of,
+    fold, formula_str, in_printed_order, subst_tree, tree_variables, variables_of,
 )
 from .semantics import Interpretation, Realization, eval_formula, membership_fixed
 
@@ -154,20 +154,11 @@ def _union_product(left: set, right: set) -> set:
     return out
 
 
-def _erased(env: Environment, group: list):
-    """One group's pairs, erased, without the earlier of two that print
-    alike, in the order of their printed formulas. A lone pair is yielded
-    without printing it."""
-    if len(group) == 1:     # one pair is its own order: print nothing
-        (xs, phi), = group
-        yield xs, erase_vars(env, phi, xs)
-        return
-    keyed = {}
-    for xs, phi in group:
-        phi = erase_vars(env, phi, xs)
-        keyed[formula_str(phi)] = (xs, phi)
-    for text in sorted(keyed):
-        yield keyed[text]
+def _erased(env: Environment, group: list) -> list:
+    """One group's pairs, erased, in the order of their printed formulas;
+    of two that print alike, the later is kept (`in_printed_order`)."""
+    return in_printed_order([(xs, erase_vars(env, phi, xs)) for xs, phi in group],
+                            lambda pair: formula_str(pair[1]))
 
 
 def indicator_pairs(env: Environment, e: Expr):

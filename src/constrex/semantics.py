@@ -91,10 +91,11 @@ class Interpretation:
     A predicate is bound to a builtin name or a FiniteRelation, a function to
     a builtin name, argcat or a TableFunction. Each binding is checked when
     the interpretation is built, so a bad one raises ConfigError here and not
-    on first use; so is each row of a table, a relation's tuple or a table
-    function's arguments, which must be a tuple of the symbol's arity, each
-    word in a table, which must be a str of symbols, and a relation's
-    default, which must be a bool.
+    on first use; so is each table, which must be a tuple or set, each
+    entry of a table function, which must be a (row, value) pair, each row
+    of a table, a relation's tuple or a table function's arguments, which
+    must be a tuple of the symbol's arity, each word in a table, which must
+    be a str of symbols, and a relation's default, which must be a bool.
     """
 
     def __init__(self, env: Environment,
@@ -112,11 +113,20 @@ class Interpretation:
             for name, spec in specs.items():
                 arity = arity_of(name)
                 if isinstance(spec, spec_type):
-                    if kind == "predicate" and type(spec.default) is not bool:
-                        raise ConfigError("predicate %r has the default %r, not a bool"
-                                          % (name, spec.default))
-                    rows = spec.table if kind == "function" else [(t, "") for t in spec.tuples]
-                    for row, value in rows:
+                    table = spec.table if kind == "function" else spec.tuples
+                    if not isinstance(table, (tuple, frozenset, set)):
+                        raise ConfigError("%s %r has the table %r, not a tuple or set of rows"
+                                          % (kind, name, table))
+                    if kind == "predicate":
+                        if type(spec.default) is not bool:
+                            raise ConfigError("predicate %r has the default %r, not a bool"
+                                              % (name, spec.default))
+                        table = [(t, "") for t in table]
+                    for entry in table:
+                        if type(entry) is not tuple or len(entry) != 2:
+                            raise ConfigError("function %r has the entry %r, not a (row,"
+                                              " value) pair" % (name, entry))
+                        row, value = entry
                         if type(row) is not tuple or len(row) != arity:
                             raise ConfigError("%s %r has the row %r, not a %d-tuple"
                                               % (kind, name, row, arity))

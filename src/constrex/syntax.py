@@ -37,6 +37,10 @@ normalization, the indicator pairs, witness construction and
 `term_str`; an expression or formula prints by one visit per notation
 (`expr_str`, `formula_str`, and `regex_str` for regular forms), built from a
 table of binary operators with their levels, the one the parser reads.
+Printed text is also the order of derivative sets, indicator groups,
+propositional atoms and witness bindings, and `in_printed_order` alone
+sorts by it: equal items are printed once, and of two that print alike the
+later is kept.
 """
 
 from __future__ import annotations
@@ -94,9 +98,10 @@ class Environment:
     Symbols and variables are single characters; `eps` and the catenation
     symbol are implicitly registered as 0-ary/2-ary functions and must not be
     redeclared. Predicate and function names share one namespace with the
-    letters and the keywords. `letter_rank` maps each letter to its position
-    in the declared order, symbols first. Two environments are equal only
-    when they are the same object.
+    letters and the keywords, and each arity is a nonnegative int, not a
+    bool. `letter_rank` maps each letter to its position in the declared
+    order, symbols first. Two environments are equal only when they are the
+    same object.
     """
 
     __slots__ = ("symbols", "variables", "predicates", "functions", "letter_rank")
@@ -127,8 +132,9 @@ class Environment:
         for name, arity in list(self.predicates.items()) + list(self.functions.items()):
             if name in RESERVED_NAMES or name in letters:
                 raise ConfigError("name %r collides with a letter or keyword" % name)
-            if arity < 0:
-                raise ConfigError("negative arity for %r" % name)
+            if isinstance(arity, bool) or not isinstance(arity, int) or arity < 0:
+                raise ConfigError("arity of %r must be a nonnegative integer, got %r"
+                                  % (name, arity))
         self.letter_rank = {
             c: i for i, c in enumerate(self.symbols + self.variables)}
 
@@ -806,6 +812,22 @@ def regex_str(rx: Expr) -> str:
 def subst_set_str(env: Environment, X: Iterable[Assumption]) -> str:
     ordered = sorted(X, key=lambda p: (env.letter_key(p[0]), env.letter_key(p[1])))
     return "{%s}" % ",".join("(%s,%s)" % (x, word_str(w)) for x, w in ordered)
+
+
+def in_printed_order(items: list, key: Callable) -> list:
+    """items sorted by key(item), a text or a tuple of texts; of two items
+    with one key, the later is kept.
+
+    Equal items are keyed once: the later of two is kept, at its own place,
+    so the later of two items that print alike still wins when an earlier
+    one equals it. A lone item, or a list whose items are all equal, comes
+    back without calling key.
+    """
+    unique = list(dict.fromkeys(reversed(items)))   # each item's last copy, last first
+    if len(unique) < 2:
+        return unique
+    keyed = {key(item): item for item in reversed(unique)}
+    return [keyed[k] for k in sorted(keyed)]
 
 
 for _cls in (Var, App):

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, formats, determinism."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -9,7 +10,9 @@ import pytest
 import constrex
 from constrex.cli import run
 
-from conftest import ENV3_TEXT, ENVP_TEXT, NEXT_TO_AN_APPLICATION, recursion_headroom
+from conftest import (
+    ENV3_TEXT, ENVP_TEXT, FUZZ_SCALE, NEXT_TO_AN_APPLICATION, recursion_headroom,
+)
 
 
 @pytest.fixture
@@ -469,3 +472,72 @@ def test_check_free_rejects_malformed_limit(env_file, capsys, monkeypatch, expr,
     assert captured.out == ""
     assert captured.err.startswith("error: CONSTREX_MAX_PROPS")
     assert len(captured.err.splitlines()) == 1
+
+
+# The seeds of the contract fuzz: valid argvs of each mode, before the
+# --env pair. check-free's expression has one variable, since its oracle
+# searches every realization of the variables on a rejection.
+FUZZ_BASES = [
+    ["check-fixed", "--expr", E1, "--word", "abba", "--interp", INTERP, "--real", "x=ab,y=a"],
+    ["check-free", "--expr", "(x a + b)* c | sim(f(x), a) && !lt(x, b)", "--word", "abc"],
+    ["derive", "--expr", E1, "--word", "ab"],
+    ["indicator", "--expr", "x (y -| a*) + z | sim(x, y) || lt(z, eps)"],
+    ["sat", "--formula", "sim(f(x), y) && !lt(x, a b) -> !sim(y, f(y))"],
+    ["sat", "--formula", "lt(x, f(a)) && !lt(x, f(a))"],
+    ["regularize", "--expr", E1, "--interp", INTERP, "--real", "x=ab", "--max-len", "3"],
+]
+# what a mutation inserts: letters, operators, keywords, names and a few
+# characters the tokenizer does not read
+FUZZ_PIECES = list("abcxyz *+|()!,=-&.") + [
+    "-|", "&&", "||", "->", "eps", "empty", "true", "sim(", "lt(", "f(", "g(",
+    "eq", "leneq", "projA", "rev", "argcat", "#", "\u00e9", "\t", "0", "99"]
+
+
+def _mutated(rng, text, pieces):
+    """text after one to three random inserts, deletes, copies or cuts."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        j = rng.randint(i, min(len(text), i + 4))
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + rng.choice(pieces) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[j:]
+        elif op == 2:
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i]
+    return text
+
+
+def _fuzz_argv(rng, env_path):
+    argv = list(rng.choice(FUZZ_BASES))
+    mode = argv[0]
+    if rng.random() < 0.3:
+        argv.append("--oracle")
+    # the oracle's brute force grows with the variables a query holds
+    pieces = FUZZ_PIECES if "--oracle" not in argv or mode not in ("check-free", "sat") \
+        else [p for p in FUZZ_PIECES if p not in ("y", "z")]
+    for i in range(2, len(argv), 2):
+        if argv[i - 1] == "--max-len":
+            argv[i] = rng.choice(["0", "2", "-1", "x", ""])
+        elif rng.random() < 0.6:
+            argv[i] = _mutated(rng, argv[i], pieces)
+    if rng.random() < 0.05:
+        del argv[rng.randrange(1, len(argv))]
+    return [mode, "--env", env_path, *argv[1:]]
+
+
+def test_cli_exit_codes_hold_on_mutated_input(env_file, capsys):
+    # every mutated argv ends with one of the four exit codes and no
+    # traceback; argparse's usage errors exit 2 by SystemExit
+    rng = random.Random(31)
+    for _ in range(150 * FUZZ_SCALE):
+        argv = _fuzz_argv(rng, env_file)
+        try:
+            status = run(argv)
+        except SystemExit as exc:
+            status = exc.code
+        captured = capsys.readouterr()
+        assert status in (0, 1, 2, 3), argv
+        assert "Traceback" not in captured.err, argv

@@ -11,7 +11,7 @@ from constrex import (
     PreconditionError,
     associated_realization, brute_membership_fixed_r, check_subst_set,
     derive_expr, derive_expr_word, derive_paths, derive_word,
-    membership_general, parse_environment, parse_expression, simplify,
+    membership_general, parse_environment, parse_expression, parse_formula, simplify,
     subst_set_str,
 )
 from constrex import derivation, logic
@@ -222,6 +222,36 @@ def test_search_order_pinned_cases(text, states):
     got = _search_order(env, e, "a")
     assert [(expr_str(s), subst_set_str(env, X)) for s, X in got] == states
     assert got == list(derive_expr(env, e, "a"))
+
+
+def test_equal_pairs_print_once(env3, monkeypatch):
+    # a thousand summands derive a thousand equal pairs: they are one pair,
+    # so nothing is left to order and nothing is printed
+    printed = []
+    monkeypatch.setattr(derivation, "expr_str",
+                        lambda e: printed.append(e) or expr_str(e))
+    e = parse_expression("(" + " + (".join("a" * 1000) + ")" * 1000 + "* b", env3)
+    pairs = derive_expr(env3, e, "a")
+    assert len(pairs) == 1 and pairs[0][1] == frozenset()
+    assert len(printed) <= 1
+
+
+@pytest.mark.parametrize("phi", [None, "sim(x, a)"], ids=["pairs", "states"])
+def test_canonical_keeps_the_later_of_two_that_print_alike(env3, phi):
+    # a, then b c, and (a b) c print alike: the text rule keeps the last of
+    # the three, the object itself, though the first equals it
+    a, b, c = Word("a"), Word("b"), Word("c")
+    first, nested, last = Cat(Cat(a, b), c), Cat(a, Cat(b, c)), Cat(Cat(a, b), c)
+    assert first == last and first is not last and nested != last
+    assert expr_str(first) == expr_str(nested)
+    none = frozenset()
+    pairs = [(first, none), (nested, none), (last, none)]
+    if phi is None:
+        (kept, _X), = canonical(env3, pairs)
+    else:
+        (state, _X), = canonical(env3, pairs, parse_formula(phi, env3))
+        kept = state.child
+    assert kept is last
 
 
 def test_search_substitutes_a_formula_once_per_pulled_state(env3, monkeypatch):

@@ -219,6 +219,18 @@ def test_sat_search_prints_no_lone_atom(env5, monkeypatch):
     assert len(names) == 2
 
 
+def test_alphabet_keeps_atoms_that_print_alike():
+    # q(eps) and q(e p s) have one propositional name; both stay, first seen
+    # first, whichever comes first
+    env = parse_environment("alphabet: a b e p s\npredicates: q/1")
+    empty, word = parse_formula("q(eps)", env), parse_formula("q(e p s)", env)
+    assert empty != word and logic._prop_name(empty) == logic._prop_name(word)
+    other = parse_formula("q(a)", env)
+    for first, second in ((empty, word), (word, empty)):
+        phi = Conn("or", (Conn("and", (first, other)), second))
+        assert prop_alphabet(phi) == (other, first, second)
+
+
 def test_witness_orders_applications_that_print_alike():
     # f(eps) and f(e p s) both print f(eps); the empty word is bound first,
     # whatever the hash seed

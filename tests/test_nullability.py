@@ -219,6 +219,17 @@ def test_null_general_prints_no_lone_pair(env3, monkeypatch):
     assert len(printed) == 2
 
 
+def test_equal_indicator_pairs_print_once(env3, monkeypatch):
+    # two hundred summands give two hundred equal pairs: one pair, no order
+    # to find, nothing printed
+    printed = []
+    monkeypatch.setattr(nullability, "formula_str",
+                        lambda phi: printed.append(phi) or formula_str(phi))
+    pairs = indicator_set(env3, parse_expression(" + ".join("x" * 200), env3))
+    assert pairs == ((frozenset("x"), TOP),)
+    assert len(printed) <= 1
+
+
 def test_null_general_erases_only_the_reached_group(monkeypatch):
     env = parse_environment("alphabet: a b\nvariables: p q r s t u v w x y\n"
                             "predicates: sim/2\nfunctions: f/1")

@@ -98,13 +98,22 @@ def test_eval_missing_symbol(env2, r_ex2):
      "predicate 'Q' has 1 in its table, not a word over the symbols"),
     ({"P": semantics.FiniteRelation(frozenset(), 3)}, {},
      "predicate 'P' has the default 3, not a bool"),
+    ({}, {"f": semantics.TableFunction((3,))},
+     "function 'f' has the entry 3, not a (row, value) pair"),
+    ({}, {"f": semantics.TableFunction(3)},
+     "function 'f' has the table 3, not a tuple or set of rows"),
+    ({}, {"f": semantics.TableFunction(((("a",), "b", "c"),))},
+     "function 'f' has the entry (('a',), 'b', 'c'), not a (row, value) pair"),
+    ({"P": semantics.FiniteRelation(3)}, {},
+     "predicate 'P' has the table 3, not a tuple or set of rows"),
 ], ids=["predicate-table-function", "predicate-int", "predicate-none",
         "function-relation", "function-tuple", "predicate-argcat", "unknown-function",
         "predicate-arity", "function-arity", "unknown-predicate-symbol",
         "unknown-function-symbol", "relation-row-not-a-tuple", "relation-row-arity",
         "table-key-arity", "table-key-not-a-tuple", "table-value-int",
         "table-value-not-over-the-symbols", "table-key-word-not-a-str",
-        "relation-word-not-over-the-symbols", "relation-word-int", "relation-default-int"])
+        "relation-word-not-over-the-symbols", "relation-word-int", "relation-default-int",
+        "table-entry-int", "table-int", "table-entry-of-three", "relation-int"])
 def test_interpretation_checks_its_specs(env2, predicates, functions, message):
     # each spec is checked when the interpretation is built, not when it is
     # first evaluated

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -15,8 +16,8 @@ from constrex import (
 )
 from constrex.errors import ConfigError
 from constrex.syntax import (
-    CAT, EPS_TERM, _Tree, _tree_equal, expr_variables, formula_str, subst_tree,
-    subst_word, tree_variables, walk,
+    CAT, EPS_TERM, Environment, _Tree, _tree_equal, expr_variables, formula_str,
+    in_printed_order, subst_tree, subst_word, tree_variables, walk,
 )
 
 from conftest import (
@@ -64,6 +65,19 @@ def test_parse_environment_rejects_letters_the_tokenizer_cannot_read():
         assert (err.value.line, err.value.column) == (text.count("\n") + 1, column)
     env = parse_environment("alphabet: a 0\nvariables: _ X")
     assert (env.symbols, env.variables) == (("a", "0"), ("_", "X"))
+
+
+@pytest.mark.parametrize("arities", [
+    {"functions": {"f": "2"}}, {"predicates": {"p": 1.5}}, {"predicates": {"p": True}},
+    {"functions": {"f": -1}}, {"predicates": {"p": None}},
+], ids=["str", "float", "bool", "negative", "none"])
+def test_environment_checks_its_arities(arities):
+    # an arity is a nonnegative int and not a bool, as the SAT limit is
+    (name, arity), = next(iter(arities.values())).items()
+    message = "arity of %r must be a nonnegative integer, got %r" % (name, arity)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        Environment(("a",), **arities)
+    assert Environment(("a",), predicates={"p": 0}, functions={"f": 2}).functions == {"f": 2}
 
 
 @pytest.mark.parametrize("text, position", [
@@ -576,3 +590,26 @@ def test_apply_subst_set_returns_untouched_subtrees_themselves(env3):
     assert out.child.child.left.right is e.child.child.left.right   # b*
     assert out.formula.children[1] is phi.children[1]      # lt(y, b)
     assert out.formula.children[0].args[1] is phi.children[0].args[1]     # a
+
+
+def test_in_printed_order_keys_each_distinct_item_once():
+    keyed = []
+
+    def key(item):
+        keyed.append(item)
+        return str(item)
+
+    # nothing, a lone item and equal items leave nothing to order
+    assert in_printed_order([], key) == []
+    assert in_printed_order([Word("b")], key) == [Word("b")]
+    copies = [Word("b"), Word("b"), Word("b")]
+    kept, = in_printed_order(copies, key)
+    assert kept is copies[-1] and keyed == []
+    # the items sort by key, equal ones keyed once; of two with one key the
+    # later wins, and of equal ones the later object, at its own place
+    first, nested, last = (Cat(Cat(Word("a"), Word("b")), Word("c")),
+                           Cat(Word("a"), Cat(Word("b"), Word("c"))),
+                           Cat(Cat(Word("a"), Word("b")), Word("c")))
+    got = in_printed_order([Word("b"), first, nested, Word("b"), last], key)
+    assert got == [last, Word("b")] and got[0] is last
+    assert keyed == [nested, Word("b"), last]
