@@ -288,10 +288,12 @@ def _pull(env: Environment, pairs: list, heads: dict, phi):
     print alike, as heads records them; a lone pair, which canonical did
     not print, has no head. A group of two or more is ordered by its
     printed states, then sets."""
+    def printed(state):
+        return expr_str(state[0]), subst_set_str(env, state[1])
+
     for _head, group in itertools.groupby(pairs, heads.get):
         yield from in_printed_order(
-            [(Constraint(e, apply_subst_set(env, phi, X)), X) for e, X in group],
-            lambda p: (expr_str(p[0]), subst_set_str(env, p[1])))
+            [(Constraint(e, apply_subst_set(env, phi, X)), X) for e, X in group], printed)
 
 
 def _check_symbols(env: Environment, letters) -> None:

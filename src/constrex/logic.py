@@ -165,11 +165,8 @@ def _alphabet(phi: Formula) -> tuple[tuple[Atom, ...], list]:
         else:
             stack += reversed(node.children)
     distinct = list(first)
-    order = in_printed_order(list(range(len(distinct))),
-                             lambda i: (_prop_name(distinct[i]), i))
-    rank = [0] * len(order)
-    for r, i in enumerate(order):
-        rank[i] = r
+    order = in_printed_order(list(range(len(distinct))), lambda i: (_prop_name(distinct[i]), i))
+    rank = {i: r for r, i in enumerate(order)}
     return tuple(distinct[i] for i in order), [rank[i] for i in seen]
 
 

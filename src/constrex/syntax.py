@@ -823,9 +823,11 @@ def in_printed_order(items: list, key: Callable) -> list:
     one equals it. A lone item, or a list whose items are all equal, comes
     back without calling key.
     """
-    unique = list(dict.fromkeys(reversed(items)))   # each item's last copy, last first
-    if len(unique) < 2:
-        return unique
+    if len(items) < 2:
+        return items
+    unique = dict.fromkeys(reversed(items))     # each item's last copy, last first
+    if len(unique) == 1:
+        return list(unique)
     keyed = {key(item): item for item in reversed(unique)}
     return [keyed[k] for k in sorted(keyed)]
 
