@@ -238,8 +238,8 @@ def test_equal_pairs_print_once(env3, monkeypatch):
 
 @pytest.mark.parametrize("phi", [None, "sim(x, a)"], ids=["pairs", "states"])
 def test_canonical_keeps_the_later_of_two_that_print_alike(env3, phi):
-    # a, then b c, and (a b) c print alike: the text rule keeps the last of
-    # the three, the object itself, though the first equals it
+    # (a b) c and a (b c) both print as a b c: of the three pairs the text
+    # rule keeps the last, that object itself, though the first equals it
     a, b, c = Word("a"), Word("b"), Word("c")
     first, nested, last = Cat(Cat(a, b), c), Cat(a, Cat(b, c)), Cat(Cat(a, b), c)
     assert first == last and first is not last and nested != last
