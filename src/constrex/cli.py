@@ -22,8 +22,7 @@ from .oracle import (
 )
 from .parser import parse_environment, parse_expression, parse_formula
 from .semantics import (
-    FiniteRelation, Interpretation, Realization, TableFunction,
-    eval_formula, membership_fixed, regex_str, regularize,
+    Interpretation, Realization, eval_formula, membership_fixed, regex_str, regularize,
 )
 from .syntax import (
     Environment, check_subst_set, expr_str, subst_set_str,
@@ -44,27 +43,20 @@ def _display_word(env: Environment, w: str) -> str:
 
 
 def _witness_lines(env: Environment, witness) -> list:
+    """The realization, then the function tables, then the true tuples of
+    the predicates: a witness built by the engines binds every function to
+    a TableFunction and every predicate to a FiniteRelation."""
     lines = []
     for x, w in sorted(witness.realization.assignment.items()):
         lines.append("%s = %s" % (x, _display_word(env, w)))
     interp = witness.interpretation
     for name in sorted(interp.functions):
-        spec = interp.functions[name]
-        if isinstance(spec, TableFunction):
-            for args, value in spec.table:
-                lines.append("%s(%s) = %s" % (
-                    name, ",".join(_display_word(env, a) for a in args),
-                    _display_word(env, value)))
-        else:
-            lines.append("%s = builtin %s" % (name, spec))
+        for args, value in interp.functions[name].table:
+            lines.append("%s(%s) = %s" % (
+                name, ",".join(_display_word(env, a) for a in args), _display_word(env, value)))
     for name in sorted(interp.predicates):
-        spec = interp.predicates[name]
-        if isinstance(spec, FiniteRelation):
-            for args in sorted(spec.tuples):
-                lines.append("%s(%s)" % (
-                    name, ",".join(_display_word(env, a) for a in args)))
-        else:
-            lines.append("%s = builtin %s" % (name, spec))
+        for args in sorted(interp.predicates[name].tuples):
+            lines.append("%s(%s)" % (name, ",".join(_display_word(env, a) for a in args)))
     return lines
 
 

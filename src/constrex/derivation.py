@@ -309,12 +309,18 @@ def derive_expr(env: Environment, e: Expr, a: str) -> DerivativeSet:
 
 
 def derive_expr_word(env: Environment, e: Expr, w: str) -> DerivativeSet:
-    """Derivative w.r.t. a nonempty word; only the final step's sets are kept."""
+    """Derivative w.r.t. a nonempty word; only the final step's sets are kept.
+
+    Every letter of w is checked first; then each letter, the first
+    included, derives the states of the set before it, from `(e, {})`, and
+    the pairs are put in canonical order. That is the set and the order of
+    derive_expr on one letter, since the search's lazy order is canonical's.
+    """
     if w == "":
         raise PreconditionError("word derivatives are defined for nonempty words")
-    pairs = derive_expr(env, e, w[0])
-    _check_symbols(env, w[1:])
-    for a in w[1:]:
+    _check_symbols(env, w)
+    pairs = ((e, frozenset()),)
+    for a in w:
         pairs = tuple(canonical(env, (p for e2, _X in pairs for p in _derive(env, e2, a))))
     return pairs
 

@@ -35,7 +35,8 @@ from .semantics import FiniteRelation, Interpretation, Realization, TableFunctio
 from .syntax import (
     AND, CAT, EPSILON, EPS_TERM, NOT, OR, TRUE,
     App, Atom, Environment, Expr, Formula, Term, Var,
-    _Value, connective, fold, in_printed_order, rebuild, term_str, tree_variables, walk,
+    _Value, _right_nested, connective, fold, in_printed_order, rebuild, term_str,
+    tree_variables, walk,
 )
 
 DEFAULT_MAX_PROPS = 20
@@ -53,16 +54,6 @@ def left_dot_level(t: Term) -> int:
         level += 1
         t = t.args[0]
     return level
-
-
-def _right_nested(leaves: list) -> Term:
-    """The catenation of the leaves, right-nested; eps for none."""
-    if not leaves:
-        return EPS_TERM
-    out = leaves.pop()
-    while leaves:
-        out = App(CAT, (leaves.pop(), out))
-    return out
 
 
 def normalize_term(t: Term) -> Term:
@@ -481,26 +472,16 @@ def satisfiable_free(env: Environment, phi: Formula,
 def null_general(env: Environment, e: Expr,
                  max_props: int | None = None) -> Witness | None:
     """A witness that the empty word belongs to the language of e, if any:
-    the first satisfiable indicator pair wins."""
+    the first satisfiable indicator pair wins. Its realization is the
+    pair's witness's, merged with the empty word for each erased variable,
+    built once."""
     max_props = _resolve_max_props(max_props)
     for erased, phi in indicator_pairs(env, e):
         witness = satisfiable_free(env, phi, max_props)
         if witness is not None:
-            assignment = dict(witness.realization.assignment)
-            for x in erased:
-                assignment[x] = ""
-            return Witness(witness.interpretation, Realization(env, assignment))
+            return Witness(witness.interpretation, Realization(
+                env, witness.realization.assignment | dict.fromkeys(erased, "")))
     return None
-
-
-def _extend_realization(r: Realization, X: frozenset) -> Realization:
-    assignment = dict(r.assignment)
-    for x, rep in X:
-        if rep == "":
-            assignment[x] = ""
-        else:
-            assignment[x] = rep[0] + r(x)
-    return Realization(r.env, assignment)
 
 
 def _one_sided(phi: Formula, polarity: dict | None) -> bool:
@@ -584,7 +565,11 @@ def membership_general(env: Environment, e: Expr, w: str,
     first success and its witness are those of the full search. The letters
     of each suffix of w are counted once per query. The returned realization
     is rewound through the derivative chain, so the witness accepts w on the
-    original expression, not just the empty word on a derived one.
+    original expression, not just the empty word on a derived one: one copy
+    of the empty-word witness's assignment is rewritten by each substitution
+    set, last first, where (x, eps) makes x empty and (x, a x) puts a before
+    x's current image, and one Realization is built from it. Each set is
+    functional, so rewriting in place reads the image the set found.
     """
     max_props = _resolve_max_props(max_props)
     need_of = letter_need(env, max_props)
@@ -604,8 +589,9 @@ def membership_general(env: Environment, e: Expr, w: str,
     for derived, chain in paths:
         witness = null_general(env, derived, max_props)
         if witness is not None:
-            r = witness.realization
+            assignment = dict(witness.realization.assignment)
             for X in reversed(chain):
-                r = _extend_realization(r, X)
-            return Witness(witness.interpretation, r)
+                for x, rep in X:
+                    assignment[x] = "" if rep == "" else rep[0] + assignment.get(x, "")
+            return Witness(witness.interpretation, Realization(env, assignment))
     return None

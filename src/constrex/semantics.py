@@ -11,6 +11,7 @@ whose misses a function catenates its arguments.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import partial
 
 from .derivation import _derive
 from .errors import ConfigError
@@ -193,40 +194,39 @@ class Realization:
         return "".join(self(c) if self.env.is_variable(c) else c for c in alpha)
 
 
-def _evaluator(interp: Interpretation, r: Realization, match=Match):
-    """The fold visit of evaluation under (I, r): a term gives its word, a
-    formula its truth value and an expression its regular form, in which
-    `match(v, F)` stands for each `w -| E` that realizes to v and whose E
-    evaluates to F."""
-    def visit(node, values):
-        kind = type(node)
-        if kind is Var:
-            return r(node.name)
-        if kind is App:
-            return interp.eval_function(node.fn, tuple(values))
-        if kind is Atom:
-            return interp.eval_predicate(
-                node.pred, tuple(fold(t, visit) for t in node.args))
-        if kind is Conn:
-            return bool(connective(node.tag)[1](*values))
-        if kind is Word:
-            return Word(r.realize(node.letters))
-        if kind is Match:
-            return match(r.realize(node.word), values[0])
-        if kind is Constraint:
-            child, holds = values
-            return child if holds else Empty()
-        return rebuild(node, values)
-
-    return visit
+def _evaluator(interp: Interpretation, r: Realization, match, node, values):
+    """The fold visit of evaluation under (I, r), bound to them and to match
+    with `functools.partial`: a term gives its word, a formula its truth
+    value and an expression its regular form, in which `match(v, F)` stands
+    for each `w -| E` that realizes to v and whose E evaluates to F. An
+    atom's terms go through eval_term, so the visit names nothing but its
+    arguments and module functions."""
+    kind = type(node)
+    if kind is Var:
+        return r(node.name)
+    if kind is App:
+        return interp.eval_function(node.fn, tuple(values))
+    if kind is Atom:
+        return interp.eval_predicate(
+            node.pred, tuple(eval_term(interp, r, t) for t in node.args))
+    if kind is Conn:
+        return bool(connective(node.tag)[1](*values))
+    if kind is Word:
+        return Word(r.realize(node.letters))
+    if kind is Match:
+        return match(r.realize(node.word), values[0])
+    if kind is Constraint:
+        child, holds = values
+        return child if holds else Empty()
+    return rebuild(node, values)
 
 
 def eval_term(interp: Interpretation, r: Realization, t: Term) -> str:
-    return fold(t, _evaluator(interp, r))
+    return fold(t, partial(_evaluator, interp, r, Match))
 
 
 def eval_formula(interp: Interpretation, r: Realization, phi: Formula) -> bool:
-    return fold(phi, _evaluator(interp, r))
+    return fold(phi, partial(_evaluator, interp, r, Match))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def regularize(interp: Interpretation, r: Realization, e: Expr) -> Expr:
     """The variable-free, constraint-free expression with the same
     (I,r)-language; each match stays a Match, which `regex_str` prints as
     an intersection."""
-    return fold(e, _evaluator(interp, r))
+    return fold(e, partial(_evaluator, interp, r, Match))
 
 
 def regex_derivative(rx: Expr, a: str) -> frozenset:
@@ -315,5 +315,5 @@ def membership_fixed(interp: Interpretation, r: Realization, e: Expr, w: str) ->
             return Word(v)
         return Empty()
 
-    rx = fold(e, _evaluator(interp, r, decide))
+    rx = fold(e, partial(_evaluator, interp, r, decide))
     return any(d.null for d in regex_word_derivative(rx, w))

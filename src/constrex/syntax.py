@@ -33,10 +33,15 @@ first; the collectors (`as_mixed_word`, `subterms`, `tree_variables`,
 the values of its children and returns the root's value. Substitution
 (`subst_tree`) and printing are visits on it, as are evaluation,
 normalization, the indicator pairs, witness construction and
-`simplify_expr` elsewhere. Both accept trees of any depth. A term prints by
-`term_str`; an expression or formula prints by one visit per notation
-(`expr_str`, `formula_str`, and `regex_str` for regular forms), built from a
-table of binary operators with their levels, the one the parser reads.
+`simplify_expr` elsewhere. Both accept trees of any depth. The visits here
+are plain functions that name nothing but their arguments, the module's
+functions and, for a notation's printer, its table: substitution's visit is
+bound to its map by `functools.partial` and folds an atom's terms through
+`subst_tree` again. So no visit captures itself, and reference counting
+alone frees what a fold makes. A term prints by `term_str`; an expression
+or formula prints by one visit per notation (`expr_str`, `formula_str`, and
+`regex_str` for regular forms), built from a table of binary operators with
+their levels, the one the parser reads.
 Printed text is also the order of derivative sets, indicator groups,
 propositional atoms and witness bindings, and `in_printed_order` alone
 sorts by it: equal items are printed once, and of two that print alike the
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterable, Mapping
+from functools import partial
 
 from .errors import ConfigError, PreconditionError
 
@@ -164,10 +170,8 @@ class Environment:
         return tuple(self.letter_rank[c] for c in word)
 
     def function_arity(self, name: str) -> int:
-        if name == CAT:
-            return 2
-        if name == EPSILON or name in self.symbols:
-            return 0
+        """The arity of a declared function. Eps, the catenation and the
+        symbols are none: evaluation gives their words without a binding."""
         if name in self.functions:
             return self.functions[name]
         raise ConfigError("unknown function symbol %r" % name)
@@ -189,7 +193,8 @@ class Environment:
 # Atom and Conn hash their field tuple, where each child hands over its
 # stored hash; an expression node hashes the tuple of its fields with each
 # child replaced by its stored hash, since reading the ints keeps the
-# constructor free of Python-level `__hash__` calls.
+# constructor free of Python-level `__hash__` calls. A Sum puts the tag "+"
+# first, so that it and a Cat of the same children hash apart.
 
 
 def fields_repr(self, values=None) -> str:
@@ -239,8 +244,9 @@ class _Value:
 
 class _Tree(_Value):
     """A term, formula or expression node other than a Var. Its constructor
-    stores its hash in the slot `_hash`, the same value as `_Value`'s; a base class holds the
-    slot, so that each node class's `__slots__` still names its fields alone.
+    stores its hash in the slot `_hash`, the same value as `_Value`'s but for
+    a Sum's, which is tagged; a base class holds the slot, so that each node
+    class's `__slots__` still names its fields alone.
 
     Equality is `_Value`'s: two trees too deep to compare by recursion are
     compared by `_tree_equal`, on an explicit stack. The repr is
@@ -336,14 +342,20 @@ Term = Var | App
 EPS_TERM = App(EPSILON)
 
 
+def _right_nested(leaves: list) -> Term:
+    """The catenation of the leaves, right-nested; eps for none. The one
+    catenation builder: `term_of_word` and `logic.normalize_term` call it."""
+    if not leaves:
+        return EPS_TERM
+    out = leaves.pop()
+    while leaves:
+        out = App(CAT, (leaves.pop(), out))
+    return out
+
+
 def term_of_word(env: Environment, w: str) -> Term:
     """Right-nested catenation term denoting the mixed word w."""
-    if w == "":
-        return EPS_TERM
-    *heads, t = (Var(c) if env.is_variable(c) else App(c) for c in w)
-    for head in reversed(heads):
-        t = App(CAT, (head, t))
-    return t
+    return _right_nested([Var(c) if env.is_variable(c) else App(c) for c in w])
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +427,7 @@ class Sum(_Node):
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
-        self._hash = hash((left._hash, right._hash))
+        self._hash = hash(("+", left._hash, right._hash))   # apart from a Cat's
         self.null = left.null or right.null
         self.never = left.never and right.never
         self._need = None
@@ -621,29 +633,33 @@ def subst_tree(env: Environment, root, m: Substitution):
     A catenation child that became epsilon here is collapsed, so word terms
     stay word-shaped (catenation with the empty word is the identity); one
     that already was epsilon stays, so trees without the variables stay.
+    The visit, `_subst_visit`, is a module function bound to env and m by
+    `functools.partial`; it substitutes an atom's terms by calling
+    subst_tree, so it captures nothing, itself included.
     """
-    def visit(node, values):
-        kind = type(node)
-        if kind is Var:
-            return term_of_word(env, m[node.name]) if node.name in m else node
-        if kind is Word:
-            letters = subst_word(node.letters, m)
-            return node if letters == node.letters else Word(letters)
-        if kind is Match:
-            word = subst_word(node.word, m)
-            if word != node.word:
-                return Match(word, values[0])
-        elif kind is Atom:
-            values = [fold(t, visit) for t in node.args]
-        elif kind is App and node.fn == CAT:
-            left, right = values
-            if _is_eps(left) and not _is_eps(node.args[0]):
-                return right
-            if _is_eps(right) and not _is_eps(node.args[1]):
-                return left
-        return rebuild(node, values)
+    return fold(root, partial(_subst_visit, env, m))
 
-    return fold(root, visit)
+
+def _subst_visit(env: Environment, m: Substitution, node, values):
+    kind = type(node)
+    if kind is Var:
+        return term_of_word(env, m[node.name]) if node.name in m else node
+    if kind is Word:
+        letters = subst_word(node.letters, m)
+        return node if letters == node.letters else Word(letters)
+    if kind is Match:
+        word = subst_word(node.word, m)
+        if word != node.word:
+            return Match(word, values[0])
+    elif kind is Atom:
+        values = [subst_tree(env, t, m) for t in node.args]
+    elif kind is App and node.fn == CAT:
+        left, right = values
+        if _is_eps(left) and not _is_eps(node.args[0]):
+            return right
+        if _is_eps(right) and not _is_eps(node.args[1]):
+            return left
+    return rebuild(node, values)
 
 
 def check_subst_set(X: Iterable[Assumption]) -> frozenset:

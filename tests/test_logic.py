@@ -1,5 +1,6 @@
 """Normalization, propositionalisation, separators, witnesses, membership."""
 
+import gc
 import itertools
 import operator
 import os
@@ -11,11 +12,11 @@ import time
 import pytest
 
 from constrex import (
-    Cat, ConfigError, Constraint, FiniteRelation, Match, Star, Sum, TruthTableLimitError,
-    UnsupportedAlphabetError, Word,
+    Cat, ConfigError, Constraint, FiniteRelation, Interpretation, Match, Realization, Star,
+    Sum, TruthTableLimitError, UnsupportedAlphabetError, Word,
     brute_membership_fixed_r, brute_satisfiable_free, build_witness, derive_expr,
     derive_paths, eval_formula, eval_term, indicator_set, left_dot_level,
-    membership_general, normalize_formula, normalize_term, null_general,
+    membership_fixed, membership_general, normalize_formula, normalize_term, null_general,
     parse_environment, parse_expression, parse_formula, parse_term, prop_alphabet,
     sample_interpretations, sat_truth_table, satisfiable_free, separator_word,
     terms_of_formula,
@@ -1185,3 +1186,22 @@ def test_constraint_over_the_limit_is_not_cut(env3):
     with pytest.raises(TruthTableLimitError):
         _eager_membership(env3, e, "", 3)
     assert membership_general(env3, e, "", 3) is None
+
+
+def test_engines_leave_no_cyclic_garbage(env3):
+    # no fold visit names itself, so reference counting frees every object
+    # a query makes and the cyclic collector finds none
+    free = parse_expression("x y z | sim(x, y) && !sim(y, z)", env3)
+    phi = parse_formula("lt(f(ab), f(x)) && !sim(x, ab)", env3)
+    fixed = parse_expression("x b* y | sim(f(x), f(y))", env3)
+    interp = Interpretation(env3, {"sim": "eq", "lt": "lenleq"}, {"f": "projA"})
+    r = Realization(env3, {"x": "aba", "y": "aa"})
+    gc.collect()
+    gc.disable()
+    try:
+        assert membership_general(env3, free, "abcabc") is not None
+        assert satisfiable_free(env3, phi) is not None
+        assert membership_fixed(interp, r, fixed, "ababbbaa")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

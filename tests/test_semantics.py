@@ -106,6 +106,9 @@ def test_eval_missing_symbol(env2, r_ex2):
      "function 'f' has the entry (('a',), 'b', 'c'), not a (row, value) pair"),
     ({"P": semantics.FiniteRelation(3)}, {},
      "predicate 'P' has the table 3, not a tuple or set of rows"),
+    ({}, {"a": "argcat"}, "unknown function symbol 'a'"),
+    ({}, {"·": "cat"}, "unknown function symbol '·'"),
+    ({}, {"ε": semantics.TableFunction((((), "ab"),))}, "unknown function symbol 'ε'"),
 ], ids=["predicate-table-function", "predicate-int", "predicate-none",
         "function-relation", "function-tuple", "predicate-argcat", "unknown-function",
         "predicate-arity", "function-arity", "unknown-predicate-symbol",
@@ -113,7 +116,8 @@ def test_eval_missing_symbol(env2, r_ex2):
         "table-key-arity", "table-key-not-a-tuple", "table-value-int",
         "table-value-not-over-the-symbols", "table-key-word-not-a-str",
         "relation-word-not-over-the-symbols", "relation-word-int", "relation-default-int",
-        "table-entry-int", "table-int", "table-entry-of-three", "relation-int"])
+        "table-entry-int", "table-int", "table-entry-of-three", "relation-int",
+        "symbol-as-function", "catenation-as-function", "eps-as-function"])
 def test_interpretation_checks_its_specs(env2, predicates, functions, message):
     # each spec is checked when the interpretation is built, not when it is
     # first evaluated

@@ -374,13 +374,16 @@ def test_stored_hashes_equal_the_structural_hash(env3):
 
 def _expr_hash(node):
     """The hash of an expression node's field tuple, with each child given
-    as its hash, computed again, recursively; a formula's is structural."""
+    as its hash, computed again, recursively, and a sum's tagged "+"; a
+    formula's is structural."""
     kind = type(node)
     if kind is Word:
         return hash((node.letters,))
     if kind is Empty:
         return hash(())
-    if kind is Sum or kind is Cat:
+    if kind is Sum:
+        return hash(("+", _expr_hash(node.left), _expr_hash(node.right)))
+    if kind is Cat:
         return hash((_expr_hash(node.left), _expr_hash(node.right)))
     if kind is Star:
         return hash((_expr_hash(node.child),))
@@ -396,6 +399,10 @@ def test_stored_expression_hashes_equal_the_recursive_hash(env3):
     for _ in range(300 * FUZZ_SCALE):
         for node in walk(rand_expr(rng, env3, 5)):
             assert hash(node) == _expr_hash(node)
+    # a sum and a catenation of the same children hash apart
+    a, b = Word("a"), Word("b")
+    for left, right in [(a, b), (a, a), (Empty(), Star(a)), (Cat(a, b), Sum(a, b))]:
+        assert hash(Sum(left, right)) != hash(Cat(left, right))
 
 
 def test_expressions_built_apart_are_equal_values(env3):
