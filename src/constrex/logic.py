@@ -35,8 +35,7 @@ from .semantics import FiniteRelation, Interpretation, Realization, TableFunctio
 from .syntax import (
     AND, CAT, EPSILON, EPS_TERM, NOT, OR, TRUE,
     App, Atom, Environment, Expr, Formula, Term, Var,
-    _Value, _right_nested, connective, fold, in_printed_order, rebuild, term_str,
-    tree_variables, walk,
+    _Value, _right_nested, connective, fold, in_printed_order, rebuild, term_str, walk,
 )
 
 DEFAULT_MAX_PROPS = 20
@@ -125,7 +124,17 @@ def normalize_formula(phi: Formula) -> Formula:
 
 
 def terms_of_formula(phi: Formula) -> frozenset:
-    return frozenset(t for n in walk(phi) if isinstance(n, Atom) for t in n.args)
+    """The argument terms of phi's atoms, read from a stack over the
+    connectives alone, so no term is entered."""
+    terms: set = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if type(node) is Atom:
+            terms.update(node.args)
+        else:
+            stack += node.children
+    return frozenset(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +411,23 @@ def build_witness(env: Environment, phi: Formula,
     word between a delimiters, so rewriting the terms with the bindings so
     far would give the counter's next word. The evaluation is an injection
     of the formula's terms, so predicate tables can mirror the assignment
-    tuple by tuple.
+    tuple by tuple. The terms are read from the atoms alone
+    (`terms_of_formula`), and the variables from the terms, on one stack.
     """
     phi = normalize_formula(phi)
     terms = terms_of_formula(phi)
     first = separator_word(env, terms)
     a, b = first[0], first[1]
     separators = (a + b * p + a for p in itertools.count(len(first) - 2))
-    bindings = {x: next(separators) for x in sorted(tree_variables(phi))}
+    names: set = set()
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if type(t) is Var:
+            names.add(t.name)
+        else:
+            stack += t.args
+    bindings = {x: next(separators) for x in sorted(names)}
     overrides: dict[str, dict] = {name: {} for name in env.functions}
 
     def value(t: Term, words) -> str | None:
@@ -473,14 +491,14 @@ def null_general(env: Environment, e: Expr,
                  max_props: int | None = None) -> Witness | None:
     """A witness that the empty word belongs to the language of e, if any:
     the first satisfiable indicator pair wins. Its realization is the
-    pair's witness's, merged with the empty word for each erased variable,
-    built once."""
+    pair's witness's, which this call alone holds, with the empty word added
+    in place for each erased variable, so no other is built."""
     max_props = _resolve_max_props(max_props)
     for erased, phi in indicator_pairs(env, e):
         witness = satisfiable_free(env, phi, max_props)
         if witness is not None:
-            return Witness(witness.interpretation, Realization(
-                env, witness.realization.assignment | dict.fromkeys(erased, "")))
+            witness.realization.assignment.update(dict.fromkeys(erased, ""))
+            return witness
     return None
 
 
@@ -565,11 +583,13 @@ def membership_general(env: Environment, e: Expr, w: str,
     first success and its witness are those of the full search. The letters
     of each suffix of w are counted once per query. The returned realization
     is rewound through the derivative chain, so the witness accepts w on the
-    original expression, not just the empty word on a derived one: one copy
-    of the empty-word witness's assignment is rewritten by each substitution
-    set, last first, where (x, eps) makes x empty and (x, a x) puts a before
-    x's current image, and one Realization is built from it. Each set is
-    functional, so rewriting in place reads the image the set found.
+    original expression, not just the empty word on a derived one: the
+    empty-word witness's assignment, which this call alone holds, is
+    rewritten in place by each substitution set, last first, where (x, eps)
+    makes x empty and (x, a x) puts a before x's current image, so one
+    Realization is built per answer. Each set is functional, so rewriting in
+    place reads the image the set found. The images stay words of symbols,
+    as the Realization checked them: each a is a letter of w.
     """
     max_props = _resolve_max_props(max_props)
     need_of = letter_need(env, max_props)
@@ -589,9 +609,9 @@ def membership_general(env: Environment, e: Expr, w: str,
     for derived, chain in paths:
         witness = null_general(env, derived, max_props)
         if witness is not None:
-            assignment = dict(witness.realization.assignment)
+            assignment = witness.realization.assignment
             for X in reversed(chain):
                 for x, rep in X:
                     assignment[x] = "" if rep == "" else rep[0] + assignment.get(x, "")
-            return Witness(witness.interpretation, Realization(env, assignment))
+            return witness
     return None

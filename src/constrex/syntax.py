@@ -21,11 +21,14 @@ from their children's stored hashes, and `Empty` has a constant one; so
 hashing a node of any size takes constant time and never recurses. They
 store two empty-word flags the same way (see `_Node`): `null`, whether every
 (I, r) puts the empty word in the language, and `never`, whether no path
-reaches it without reading a letter. One slot, `_need`, is written after
-construction: `derivation.need` fills it with the value that the node's
-children and one environment determine, tagged with that environment. A
-reader takes it only under its own environment, and every writer for that
-environment writes the same value, so sharing nodes across threads stays
+reaches it without reading a letter. Two slots are written after
+construction. `derivation.need` fills `_need` with the value that the
+node's children and one environment determine, tagged with that
+environment; a reader takes it only under its own environment. Substitution
+fills `_mask`, the node's letter mask (`letter_mask`), the first time it
+asks for it; the mask depends on the node alone, and is read with a default,
+since no constructor writes it. A writer of either slot writes what any
+reader that takes it would compute, so sharing nodes across threads stays
 safe.
 `walk` yields the nodes of any such tree from an explicit stack, parents
 first; the collectors (`as_mixed_word`, `subterms`, `tree_variables`,
@@ -399,9 +402,14 @@ class _Node(_Tree):
     whether every (I, r) puts the empty word in its language, and `never`,
     whether no path reaches the empty word without reading a letter, every
     letter read as a symbol; both computed in the constructor from the
-    children's flags. `_need` starts as None and is filled by
-    `derivation.need`, the one slot written after construction."""
-    __slots__ = ("null", "never", "_need")
+    children's flags. Two slots are written after construction: `_need`
+    starts as None and is filled by `derivation.need`, and `_mask` starts
+    unset and is filled by `letter_mask` the first time substitution asks
+    for it. The mask is an int with a bit for each letter of the node's
+    words, match words and children (`_letter_bits`); a constraint counts as
+    holding every letter, so its formula is not read. Empty's and a
+    constraint's masks are class constants."""
+    __slots__ = ("null", "never", "_need", "_mask")
 
 
 class Word(_Node):
@@ -417,8 +425,8 @@ class Word(_Node):
 
 class Empty(_Node):
     __slots__ = ()
-    _hash = hash(())    # class constants: Empty has no fields and no need
-    null, never, _need = False, True, None
+    _hash = hash(())    # class constants: Empty has no fields, need or letters
+    null, never, _need, _mask = False, True, None, 0
 
 
 class Sum(_Node):
@@ -456,7 +464,7 @@ class Star(_Node):
 
 class Constraint(_Node):
     __slots__ = ("child", "formula")
-    null = False
+    null, _mask = False, -1     # -1 has every bit: the formula is not read
 
     def __init__(self, child: Expr, formula: Formula):
         self.child = child
@@ -626,9 +634,51 @@ def _is_eps(t: Term) -> bool:
     return type(t) is App and t.fn == EPSILON
 
 
+def _letter_bits(letters: str) -> int:
+    """A bit for each letter of a word, bit ord(c) % 64 for c, so that two
+    letters may share one: a mask without a letter's bit lacks the letter."""
+    bits = 0
+    for c in letters:
+        bits |= 1 << (ord(c) & 63)
+    return bits
+
+
+def letter_mask(e: Expr) -> int:
+    """The letter mask of an expression (see `_Node`), stored in each node
+    computed. One pass, children before their parent on an explicit stack,
+    stops at each node whose mask is already stored, so a deep tree needs no
+    recursion."""
+    todo, done = [e], []    # done: the masks of the finished nodes, in order
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:     # the second visit: the children are done
+            node, = node
+            kind, mask = type(node), done.pop()
+            if kind is Cat or kind is Sum:
+                mask |= done.pop()
+            elif kind is Match:
+                mask |= _letter_bits(node.word)
+            node._mask = mask
+            done.append(mask)
+            continue
+        mask = getattr(node, "_mask", None)
+        if mask is None:
+            kind = type(node)
+            if kind is Word:
+                mask = node._mask = _letter_bits(node.letters)
+            else:
+                todo.append((node,))
+                todo += (node.right, node.left) if kind is Cat or kind is Sum else (node.child,)
+                continue
+        done.append(mask)
+    return done[0]
+
+
 def subst_tree(env: Environment, root, m: Substitution):
     """A term, formula or expression with each variable x in m replaced by
     the word m[x], in one fold; an untouched subtree is returned itself.
+    So is root, with no fold, when m is empty or root is an expression whose
+    letter mask (`letter_mask`) has no bit of m's variables.
 
     A catenation child that became epsilon here is collapsed, so word terms
     stay word-shaped (catenation with the empty word is the identity); one
@@ -637,6 +687,8 @@ def subst_tree(env: Environment, root, m: Substitution):
     `functools.partial`; it substitutes an atom's terms by calling
     subst_tree, so it captures nothing, itself included.
     """
+    if not m or isinstance(root, _Node) and not letter_mask(root) & _letter_bits("".join(m)):
+        return root
     return fold(root, partial(_subst_visit, env, m))
 
 
@@ -826,8 +878,18 @@ def regex_str(rx: Expr) -> str:
 
 
 def subst_set_str(env: Environment, X: Iterable[Assumption]) -> str:
-    ordered = sorted(X, key=lambda p: (env.letter_key(p[0]), env.letter_key(p[1])))
-    return "{%s}" % ",".join("(%s,%s)" % (x, word_str(w)) for x, w in ordered)
+    """X as `{(x,w),...}`, its pairs ordered by the letter keys of the
+    variable, then of the word. A set of fewer than two pairs is not sorted,
+    and a functional one is sorted by its variables' ranks alone, which
+    gives the same order, since no two of its pairs share a variable."""
+    pairs = list(X)
+    if len(pairs) > 1:
+        rank = env.letter_rank
+        if len({x for x, _ in pairs}) == len(pairs):
+            pairs.sort(key=lambda p: rank[p[0]])
+        else:
+            pairs.sort(key=lambda p: (env.letter_key(p[0]), env.letter_key(p[1])))
+    return "{%s}" % ",".join("(%s,%s)" % (x, word_str(w)) for x, w in pairs)
 
 
 def in_printed_order(items: list, key: Callable) -> list:

@@ -522,6 +522,18 @@ def test_terms_of_formula_examples(env5):
         parse_term("x", env5)})
 
 
+def test_terms_and_witness_variables_match_the_walk_definitions(env3):
+    # the atoms' terms and the witness's variables are read without a walk
+    # of the whole formula; they are what the walk reads
+    rng = random.Random(21)
+    for _ in range(300 * FUZZ_SCALE):
+        phi = normalize_formula(rand_formula(rng, env3, 4))
+        assert terms_of_formula(phi) == frozenset(
+            t for n in syntax.walk(phi) if type(n) is Atom for t in n.args)
+        witness = build_witness(env3, phi, dict.fromkeys(prop_alphabet(phi), True))
+        assert set(witness.realization.assignment) == syntax.tree_variables(phi)
+
+
 def test_factors_paper_examples(envf):
     def nonempty(ws):
         return sorted(w for w in ws if w)
@@ -705,6 +717,25 @@ def test_membership_general_empty_word(env3, e1):
     w = membership_general(env3, e1, "")
     assert w is not None
     assert brute_membership_fixed_r(w.interpretation, w.realization, e1, "")
+
+
+def test_an_accepted_answer_builds_one_realization(env3, e1, anbncn, monkeypatch):
+    built = []
+
+    class Counted(Realization):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(logic, "Realization", Counted)
+    for e, w in ((e1, "ab"), (e1, ""), (anbncn, "abc")):
+        built.clear()
+        witness = membership_general(env3, e, w)
+        assert built == [witness.realization]
+        assert brute_membership_fixed_r(witness.interpretation, witness.realization, e, w)
+    built.clear()
+    witness = null_general(env3, parse_expression("x b* y | sim(f(abx), f(y))", env3))
+    assert built == [witness.realization] and witness.realization.assignment == {"x": "", "y": ""}
 
 
 def test_contradiction_transfer_random(envp):

@@ -3,6 +3,8 @@
 import itertools
 import random
 import re
+import sys
+import threading
 
 import pytest
 
@@ -14,10 +16,11 @@ from constrex import (
     parse_expression, parse_formula, parse_term, regex_str, subterms, term_of_word,
     term_str, variables_of,
 )
+from constrex import syntax
 from constrex.errors import ConfigError
 from constrex.syntax import (
     CAT, EPS_TERM, Environment, _Tree, _tree_equal, expr_variables, formula_str,
-    in_printed_order, subst_tree, subst_word, tree_variables, walk,
+    in_printed_order, subst_set_str, subst_tree, subst_word, tree_variables, walk,
 )
 
 from conftest import (
@@ -620,3 +623,120 @@ def test_in_printed_order_keys_each_distinct_item_once():
     got = in_printed_order([Word("b"), first, nested, Word("b"), last], key)
     assert got == [last, Word("b")] and got[0] is last
     assert keyed == [nested, Word("b"), last]
+
+
+def _subst_reference(env, node, m):
+    """Substitution by plain recursion over every node, with the catenation
+    collapse of subst_tree: a child that becomes eps here is dropped."""
+    kind = type(node)
+    if kind is Var:
+        return term_of_word(env, m[node.name]) if node.name in m else node
+    if kind is App:
+        args = tuple(_subst_reference(env, t, m) for t in node.args)
+        if node.fn == CAT:
+            for i in (0, 1):
+                if args[i] == EPS_TERM and node.args[i] != EPS_TERM:
+                    return args[1 - i]
+        return App(node.fn, args)
+    if kind is Atom:
+        return Atom(node.pred, tuple(_subst_reference(env, t, m) for t in node.args))
+    if kind is Conn:
+        return Conn(node.tag, tuple(_subst_reference(env, c, m) for c in node.children))
+    if kind is Word:
+        return Word(subst_word(node.letters, m))
+    if kind is Match:
+        return Match(subst_word(node.word, m), _subst_reference(env, node.child, m))
+    return kind(*(_subst_reference(env, c, m) for c in node._fields(node)))
+
+
+def test_substitution_returns_untouched_trees_themselves(env3, monkeypatch):
+    folds = []
+    fold = syntax.fold
+    monkeypatch.setattr(syntax, "fold", lambda root, visit: folds.append(root) or fold(root, visit))
+    ax = {"x": "ax"}
+    # a tail of words alone, and the empty map on every kind of tree, are
+    # handed back unfolded
+    tail = parse_expression("a b (c + a b)* -| b", env3)
+    phi = parse_formula("sim(f(x), a y) && !lt(x, eps)", env3)
+    term = parse_term("f(x) a y", env3)
+    assert subst_tree(env3, tail, ax) is tail
+    for tree in (tail, phi, term, parse_expression("x y | sim(x, y)", env3)):
+        assert subst_tree(env3, tree, {}) is tree
+    assert folds == []
+    # a tail holding a constraint counts as holding every letter, so it is
+    # folded, and still comes back itself when no variable of the map occurs
+    guarded = parse_expression("a (b | sim(y, b)) c*", env3)
+    assert subst_tree(env3, guarded, ax) is guarded and folds[0] is guarded
+    # a match's word counts, though its child holds no variable
+    match = Match("x", Word("ab"))
+    assert subst_tree(env3, match, ax) == Match("ax", Word("ab"))
+    assert subst_tree(env3, match, {"y": ""}) is match
+    # against plain recursion: the result is equal, and it is the input
+    # itself exactly when the expression holds no variable of the map
+    rng = random.Random(33)
+    for _ in range(400 * FUZZ_SCALE):
+        e = rand_expr(rng, env3, 4)
+        m = {x: rng.choice(["", rng.choice("abc") + x])
+             for x in rng.sample(env3.variables, rng.randint(1, 3))}
+        got = subst_tree(env3, e, m)
+        assert got == _subst_reference(env3, e, m)
+        assert (got is e) == expr_variables(env3, e).isdisjoint(m)
+    # a deep left-nested catenation is masked and substituted on a stack
+    deep = Word("x")
+    for _ in range(DEEP):
+        deep = Cat(deep, Word("a"))
+    with recursion_headroom():
+        assert subst_tree(env3, deep, {"y": "ay"}) is deep
+        out = subst_tree(env3, deep, ax)
+        while type(out) is Cat:
+            out = out.left
+        assert out == Word("ax")
+
+
+def test_letter_masks_stay_right_across_threads(env3):
+    # four threads substitute into the same fresh trees, so they fill the
+    # masks of shared nodes at once; each must get what an equal tree, drawn
+    # again from the same seed, gives in this thread
+    def draw():
+        rng = random.Random("masks")
+        return [rand_expr(rng, env3, 5) for _ in range(300 * FUZZ_SCALE)]
+
+    trees = draw()
+    maps = [{x: "b" + x} for x in env3.variables]
+    expected = [[subst_tree(env3, e, m) for m in maps] for e in draw()]
+    failures = []
+
+    def substitute(shift):
+        for i, e in enumerate(trees):
+            ms = maps[shift:] + maps[:shift]
+            if [subst_tree(env3, e, m) for m in ms] != expected[i][shift:] + expected[i][:shift]:
+                failures.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=substitute, args=(i % 3,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+
+
+def test_subst_set_str_keeps_the_letter_key_order(env3):
+    def reference(X):
+        ordered = sorted(X, key=lambda p: (env3.letter_key(p[0]), env3.letter_key(p[1])))
+        return "{%s}" % ",".join("(%s,%s)" % (x, w or "eps") for x, w in ordered)
+
+    rng = random.Random(5)
+    for i in range(150 * FUZZ_SCALE):
+        pairs = [(rng.choice(env3.variables), rand_word(rng, "abcxyz", 3))
+                 for _ in range(rng.randint(0, 4))]
+        if i % 2:   # functional: one pair per variable
+            pairs = list(dict(pairs).items())
+        for order in itertools.permutations(pairs):
+            assert subst_set_str(env3, order) == reference(pairs)
+        assert subst_set_str(env3, frozenset(pairs)) == reference(set(pairs))
