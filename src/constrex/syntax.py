@@ -879,16 +879,9 @@ def regex_str(rx: Expr) -> str:
 
 def subst_set_str(env: Environment, X: Iterable[Assumption]) -> str:
     """X as `{(x,w),...}`, its pairs ordered by the letter keys of the
-    variable, then of the word. A set of fewer than two pairs is not sorted,
-    and a functional one is sorted by its variables' ranks alone, which
-    gives the same order, since no two of its pairs share a variable."""
-    pairs = list(X)
-    if len(pairs) > 1:
-        rank = env.letter_rank
-        if len({x for x, _ in pairs}) == len(pairs):
-            pairs.sort(key=lambda p: rank[p[0]])
-        else:
-            pairs.sort(key=lambda p: (env.letter_key(p[0]), env.letter_key(p[1])))
+    variable, then of the word; a variable is one letter, so its rank is
+    its key."""
+    pairs = sorted(X, key=lambda p: (env.letter_rank[p[0]], env.letter_key(p[1])))
     return "{%s}" % ",".join("(%s,%s)" % (x, word_str(w)) for x, w in pairs)
 
 
