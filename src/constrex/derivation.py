@@ -49,7 +49,7 @@ from .errors import PreconditionError
 from .syntax import (
     Cat, Constraint, Empty, Environment, Expr, Formula, Match, Star, Sum, Word,
     apply_subst_set, as_mixed_word, expr_str, fold, in_printed_order, rebuild,
-    subst_set_str, subst_word,
+    subst_set_str,
 )
 
 DerivPair = tuple[Expr, frozenset]
@@ -72,9 +72,9 @@ def derive_word(env: Environment, alpha: str, a: str) -> list[tuple[str, frozens
         if not env.is_variable(head):
             break
         x = head
-        out.append((x + subst_word(rest, {x: a + x}), erased | {(x, a + x)}))
+        out.append((x + rest.replace(x, a + x), erased | {(x, a + x)}))
         erased |= {(x, "")}
-        alpha = subst_word(rest, {x: ""})
+        alpha = rest.replace(x, "")
     return out
 
 
@@ -112,7 +112,9 @@ def need(env: Environment, e: Expr, void: Callable[[Formula], bool] | None = Non
     With void None, every constraint reads as satisfiable. One pass, children
     before their parent on an explicit stack, stops at each node already
     summarized for env and stores in each node it computes the triple (need,
-    whether a constraint lies outside the node's stars, env). Under void, a
+    whether a constraint lies outside the node's stars, env) in its slot
+    `_need`; no constructor writes that slot, so it is read with a default,
+    and a star's or Empty's constant triple is never stored. Under void, a
     node whose need rests on a constraint is computed for this call alone
     and not stored. A need of length 0 is all zeros, since the length counts
     every letter that is no variable; it is the unit of the sum and the
@@ -157,7 +159,7 @@ def need(env: Environment, e: Expr, void: Callable[[Formula], bool] | None = Non
                 node._need = summary
             done.append(summary)
             continue
-        summary = node._need
+        summary = getattr(node, "_need", None)
         if summary is None or summary[2] is not env or void is not None and summary[1]:
             if kind is Word:
                 node._need = summary = (
@@ -417,9 +419,9 @@ def simplify_expr(env: Environment, e: Expr) -> Expr:
             left, right = values
             if isinstance(left, Empty) or isinstance(right, Empty):
                 return Empty()
-            if left == Word(""):
+            if type(left) is Word and not left.letters:
                 return right
-            if right == Word(""):
+            if type(right) is Word and not right.letters:
                 return left
         elif kind is Constraint:
             if isinstance(values[0], Empty):

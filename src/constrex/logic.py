@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import operator
 import os
+from collections import deque
 from collections.abc import Callable, Iterable
 
 from .errors import ConfigError, TruthTableLimitError, UnsupportedAlphabetError
@@ -59,43 +60,33 @@ def normalize_term(t: Term) -> Term:
     """Right-associate catenations and drop their eps children; t itself
     when it is already normal (its flag `normal`).
 
-    One stack keeps the place, so a deep term needs no recursion. A node
-    that is not normal has its parts done before it: the arguments of an
-    application, or the leaves of a catenation, eps dropped. Then a
-    catenation is rebuilt right-nested from its leaves, and any other node
-    from its arguments; a normal part is done as it is.
+    One fold (`_normal_leaves`) gives the leaves of t's normal form, and
+    `_right_nested` nests them once, so a deep term needs no recursion.
     """
     if t.normal:
         return t
-    done: list = []     # the results of the finished nodes, in order
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:   # second visit: the parts are done
-            node, parts = node
-            start = len(done) - len(parts)
-            new = done[start:]
-            del done[start:]
-            done.append(_right_nested(new) if node.fn == CAT
-                        else App(node.fn, tuple(new)))
-            continue
-        if node.normal:
-            done.append(node)
-            continue
-        parts = node.args
-        if node.fn == CAT:
-            parts, spine = [], [node]
-            while spine:
-                u = spine.pop()
-                if type(u) is Var:
-                    parts.append(u)
-                elif u.fn == CAT:
-                    spine += (u.args[1], u.args[0])
-                elif u.fn != EPSILON:
-                    parts.append(u)
-        stack.append((node, parts))
-        stack += reversed(parts)
-    return done[0]
+    return _right_nested(fold(t, _normal_leaves))
+
+
+def _normal_leaves(t: Term, values) -> deque:
+    """The leaves of t's normal form, eps dropped, from its children's: a
+    catenation moves the shorter of its children's deques into the longer,
+    so a chain nested either way takes linear time, and any other
+    application is one leaf, its arguments nested from their leaves, or
+    kept when they are normal."""
+    if type(t) is Var:
+        return deque((t,))
+    if t.fn == CAT:
+        left, right = values
+        if len(left) < len(right):
+            right.extendleft(reversed(left))
+            return right
+        left += right
+        return left
+    if t.fn == EPSILON:
+        return deque()
+    return deque((rebuild(t, [a if a.normal else _right_nested(leaves)
+                              for a, leaves in zip(t.args, values)]),))
 
 
 def is_normalized(t: Term) -> bool:
@@ -124,17 +115,22 @@ def normalize_formula(phi: Formula) -> Formula:
 
 
 def terms_of_formula(phi: Formula) -> frozenset:
-    """The argument terms of phi's atoms, read from a stack over the
-    connectives alone, so no term is entered."""
-    terms: set = set()
-    stack = [phi]
+    """The argument terms of phi's atoms, read from their occurrences
+    (`_atoms`), so no term is entered."""
+    return frozenset(t for atom in _atoms(phi) for t in atom.args)
+
+
+def _atoms(phi: Formula) -> list:
+    """The atom occurrences of phi in the order fold visits them, read from
+    a stack over the connectives alone."""
+    atoms, stack = [], [phi]
     while stack:
         node = stack.pop()
         if type(node) is Atom:
-            terms.update(node.args)
+            atoms.append(node)
         else:
-            stack += node.children
-    return frozenset(terms)
+            stack += reversed(node.children)
+    return atoms
 
 
 # ---------------------------------------------------------------------------
@@ -149,21 +145,14 @@ def _prop_name(atom: Atom) -> str:
 def _alphabet(phi: Formula) -> tuple[tuple[Atom, ...], list]:
     """prop_alphabet(phi), and the index in it of each atom occurrence.
 
-    The occurrences are read in walk order from a stack over the connectives
-    alone, so no term is entered, and each is hashed once: distinct atoms
-    are numbered as first seen, and the numbers are ordered by their atoms'
-    propositional names, then by themselves (`in_printed_order`), so two
-    atoms that print alike both stay, in first-seen order.
+    The occurrences are read in fold order (`_atoms`), so no term is
+    entered, and each is hashed once: distinct atoms are numbered as first
+    seen, and the numbers are ordered by their atoms' propositional names,
+    then by themselves (`in_printed_order`), so two atoms that print alike
+    both stay, in first-seen order.
     """
     first: dict[Atom, int] = {}     # each distinct atom -> its first-seen number
-    seen = []
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if type(node) is Atom:
-            seen.append(first.setdefault(node, len(first)))
-        else:
-            stack += reversed(node.children)
+    seen = [first.setdefault(atom, len(first)) for atom in _atoms(phi)]
     distinct = list(first)
     order = in_printed_order(list(range(len(distinct))), lambda i: (_prop_name(distinct[i]), i))
     rank = {i: r for r, i in enumerate(order)}
@@ -180,9 +169,10 @@ def _tseitin(psi: Formula, atoms: int, occurrences: list) -> tuple[int, list]:
 
     Literal 2v says variable v is true and 2v + 1 that it is false. The
     atoms are variables 0..atoms-1, and occurrences gives the variable of
-    each atom occurrence in walk order, the order in which fold visits them
-    (_alphabet). Each connective node becomes one gate variable, keyed by
-    its tag and its children's literals, so equal subformulas share a gate.
+    each atom occurrence in the order in which fold visits them, which is
+    the order `_atoms` lists them in (_alphabet). Each connective node
+    becomes one gate variable, keyed by its tag and its children's literals,
+    so equal subformulas share a gate.
     A not is literal negation, an and/or of any arity gets its native
     clauses, and any other connective gets one clause per row of its truth
     table, read from the registry.

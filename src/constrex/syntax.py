@@ -21,15 +21,15 @@ from their children's stored hashes, and `Empty` has a constant one; so
 hashing a node of any size takes constant time and never recurses. They
 store two empty-word flags the same way (see `_Node`): `null`, whether every
 (I, r) puts the empty word in the language, and `never`, whether no path
-reaches it without reading a letter. Two slots are written after
-construction. `derivation.need` fills `_need` with the value that the
+reaches it without reading a letter. Two slots are filled lazily, after
+construction: no constructor writes them, so each starts unset and is read
+with a default. `derivation.need` fills `_need` with the value that the
 node's children and one environment determine, tagged with that
 environment; a reader takes it only under its own environment. Substitution
 fills `_mask`, the node's letter mask (`letter_mask`), the first time it
-asks for it; the mask depends on the node alone, and is read with a default,
-since no constructor writes it. A writer of either slot writes what any
-reader that takes it would compute, so sharing nodes across threads stays
-safe.
+asks for it; the mask depends on the node alone. A writer of either slot
+writes what any reader that takes it would compute, so sharing nodes across
+threads stays safe.
 `walk` yields the nodes of any such tree from an explicit stack, parents
 first; the collectors (`as_mixed_word`, `subterms`, `tree_variables`,
 `expr_variables`) read it. `fold` is its post-order twin: it hands each node
@@ -346,8 +346,9 @@ EPS_TERM = App(EPSILON)
 
 
 def _right_nested(leaves: list) -> Term:
-    """The catenation of the leaves, right-nested; eps for none. The one
-    catenation builder: `term_of_word` and `logic.normalize_term` call it."""
+    """The catenation of the leaves, a list or a deque that this empties,
+    right-nested; eps for none. The one catenation builder: `term_of_word`
+    and `logic.normalize_term` call it."""
     if not leaves:
         return EPS_TERM
     out = leaves.pop()
@@ -402,13 +403,13 @@ class _Node(_Tree):
     whether every (I, r) puts the empty word in its language, and `never`,
     whether no path reaches the empty word without reading a letter, every
     letter read as a symbol; both computed in the constructor from the
-    children's flags. Two slots are written after construction: `_need`
-    starts as None and is filled by `derivation.need`, and `_mask` starts
-    unset and is filled by `letter_mask` the first time substitution asks
-    for it. The mask is an int with a bit for each letter of the node's
-    words, match words and children (`_letter_bits`); a constraint counts as
-    holding every letter, so its formula is not read. Empty's and a
-    constraint's masks are class constants."""
+    children's flags. Two slots are filled lazily: no constructor writes
+    them, so each starts unset and is read with a default. `_need` is filled
+    by `derivation.need`, and `_mask` by `letter_mask` the first time
+    substitution asks for it. The mask is an int with a bit for each letter
+    of the node's words, match words and children (`_letter_bits`); a
+    constraint counts as holding every letter, so its formula is not read.
+    Empty's and a constraint's masks are class constants."""
     __slots__ = ("null", "never", "_need", "_mask")
 
 
@@ -420,13 +421,12 @@ class Word(_Node):
         self._hash = hash((letters,))
         self.null = letters == ""
         self.never = letters != ""
-        self._need = None
 
 
 class Empty(_Node):
     __slots__ = ()
-    _hash = hash(())    # class constants: Empty has no fields, need or letters
-    null, never, _need, _mask = False, True, None, 0
+    _hash = hash(())    # class constants: Empty has no fields or letters
+    null, never, _mask = False, True, 0
 
 
 class Sum(_Node):
@@ -438,7 +438,6 @@ class Sum(_Node):
         self._hash = hash(("+", left._hash, right._hash))   # apart from a Cat's
         self.null = left.null or right.null
         self.never = left.never and right.never
-        self._need = None
 
 
 class Cat(_Node):
@@ -450,12 +449,11 @@ class Cat(_Node):
         self._hash = hash((left._hash, right._hash))
         self.null = left.null and right.null
         self.never = left.never or right.never
-        self._need = None
 
 
 class Star(_Node):
     __slots__ = ("child",)
-    null, never, _need = True, False, None     # a star needs nothing
+    null, never = True, False
 
     def __init__(self, child: Expr):
         self.child = child
@@ -471,7 +469,6 @@ class Constraint(_Node):
         self.formula = formula
         self._hash = hash((child._hash, formula._hash))
         self.never = child.never
-        self._need = None
 
 
 class Match(_Node):
@@ -483,7 +480,6 @@ class Match(_Node):
         self._hash = hash((word, child._hash))
         self.null = word == "" and child.null
         self.never = word != "" or child.never
-        self._need = None
 
 
 Expr = Word | Empty | Sum | Cat | Star | Constraint | Match

@@ -604,6 +604,49 @@ def test_deep_catenations_are_scanned_without_recursion(envp):
         assert term_str(normal) == "bbax" * (DEEP // 5)
 
 
+def _deep_non_normal_chain(nested):
+    """A chain of DEEP leaves, an application with a non-normal argument
+    among them: right-nested and ending in eps, or left-nested with eps
+    between its leaves."""
+    eps = App(EPSILON)
+    leaves = [App("b"), Var("x"), App("f", (App(CAT, (eps, App("a"))),)), App("a")]
+    leaves = (leaves * DEEP)[:DEEP]
+    if nested == "right":
+        t = eps
+        for leaf in reversed(leaves):
+            t = App(CAT, (leaf, t))
+        return t
+    t = leaves[0]
+    for leaf in leaves[1:]:
+        t = App(CAT, (App(CAT, (t, eps)), leaf))
+    return t
+
+
+@pytest.mark.parametrize("nested", ["right", "left"])
+def test_deep_non_normal_chains_normalize_right(nested):
+    t = _deep_non_normal_chain(nested)
+    assert not t.normal
+    expected = _normalize_term_recursively(t)
+    with recursion_headroom():
+        normal = normalize_term(t)
+        assert normal == expected
+        assert is_normalized(normal) and normal.normal
+        assert left_dot_level(normal) == 1
+
+
+def test_atoms_lists_the_atoms_fold_visits_in_order(envp, env5):
+    rng = random.Random("atoms in fold order")
+    for env in (envp, env5):
+        for _ in range(200 * FUZZ_SCALE):
+            phi = rand_formula(rng, env, 4)
+            visited = []
+            syntax.fold(phi, lambda node, values: visited.append(node) if type(node) is Atom
+                        else None)
+            got = logic._atoms(phi)
+            assert len(got) == len(visited)
+            assert all(map(operator.is_, got, visited))
+
+
 def test_separator_requires_two_symbols():
     env1 = parse_environment("alphabet: a\nvariables: x")
     with pytest.raises(UnsupportedAlphabetError):
