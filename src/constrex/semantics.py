@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import partial
+from itertools import islice
 
 from .derivation import _derive
 from .errors import ConfigError
 from .syntax import (
     CAT, EPSILON,
-    App, Atom, Conn, Constraint, Empty, Environment, Expr, Formula, Match,
+    App, Atom, Cat, Conn, Constraint, Empty, Environment, Expr, Formula, Match,
     Term, Var, Word, _Value, connective, fold, rebuild, regex_str,
 )
 
@@ -253,8 +254,13 @@ def eval_formula(interp: Interpretation, r: Realization, phi: Formula) -> bool:
 # lookup and is never derived again. A remembered set and its successor
 # pass through one dict, so one object stands for each set, and a move is
 # found by identity without comparing states. A set met for the first time
-# keeps only its hash, because a word whose sets never repeat (a^n b^n c^n
-# under a fixed realization) would otherwise hold every state it passed.
+# keeps only its hash, because a word whose sets never repeat would
+# otherwise hold every state it passed. A set of one state whose left
+# catenation spine ends at a word reads the letters that word shares with
+# the rest of the input in one step: the derivative by a word composes its
+# letters' derivatives, so `u v F` by u is `v F`. Under a fixed realization
+# each variable's image is such a literal run, so a^n b^n c^n costs the
+# same few derivations for every n. The walk stops at the first empty set.
 
 # declares no variable, so every letter reads as a symbol
 _REGULAR = Environment((EPSILON,))
@@ -273,6 +279,33 @@ def regex_derivative(rx: Expr, a: str) -> frozenset:
     return frozenset(d for d, _X in _derive(_REGULAR, rx, a))
 
 
+def _read_literal(e: Expr, w: str, i: int):
+    """(the derivative set of e by w[i:i+k], k) when e's left catenation
+    spine, the `Cat.left` nodes down from e, ends at a word that shares
+    k >= 1 letters with w[i:], else None. The set holds one state: the word
+    cut to its letters after the k, under the spine rebuilt above it. A spine over a
+    non-empty word is never null in a form with no variables, so per-letter
+    derivation pushes no guard and reaches that state too."""
+    head = e
+    while type(head) is Cat:
+        head = head.left
+    if type(head) is not Word or head.letters[:1] != w[i]:
+        return None
+    letters = head.letters
+    part = w[i:i + len(letters)]
+    k = len(part)
+    if not letters.startswith(part):
+        k = next(j for j, (x, y) in enumerate(zip(letters, part)) if x != y)
+    spine = []
+    while e is not head:
+        spine.append(e.right)
+        e = e.left
+    e = Word(letters[k:])
+    for right in reversed(spine):
+        e = Cat(e, right)
+    return frozenset({e}), k
+
+
 def regex_word_derivative(rx: Expr, w: str) -> frozenset:
     """The Antimirov derivative set of a regular form w.r.t. a word.
 
@@ -284,20 +317,38 @@ def regex_word_derivative(rx: Expr, w: str) -> frozenset:
     the next lookup matches its key by identity. A set met for the first
     time leaves only its hash behind, so the memory of a word whose sets
     never repeat is a set of ints, not every state with its suffix words.
+
+    A set of one state met for the first time, whose left catenation spine
+    ends at a word, reads the letters that word shares with the rest of w
+    in one step (`_read_literal`); a set met before has failed that read.
+    This holds because a derivative by a word is the composition of its
+    letters' derivatives, so a literal run u of the form `u v F` leaves
+    `v F`. The empty set is returned as soon as a step leaves no state,
+    since no later letter can revive it.
     """
     state = frozenset({rx})
     seen = set()        # the hashes of the sets derived so far
     moves = {}          # (set, letter) -> next set, for sets seen before
     one = {}            # each set of a kept move -> the one object for it
-    for a in w:
+    rest = enumerate(w)
+    for i, a in rest:
         after = moves.get((state, a))
         if after is None:
+            known = hash(state) in seen
+            if not known and len(state) == 1:
+                read = _read_literal(*state, w, i)
+                if read is not None:
+                    state, k = read
+                    next(islice(rest, k - 1, k - 1), None)  # skip the rest of the run
+                    continue
             after = frozenset(d for r0 in state for d, _X in _derive(_REGULAR, r0, a))
-            if hash(state) in seen:
+            if known:
                 state = one.setdefault(state, state)
                 after = moves[state, a] = one.setdefault(after, after)
             else:
                 seen.add(hash(state))
+            if not after:
+                return after
         state = after
     return state
 

@@ -680,8 +680,9 @@ def subst_tree(env: Environment, root, m: Substitution):
     stay word-shaped (catenation with the empty word is the identity); one
     that already was epsilon stays, so trees without the variables stay.
     The visit, `_subst_visit`, is a module function bound to env and m by
-    `functools.partial`; it substitutes an atom's terms by calling
-    subst_tree, so it captures nothing, itself included.
+    `functools.partial`; it substitutes an atom's lone variables itself and
+    its other terms by calling subst_tree, so it captures nothing, itself
+    included.
     """
     if not m or isinstance(root, _Node) and not letter_mask(root) & _letter_bits("".join(m)):
         return root
@@ -700,7 +701,9 @@ def _subst_visit(env: Environment, m: Substitution, node, values):
         if word != node.word:
             return Match(word, values[0])
     elif kind is Atom:
-        values = [subst_tree(env, t, m) for t in node.args]
+        values = [subst_tree(env, t, m) if type(t) is not Var
+                  else term_of_word(env, m[t.name]) if t.name in m else t
+                  for t in node.args]
     elif kind is App and node.fn == CAT:
         left, right = values
         if _is_eps(left) and not _is_eps(node.args[0]):

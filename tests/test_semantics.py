@@ -476,6 +476,67 @@ def test_word_derivative_matches_the_stepwise_reference(env3, interp_len):
                     _stepwise_word_derivative(form, w)
 
 
+def _literal_form(rng, depth):
+    """A regular form of long symbol words, in left- and right-nested
+    catenations, under sums and stars."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        return Word(rand_word(rng, "abc", 12))
+    if roll < 0.45:
+        return Cat(Cat(_literal_form(rng, depth - 1), _literal_form(rng, depth - 1)),
+                   _literal_form(rng, depth - 1))
+    if roll < 0.6:
+        return Cat(_literal_form(rng, depth - 1),
+                   Cat(_literal_form(rng, depth - 1), _literal_form(rng, depth - 1)))
+    if roll < 0.8:
+        return Sum(_literal_form(rng, depth - 1), _literal_form(rng, depth - 1))
+    return Star(_literal_form(rng, depth - 1))
+
+
+def test_literal_runs_match_the_stepwise_reference():
+    # a literal run is read in one step; each word is led by a live prefix
+    # into a literal of the form and then reads it whole, stops inside it,
+    # mismatches inside it or ends before it
+    rng = random.Random(35)
+    for _ in range(60 * FUZZ_SCALE):
+        form = _literal_form(rng, 4)
+        literals = [node.letters for node in syntax.walk(form)
+                    if type(node) is Word and node.letters]
+        for u in rng.sample(literals, min(3, len(literals))):
+            cut = rng.randrange(len(u))
+            other = rng.choice([c for c in "abc" if c != u[cut]])
+            for tail in (u, u + rng.choice(literals), u[:cut], u[:cut] + other + u[cut + 1:],
+                         "".join(rng.sample(literals, min(3, len(literals))))):
+                for w in (tail, _live_walk(rng, form, 8) + tail):
+                    assert semantics.regex_word_derivative(form, w) == \
+                        _stepwise_word_derivative(form, w)
+
+
+def test_fixed_engine_reads_a_literal_run_in_one_step(env3, interp_len, interp_leneq, anbncn,
+                                                      e1, monkeypatch):
+    # a guard, not tuning: the images of x, y and z are literal runs, so the
+    # derivations a word costs do not grow with the length of the images
+    calls = []
+    derive = semantics._derive
+    monkeypatch.setattr(semantics, "_derive",
+                        lambda env, e, a: calls.append(e) or derive(env, e, a))
+    counts = {}
+    for m in (500, 2000):
+        r = Realization(env3, {"x": "a" * m, "y": "b" * m, "z": "c" * m})
+        calls[:] = []
+        assert membership_fixed(interp_leneq, r, anbncn, "a" * m + "b" * m + "c" * m)
+        counts["anbncn", m] = len(calls)
+        rng = random.Random(m)
+        u = "".join(rng.choice("ab") for _ in range(m))
+        v = "".join(rng.sample(u, m))
+        calls[:] = []
+        assert membership_fixed(interp_len, Realization(env3, {"x": u, "y": v}), e1,
+                                u + "b" * m + v)
+        counts["e1", m] = len(calls)
+    assert counts["anbncn", 500] == counts["anbncn", 2000]
+    assert counts["e1", 500] < 40 and counts["e1", 2000] < 40
+
+
 def test_regex_null_examples():
     assert const_null(Star(Word("ab"))) is True
     assert const_null(Empty()) is False
