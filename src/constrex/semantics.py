@@ -283,9 +283,9 @@ def _read_literal(e: Expr, w: str, i: int):
     """(the derivative set of e by w[i:i+k], k) when e's left catenation
     spine, the `Cat.left` nodes down from e, ends at a word that shares
     k >= 1 letters with w[i:], else None. The set holds one state: the word
-    cut to its letters after the k, under the spine rebuilt above it. A spine over a
-    non-empty word is never null in a form with no variables, so per-letter
-    derivation pushes no guard and reaches that state too."""
+    cut to its letters after the k, under the spine rebuilt above it. A
+    spine over a non-empty word is never null in a form with no variables,
+    so per-letter derivation pushes no guard and reaches that state too."""
     head = e
     while type(head) is Cat:
         head = head.left
