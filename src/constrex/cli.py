@@ -258,10 +258,12 @@ def run(argv=None) -> int:
     try:
         env = parse_environment(_read_file(args.env))
         if args.mode != "sat" and getattr(args, "word", ""):
-            env.check_word(args.word)
+            # a character that is no letter is named before any variable
             for c in args.word:
-                if not env.is_symbol(c):
-                    raise ConstrexError("--word must use alphabet symbols only")
+                if not env.is_letter(c):
+                    raise ConstrexError("%r is not a letter of the environment" % c)
+            if not all(map(env.is_symbol, args.word)):
+                raise ConstrexError("--word must use alphabet symbols only")
         status = _MODES[args.mode](args, env, out)
     except (ConstrexError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

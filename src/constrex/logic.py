@@ -492,23 +492,20 @@ def null_general(env: Environment, e: Expr,
     return None
 
 
-def _one_sided(phi: Formula, polarity: dict | None) -> bool:
+def _one_sided(phi: Formula, polarity: dict) -> bool:
     """True if phi is built from atoms by and, or, not and true, with no
     true negated and no atom both negated and not.
 
     Then the assignment that makes each atom occurrence true satisfies phi.
-    polarity maps each atom seen to its polarity; with polarity None, a
-    negated atom gives False as well and no atom is hashed, so phi must
-    join atoms by and/or/true only. The search stops at the first subformula
-    that fails, and keeps its place on one stack of (subformula, polarity)
-    pairs.
+    polarity maps each atom seen to its polarity, so on True it holds that
+    assignment. The search stops at the first subformula that fails, and
+    keeps its place on one stack of (subformula, polarity) pairs.
     """
     stack = [(phi, True)]
     while stack:
         node, positive = stack.pop()
         if type(node) is Atom:
-            if not (positive if polarity is None
-                    else polarity.setdefault(node, positive) is positive):
+            if polarity.setdefault(node, positive) is not positive:
                 return False
             continue
         tag = node.tag
@@ -535,9 +532,9 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], tuple | No
     it is empty, a catenation with a void factor, a sum of two void
     children, a match or constraint with a void child, `eps -| c` where c
     needs a letter, or a constraint whose formula is unsatisfiable. A
-    formula of atoms joined by and/or only is satisfiable, read as it is.
-    Any other is normalized once: it is satisfiable if it is one-sided
-    (_one_sided), and else the SAT search decides it; one over more than
+    formula is normalized once per query: it is satisfiable if its normal
+    form is one-sided (_one_sided), since normalizing changes terms and not
+    connectives, and else the SAT search decides it; one over more than
     max_props symbols counts as satisfiable. `derivation.need` gives both
     answers in one pass, and keeps the need of each node whose need no
     formula decides, so a state's shared subtrees are not walked again.
@@ -545,8 +542,6 @@ def letter_need(env: Environment, max_props: int) -> Callable[[Expr], tuple | No
     unsat: dict[Formula, bool] = {}     # this query's answers, by formula
 
     def unsatisfiable(phi: Formula) -> bool:
-        if _one_sided(phi, None):
-            return False
         known = unsat.get(phi)
         if known is None:
             normal = normalize_formula(phi)

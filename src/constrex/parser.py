@@ -41,8 +41,16 @@ formula grammar, and its pending entry builds the constraint when the frame
 ends, so "|" closes its expression. Terms have juxtaposition only: the
 factors of a term frame are nested to the right when it ends.
 
-A run of letters like `abx` denotes one letter per character; identifier runs
-followed by "(" name a declared predicate or function.
+A run of letters like `abx` denotes one letter per character, in an
+expression and in a term alike, and the engine reads every letter in one
+place, one per turn: the letter comes off the front of its word token, and
+the rest stays in the token list, for the next turn and for an error's
+column. Before each letter an expression tests whether the rest is "eps" or
+"empty", and a term whether it is "eps" or, where "(" follows, a declared
+function, so with `bf` declared the term `abf(x)` reads `a` and then
+`bf(x)`. An identifier run followed by "(" names a declared predicate or
+function. There are no lexical methods: the position is a local of the
+loop, which hands it back with the value for the check that the text ends.
 """
 
 from __future__ import annotations
@@ -68,6 +76,8 @@ _TOKEN = re.compile("|".join(re.escape(op) for op in sorted(
 
 # The grammars, named as the error on a trailing token names them.
 _EXPR, _FORMULA, _TERM = "expression", "formula", "term"
+# What each grammar expects before an operand, as an error names it.
+_EXPECTED = {_EXPR: "an expression atom", _FORMULA: "a formula", _TERM: "a term"}
 
 # The infix operators of a grammar by token kind: (own level, right operand
 # level, builder), where the builder is a node class of the two operands or
@@ -122,54 +132,12 @@ class _Parser:
         self.env = env
         self.text = text
         self.kinds, self.values = _tokenize(text)
-        self.pos = 0
-        self.leaves: dict = {}    # letter -> its term node, shared in one parse
         self.arity_error = None   # the first wrong arity, raised after the parse
         self.arities = {**env.predicates, **env.functions}    # one namespace
 
-    # token plumbing -------------------------------------------------------
-
-    def error(self, message: str, pos=None):
-        pos = self.pos if pos is None else pos
+    def error(self, message: str, pos: int):
+        """Raise a ParseError at token pos, or at what is left of it."""
         raise _error(self.text, _offset(self.text, self.values, pos), message)
-
-    def take_letter(self) -> str:
-        """Pop a single letter off the current word token."""
-        pos = self.pos
-        value = self.values[pos]
-        c = value[0]
-        if not self.env.is_letter(c):
-            self.error("%r is not a symbol or variable" % c)
-        if len(value) == 1:
-            self.pos += 1
-        else:
-            self.values[pos] = value[1:]
-        return c
-
-    def take_leaves(self, value: str, call: bool) -> list:
-        """The term leaves of the letters at the front of the current word
-        token, value, read in one step: up to a rest that is eps or, when
-        call says "(" follows, a function name; else the whole token."""
-        env, leaves = self.env, self.leaves
-        end = len(value)
-        if call:
-            end = next((i for i in range(1, end) if value[i:] in env.functions), end)
-        if value.endswith("eps"):
-            end = min(end, len(value) - 3)
-        out = []
-        for i, c in enumerate(value[:end]):
-            leaf = leaves.get(c)
-            if leaf is None:
-                if not env.is_letter(c):
-                    self.values[self.pos] = value[i:]
-                    self.error("%r is not a symbol or variable" % c)
-                leaf = leaves[c] = Var(c) if env.is_variable(c) else App(c)
-            out.append(leaf)
-        if end == len(value):
-            self.pos += 1
-        else:
-            self.values[self.pos] = value[end:]
-        return out
 
     def _make_match(self, left: Expr, right: Expr, pos: int) -> Expr:
         # The match operator takes a mixed word on one side; customary
@@ -202,11 +170,12 @@ class _Parser:
     # the engine -------------------------------------------------------------
 
     def parse(self, grammar: str):
-        """What grammar reads from the current token on, in one loop over
-        the tokens that keeps its place on one explicit stack of frames. The
-        position is a local, handed to self.pos around the lexical methods."""
+        """What grammar reads from the first token on, and the position after
+        it, in one loop over the tokens that keeps its place on one explicit
+        stack of frames. The position is a local of this loop."""
         kinds, values, env, arities = self.kinds, self.values, self.env, self.arities
-        pos = self.pos
+        pos = 0
+        leaves = {}                 # letter -> its term node, shared in one parse
         stack = []                  # the enclosing frames, innermost last
         operands, pending = [], []  # pending: operators as the _INFIX tables hold them
         closing = None      # in an arguments frame: [make, name, arguments so far]
@@ -220,26 +189,14 @@ class _Parser:
                 stack.append((grammar, operands, pending, closing, start))
                 operands, pending, closing, start = [], [], None, pos
                 continue
-            if grammar is _TERM:
-                if kind != "word":
-                    self.error("expected a term, found %r" % (value or "end of input"), pos)
-                call = kinds[pos + 1] == "("
-                if value == "eps":
-                    pos += 1
-                    operands.append(EPS_TERM)
-                elif call and value in env.functions:
-                    make = App
-                else:
-                    self.pos = pos
-                    operands += self.take_leaves(value, call)
-                    pos = self.pos
-            elif grammar is _FORMULA:
-                if kind == "!":
-                    pos += 1
-                    pending.append(_NEGATION)
-                    continue
-                if kind != "word":
-                    self.error("expected a formula, found %r" % (value or "end of input"), pos)
+            if kind == "!" and grammar is _FORMULA:
+                pos += 1
+                pending.append(_NEGATION)
+                continue
+            if kind != "word":
+                self.error("expected %s, found %r"
+                           % (_EXPECTED[grammar], value or "end of input"), pos)
+            if grammar is _FORMULA:
                 if value == "true" or value == "false":
                     pos += 1
                     operands.append(Conn(value))
@@ -247,16 +204,29 @@ class _Parser:
                     make = Atom
                 else:
                     self.error("expected a formula, found %r" % value, pos)
-            elif kind != "word":
-                self.error("expected an expression atom, found %r"
-                           % (value or "end of input"), pos)
-            elif value == "eps" or value == "empty":
+            elif value == "eps" or (value == "empty" and grammar is _EXPR):
                 pos += 1
-                operands.append(Word("") if value == "eps" else Empty())
+                operands.append(EPS_TERM if grammar is _TERM
+                                else Word("") if value == "eps" else Empty())
+            elif grammar is _TERM and kinds[pos + 1] == "(" and value in env.functions:
+                make = App
             else:
-                self.pos = pos
-                operands.append(Word(self.take_letter()))
-                pos = self.pos
+                # One letter off the front of the word token; values[pos]
+                # keeps the rest, for the next turn and for an error's column.
+                c = value[0]
+                if not env.is_letter(c):
+                    self.error("%r is not a symbol or variable" % c, pos)
+                if len(value) == 1:
+                    pos += 1
+                else:
+                    values[pos] = value[1:]
+                if grammar is _EXPR:
+                    operands.append(Word(c))
+                else:       # a term's letters share one leaf each in a parse
+                    leaf = leaves.get(c)
+                    if leaf is None:
+                        leaf = leaves[c] = Var(c) if env.is_variable(c) else App(c)
+                    operands.append(leaf)
             if make is not None:    # name "(": an arguments frame reads the terms
                 pos += 2
                 if kinds[pos] != ")":
@@ -310,8 +280,7 @@ class _Parser:
                 while operands:
                     value = App(CAT, (operands.pop(), value))
                 if not stack:
-                    self.pos = pos
-                    return value
+                    return value, pos
                 if closing is not None:
                     closing[2].append(value)
                     if kind == ",":
@@ -333,9 +302,9 @@ def _parse_whole(text: str, env: Environment, grammar: str):
     """Read one grammar and require that it consumes the whole text.
     A ParseError anywhere in it comes before a wrong arity (ConfigError)."""
     p = _Parser(env, text)
-    result = p.parse(grammar)
-    if p.kinds[p.pos] != "eof":
-        p.error("unexpected %r after %s" % (p.values[p.pos], grammar))
+    result, pos = p.parse(grammar)
+    if p.kinds[pos] != "eof":
+        p.error("unexpected %r after %s" % (p.values[pos], grammar), pos)
     if p.arity_error is not None:
         raise p.arity_error
     return result

@@ -162,12 +162,6 @@ class Environment:
     def is_letter(self, c: str) -> bool:
         return c in self.symbols or c in self.variables
 
-    def check_word(self, alpha: str) -> str:
-        for c in alpha:
-            if not self.is_letter(c):
-                raise ConfigError("%r is not a letter of the environment" % c)
-        return alpha
-
     def letter_key(self, word: str) -> tuple:
         """Position key implementing the declared lexicographic order."""
         return tuple(self.letter_rank[c] for c in word)

@@ -197,6 +197,19 @@ def test_wrong_arity_exits_2(env_file, capsys, argv, message):
     assert captured.err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("word, message", [
+    ("aQb", "'Q' is not a letter of the environment"),
+    ("xaQ", "'Q' is not a letter of the environment"),
+    ("axb", "--word must use alphabet symbols only"),
+], ids=["no-letter", "no-letter-after-a-variable", "variable"])
+def test_word_outside_the_alphabet_exits_2(env_file, capsys, word, message):
+    # a character that is no letter, anywhere in the word, is reported first
+    assert run(["derive", "--env", env_file, "--expr", "a*", "--word", word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_missing_env_file(capsys):
     status, _ = invoke(capsys, "indicator", "--env", "/does/not/exist",
                        "--expr", "a")

@@ -26,8 +26,8 @@ from constrex.derivation import const_null, never_null
 from constrex.logic import is_normalized, letter_need
 from constrex.oracle import realizations
 from constrex.syntax import (
-    CAT, EPSILON, TOP, BOT, App, Atom, Conn, Empty, Var, connective, expr_variables,
-    register_connective, term_str,
+    AND, CAT, EPSILON, FALSE, IMPLIES, NOT, OR, TOP, TRUE, BOT, App, Atom, Conn, Empty,
+    Var, connective, expr_variables, register_connective, term_str,
 )
 
 from conftest import (
@@ -954,6 +954,71 @@ def test_void_test_needs_no_search_for_one_sided_formulas(env3, monkeypatch):
     for text in ("x | sim((xy)z, a) && !sim(x(yz), b)",
                  "x | !(sim(x, a) || !lt(x, a) || !true) && lt(x, a)"):
         assert not void(parse_expression(text, env3))
+
+
+def one_sided_by_definition(phi):
+    # tags true, and, or and not only, no true under an odd number of nots,
+    # and no atom both under an odd and an even number
+    seen = set()
+
+    def visit(node, positive):
+        if type(node) is Atom:
+            seen.add((node, positive))
+            return True
+        if node.tag not in (TRUE, AND, OR, NOT) or node.tag == TRUE and not positive:
+            return False
+        return all(visit(c, positive != (node.tag == NOT)) for c in node.children)
+
+    return visit(phi, True) and not any((atom, not p) in seen for atom, p in seen)
+
+
+def holds(phi, truth):
+    # phi's value when each atom has its value in truth
+    if type(phi) is Atom:
+        return truth[phi]
+    return connective(phi.tag)[1](*(holds(c, truth) for c in phi.children))
+
+
+def test_one_sided_matches_its_definition(env3):
+    # on seeded formulas over three atoms and all six connectives; a formula
+    # it accepts holds when each atom takes the polarity it recorded
+    rng = random.Random("one-sided")
+    atoms = [parse_formula(text, env3) for text in ("sim(a, b)", "lt(a, x)", "sim(x, x)")]
+
+    def formula(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            return rng.choice(atoms) if roll < 0.25 else Conn(rng.choice((TRUE, FALSE)))
+        tag = rng.choice((AND, AND, OR, OR, NOT, NOT, IMPLIES))
+        return Conn(tag, tuple(formula(depth - 1) for _ in range(1 if tag == NOT else 2)))
+
+    verdicts = {True: 0, False: 0}
+    for _ in range(400 * FUZZ_SCALE):
+        phi = formula(4)
+        polarity = {}
+        one_sided = logic._one_sided(phi, polarity)
+        assert one_sided is one_sided_by_definition(phi), str(phi)
+        verdicts[one_sided] += 1
+        if one_sided:
+            assert holds(phi, polarity), str(phi)
+    assert min(verdicts.values()) >= 40 * FUZZ_SCALE, verdicts
+
+
+def test_void_test_decides_each_formula_once_per_query(env3, monkeypatch):
+    # the formula is not one-sided and its states repeat, so the void test
+    # asks the SAT search once and the empty-word test once, at any length
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sat_truth_table(*args)
+
+    monkeypatch.setattr(logic, "sat_truth_table", counting)
+    e = parse_expression("(a + b)* | sim(a, b) && (!sim(a, b) || lt(a, b))", env3)
+    for m in (250, 500):
+        calls.clear()
+        assert membership_general(env3, e, "ab" * m) is not None
+        assert len(calls) == 2, m
 
 
 def test_void_states_denote_nothing(envp):

@@ -9,7 +9,9 @@ since comparing two deep trees with `==` recurses.
 
 import pytest
 
-from constrex import ConfigError, parse_expression, parse_formula, parse_term
+from constrex import (
+    ConfigError, parse_environment, parse_expression, parse_formula, parse_term,
+)
 from constrex.syntax import (
     AND, CAT, IMPLIES, NOT, OR, TRUE, App, Atom, Cat, Conn, Constraint, Empty,
     Match, Star, Sum, Var, Word, walk,
@@ -75,6 +77,25 @@ CASES = [
 @pytest.mark.parametrize("rule, text, tree", CASES)
 def test_parse_tree(env3, rule, text, tree):
     assert PARSERS[rule](text, env3) == tree
+
+
+# A letter run splits before the first rest of it that is eps or, where "("
+# follows, a function name, here bf/1 with f/1 declared as well; in an
+# expression, before a rest that is eps or empty.
+ENV_BF = parse_environment("alphabet: a b c\nvariables: x y z\nfunctions: f/1 bf/1")
+
+SPLITS = [
+    ("term", "abf(x)", cat(ta, App("bf", (tx,)))),
+    ("term", "abeps", cat(ta, tb, EPS)),
+    ("expr", "abeps", Cat(a, Cat(b, Word("")))),
+    ("term", "aeps(b)", cat(ta, EPS, tb)),
+    ("expr", "aempty", Cat(a, Empty())),
+]
+
+
+@pytest.mark.parametrize("rule, text, tree", SPLITS)
+def test_letter_run_splits(rule, text, tree):
+    assert PARSERS[rule](text, ENV_BF) == tree
 
 
 def test_wrong_arity_in_a_term_raises_after_the_parse(env3):
